@@ -16,7 +16,7 @@ import sys
 
 from . import gauss, haar, parser, uq, weyl
 from .coeff import NumericContext
-from .errors import IndexOutOfRange, ParseError, QweylError
+from .errors import ParseError, QweylError
 from .report import SuiteReport
 
 SUITES = ("weyl-relations", "ab-rho", "action-table", "module-algebra",
@@ -237,6 +237,14 @@ def build_arg_parser():
     return ap
 
 
+def _check_bounds(args):
+    """Reject counts that would make a check pass on nothing."""
+    for flag, least in (("n", 1), ("samples", 1), ("degree", 0)):
+        value = getattr(args, flag, least)
+        if value < least:
+            raise QweylError(f"--{flag} must be at least {least}, got {value}")
+
+
 def main(argv=None):
     ap = build_arg_parser()
     try:
@@ -244,12 +252,13 @@ def main(argv=None):
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        _check_bounds(args)
         return args.fn(args)
-    except (ParseError, IndexOutOfRange, ValueError) as exc:
+    except (QweylError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except QweylError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except OverflowError as exc:
+        print(f"error: out of floating-point range: {exc}", file=sys.stderr)
         return 2
 
 

@@ -330,10 +330,13 @@ def _canonicalize(num, den):
     if v:
         num = num[v:]
         den = den[v:]
-    g = _pgcd(num, den)
-    if len(g) > 1:
-        num, _ = _pdivmod(num, g)
-        den, _ = _pdivmod(den, g)
+    # with the common q0 power gone, a one-term side c*q0^k is coprime to the
+    # other side (whose constant term is then nonzero): skip the gcd
+    if any(num[:-1]) and any(den[:-1]):
+        g = _pgcd(num, den)
+        if len(g) > 1:
+            num, _ = _pdivmod(num, g)
+            den, _ = _pdivmod(den, g)
     if den[-1] != _QI1:
         inv = den[-1].inv()
         num = tuple(c * inv for c in num)
@@ -341,23 +344,16 @@ def _canonicalize(num, den):
     return num, den
 
 
-def _qi_str(c, need_parens):
+def _qi_str(c):
     if not c.im:
-        s = str(c.re)
-    elif not c.re:
+        return str(c.re)
+    if not c.re:
         if c.im == 1:
-            s = "i"
-        elif c.im == -1:
-            s = "-i"
-        else:
-            s = f"{c.im}*i"
-    else:
-        s = f"({c.re} + {c.im}*i)" if c.im > 0 else f"({c.re} - {-c.im}*i)"
-        return s
-    if need_parens and ("/" in s):
-        # 1/2*q0 parses as (1/2)*q0, fine; parens only for clarity on i-terms
-        return s
-    return s
+            return "i"
+        if c.im == -1:
+            return "-i"
+        return f"{c.im}*i"
+    return f"({c.re} + {c.im}*i)" if c.im > 0 else f"({c.re} - {-c.im}*i)"
 
 
 def _poly_str(p):
@@ -369,7 +365,7 @@ def _poly_str(p):
         if not c:
             continue
         if k == 0:
-            parts.append(_qi_str(c, False))
+            parts.append(_qi_str(c))
             continue
         mono = "q0" if k == 1 else f"q0^{k}"
         if c == _QI1:
@@ -377,7 +373,7 @@ def _poly_str(p):
         elif c == QI(-1):
             parts.append(f"-{mono}")
         else:
-            parts.append(f"{_qi_str(c, True)}*{mono}")
+            parts.append(f"{_qi_str(c)}*{mono}")
     out = parts[0]
     for part in parts[1:]:
         if part.startswith("-"):
@@ -422,10 +418,6 @@ Q0 = q0_power(1)
 Q = q_power(1)
 LAMBDA = q_power(1) - q_power(-1)
 LAMBDA_INV = LAMBDA.inv()
-
-
-def sign_scalar(s):
-    return ONE if s >= 0 else MINUS_ONE
 
 
 @dataclass(frozen=True)

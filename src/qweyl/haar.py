@@ -163,26 +163,13 @@ def trace_gram_route(F, ictx):
 
 def act_on_operator(g, F, ctx):
     """Apply a single symmetry generator to a finite-rank operator."""
-    kind, j = g
-    n = F.n
-    rho = represent(uq._rho(n, j), ctx)
-    rho_inv = represent(uq._rho_inv(n, j), ctx)
-    if kind == uq.K:
-        return F.left_composed(rho).right_composed(rho_inv)
-    if kind == uq.KINV:
-        return F.left_composed(rho_inv).right_composed(rho)
-    if kind == uq.E:
-        a_ops = represent(uq._a(n, j), ctx)
-        mixed = represent(uq._rhoinv_a(n, j), ctx)
-        return (F.left_composed(a_ops)
-                - F.left_composed(rho).right_composed(mixed))
-    if kind == uq.F:
-        b_ops = represent(uq._b(n, j), ctx)
-        mixed = represent(uq._rho_b(n, j), ctx)
-        q2 = coeff.q_power(2).evaluate(ctx)
-        return (F.left_composed(b_ops).right_composed(rho)
-                - F.right_composed(mixed).scaled(q2))
-    raise ValueError(f"unknown generator kind {kind!r}")
+    out = FiniteRankOperator.zero(F.n)
+    for c, left, right in uq.sandwich(F.n, g):
+        term = F if left is None else F.left_composed(represent(left, ctx))
+        if right is not None:
+            term = term.right_composed(represent(right, ctx))
+        out = out + term.scaled(c.evaluate(ctx))
+    return out
 
 
 def act_hopf_on_operator(h, F, ctx):

@@ -220,50 +220,58 @@ def antipode_element(h):
 
 
 @lru_cache(maxsize=None)
-def _rho(n, j):
-    return weyl.rho(n, j)
+def sandwich(n, g):
+    """The action of ``g`` as terms ``(c, left, right)``, shared by every
+    consumer: ``g > f = sum(c * left * f * right)``, ``None`` being the unit."""
+    kind, j = g
+    rho, rho_inv = weyl.rho(n, j), weyl.rho_inv(n, j)
+    if kind == K:
+        return ((ONE, rho, rho_inv),)
+    if kind == KINV:
+        return ((ONE, rho_inv, rho),)
+    if kind == E:
+        a = weyl.a_op(n, j)
+        return ((ONE, a, None), (coeff.MINUS_ONE, rho, rho_inv * a))
+    if kind == F:
+        b = weyl.b_op(n, j)
+        return ((ONE, b, rho), (-q_power(2), None, rho * b))
+    raise ValueError(f"unknown generator kind {kind!r}")
 
 
-@lru_cache(maxsize=None)
-def _rho_inv(n, j):
-    return weyl.rho_inv(n, j)
+# (n, generator, monomial key) -> canonical term map of the generator's image
+# of that unit monomial; the maps are shared and must never be mutated
+_ACT_MEMO = {}
 
 
-@lru_cache(maxsize=None)
-def _a(n, j):
-    return weyl.a_op(n, j)
-
-
-@lru_cache(maxsize=None)
-def _b(n, j):
-    return weyl.b_op(n, j)
-
-
-@lru_cache(maxsize=None)
-def _rhoinv_a(n, j):
-    return _rho_inv(n, j) * _a(n, j)
-
-
-@lru_cache(maxsize=None)
-def _rho_b(n, j):
-    return _rho(n, j) * _b(n, j)
+def _act_monomial(n, g, key):
+    image = _ACT_MEMO.get((n, g, key))
+    if image is None:
+        m = AlgebraElement(n, {key: ONE})
+        total = AlgebraElement.zero(n)
+        for c, left, right in sandwich(n, g):
+            term = m if left is None else left * m
+            if right is not None:
+                term = term * right
+            total = total + term.scaled(c)
+        image = _ACT_MEMO[(n, g, key)] = total.terms
+    return image
 
 
 def act(g, f):
-    """Apply a single generator to an algebra element."""
-    kind, j = g
+    """Apply a single generator to an algebra element, monomial by monomial."""
     n = f.n
-    if not 1 <= j <= n:
-        raise IndexOutOfRange(f"generator index {j} outside 1..{n}")
-    if kind == K:
-        return _rho(n, j) * f * _rho_inv(n, j)
-    if kind == KINV:
-        return _rho_inv(n, j) * f * _rho(n, j)
-    if kind == E:
-        return _a(n, j) * f - _rho(n, j) * f * _rhoinv_a(n, j)
-    if kind == F:
-        return _b(n, j) * f * _rho(n, j) - q_power(2) * (f * _rho_b(n, j))
-    raise ValueError(f"unknown generator kind {kind!r}")
+    hopf_gen(n, *g)
+    out = {}
+    for key, cv in f.terms.items():
+        for key2, v2 in _act_monomial(n, g, key).items():
+            term = v2 if cv.is_one else cv * v2
+            acc = out.get(key2)
+            acc = term if acc is None else acc + term
+            if acc.is_zero:
+                out.pop(key2, None)
+            else:
+                out[key2] = acc
+    return AlgebraElement(n, out)
 
 
 def act_element(h, f):

@@ -204,3 +204,20 @@ def test_cli_repr_check(capsys):
     assert rc == 0
     assert "suite=model2-n1" in out
     assert "suite=pointwise" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--samples", "0"],
+    ["verify", "--suite", "invariance", "--samples", "-3"],
+    ["verify", "--suite", "module-algebra", "--degree", "-1"],
+    ["normalize", "--n", "0", "1"],
+    ["normalize", "--n", "-1", "1"],
+    ["act", "--n", "0", "E1", "1"],
+    ["integrate", "--ket", "(1,40,0)", "--bra", "(1,40,0)"],
+])
+def test_cli_rejects_vacuous_and_unrepresentable_inputs(capsys, argv):
+    rc = cli.main(argv)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.out + captured.err

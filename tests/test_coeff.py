@@ -127,3 +127,76 @@ def test_eval_intertwines_star_and_conjugation(a):
 def test_rational_fixed_by_star():
     a = ScalarValue((QI(Fraction(3, 7)),), (QI(1),))
     assert a.star() == a
+
+
+# -- canonicalization fast path and an independent oracle ----------------------
+
+
+def _canonicalize_via_gcd(num, den):
+    """The canonical form with the polynomial gcd always taken."""
+    num, den = coeff._trim(num), coeff._trim(den)
+    if not num:
+        return (), (QI(1),)
+    v = min(coeff._pval(num), coeff._pval(den))
+    num, den = num[v:], den[v:]
+    g = coeff._pgcd(num, den)
+    if len(g) > 1:
+        num, _ = coeff._pdivmod(num, g)
+        den, _ = coeff._pdivmod(den, g)
+    inv = den[-1].inv()
+    return tuple(c * inv for c in num), tuple(c * inv for c in den)
+
+
+_nonzero_qi = _qi.filter(bool)
+
+
+@st.composite
+def one_term_side_pairs(draw):
+    """(num, den) with at least one side of the form c*q0^k."""
+    mono = (QI(0),) * draw(st.integers(0, 4)) + (draw(_nonzero_qi),)
+    other = draw(st.lists(_qi, min_size=1, max_size=5).map(tuple)
+                 .filter(lambda p: any(p)))
+    other = (QI(0),) * draw(st.integers(0, 3)) + other
+    return (mono, other) if draw(st.booleans()) else (other, mono)
+
+
+@settings(max_examples=100, deadline=None)
+@given(one_term_side_pairs())
+def test_one_term_side_skips_gcd_with_same_result(pair):
+    num, den = pair
+    assert coeff._canonicalize(num, den) == _canonicalize_via_gcd(num, den)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_poly, _nonzero_poly)
+def test_canonicalize_matches_gcd_route(num, den):
+    assert coeff._canonicalize(num, den) == _canonicalize_via_gcd(num, den)
+
+
+def _to_sympy(value, z):
+    import sympy
+
+    def poly(p):
+        return sum((sympy.Rational(c.re.numerator, c.re.denominator)
+                    + sympy.I * sympy.Rational(c.im.numerator, c.im.denominator))
+                   * z ** k for k, c in enumerate(p))
+
+    return poly(value.num) / poly(value.den)
+
+
+def test_products_and_quotients_match_sympy_cancel():
+    import random
+
+    import sympy
+
+    z = sympy.Symbol("q0")
+    rng = random.Random(2024)
+    pool = [LAMBDA, LAMBDA_INV, Q0, q0_power(-3), coeff.I, q_power(2) + ONE,
+            ONE / (Q0 + ONE), gaussian(Fraction(2, 3), -1),
+            (Q0 - coeff.I) / (q0_power(2) + integer(3))]
+    for _ in range(40):
+        a, b = rng.choice(pool), rng.choice(pool)
+        a = a * q0_power(rng.randint(-2, 2)) + rng.choice(pool)
+        for got, want in ((a * b, _to_sympy(a, z) * _to_sympy(b, z)),
+                          (a / b, _to_sympy(a, z) / _to_sympy(b, z))):
+            assert sympy.cancel(_to_sympy(got, z) - want) == 0, str(got)

@@ -1,8 +1,11 @@
+import random
+
 import pytest
 
 from qweyl import coeff, uq, weyl
 from qweyl.coeff import LAMBDA_INV, ONE, q0_power, q_power
 from qweyl.errors import DescriptorMismatch, IndexOutOfRange
+from qweyl.parser import parse_hopf, parse_scalar
 from qweyl.uq import (E, F, K, KINV, HopfElement, act, act_element, antipode,
                       antipode_element, coproduct, counit)
 from qweyl.weyl import AlgebraElement, gen_x, gen_y
@@ -119,9 +122,88 @@ def test_ef_commutator_matches_cartan_side():
         assert act_element(lhs_word, f) == act_element(rhs_word, f)
 
 
+# -- the memoized action against the whole-element formula -----------------------
+
+
+def _direct_action(g, f):
+    """``g > f`` as one sandwich product on the whole element."""
+    kind, j = g
+    n = f.n
+    rho, rho_inv = weyl.rho(n, j), weyl.rho_inv(n, j)
+    if kind == K:
+        return rho * f * rho_inv
+    if kind == KINV:
+        return rho_inv * f * rho
+    if kind == E:
+        a = weyl.a_op(n, j)
+        return a * f - rho * f * (rho_inv * a)
+    b = weyl.b_op(n, j)
+    return b * f * rho - q_power(2) * (f * (rho * b))
+
+
+def _direct_action_element(h, f):
+    out = AlgebraElement.zero(f.n)
+    for word, cv in h.terms.items():
+        acc = f
+        for g in reversed(word):
+            acc = _direct_action(g, acc)
+        out = out + acc.scaled(cv)
+    return out
+
+
+_COEFFS = [parse_scalar(text) for text in (
+    "1", "1/(q0+1)", "(q0^2 + i)/(q0^3 - 2)", "-3/2*q0", "lambda",
+    "i*q^-1", "(1 - q0)/(q0^4 - 1)")]
+
+
+def _random_element(n, rng, terms=3):
+    words = []
+    for _ in range(terms):
+        atoms = []
+        for _ in range(rng.randint(0, 3)):
+            kind = rng.choice(("R", "y", "x"))
+            k = rng.randint(1, n)
+            atoms.append(("R", k, rng.choice((-2, -1, 1, 2)))
+                         if kind == "R" else (kind, k))
+        words.append((rng.choice(_COEFFS), tuple(atoms)))
+    return weyl.normal_form(n, words)
+
+
+def test_memoized_action_matches_direct_sandwich():
+    rng = random.Random(31)
+    for n in (1, 2, 3):
+        elements = [_random_element(n, rng) for _ in range(3)]
+        assert any(len(f.terms) > 1 for f in elements)
+        for g in uq.generators(n):
+            uq._ACT_MEMO.clear()
+            for f in elements:
+                want = _direct_action(g, f)
+                cold = act(g, f)
+                assert cold == want, (g, str(f))
+                # the returned terms are the caller's to change
+                cold.terms.clear()
+                assert act(g, f) == want, (g, str(f))
+
+
+def test_memoized_action_element_matches_direct_words():
+    rng = random.Random(32)
+    words = {1: "K1*E1 - lambda*F1*K1^-1 + (1/(q0+1))*E1*F1",
+             2: "K1*E2*F1 - lambda*K2^-1 + (1/2)*F2*E1",
+             3: "E3*F2*K1 + (q0/(q0^2 - 3))*F3*E1 - K2^-1"}
+    for n, text in words.items():
+        h = parse_hopf(text, n)
+        f = _random_element(n, rng)
+        uq._ACT_MEMO.clear()
+        want = _direct_action_element(h, f)
+        assert act_element(h, f) == want
+        assert act_element(h, f) == want
+
+
 def test_act_index_and_descriptor_errors():
     with pytest.raises(IndexOutOfRange):
         act((E, 3), gen_y(2, 1))
+    with pytest.raises(ValueError):
+        act(("G", 1), AlgebraElement.zero(1))
     with pytest.raises(DescriptorMismatch):
         act_element(HopfElement.generator(1, E, 1), gen_y(2, 1))
 
@@ -155,6 +237,11 @@ def test_relation_compat_degree_four():
     for name, rel in uq.defining_relations(3):
         for f in rng.sample(monomials, 5):
             assert uq.act_element(rel, f).is_zero, name
+
+
+def test_relation_sweep_rank_three_degree_four():
+    report = uq.check_defining_relations(3, degree=4)
+    assert report.ok, [c.case for c in report.failures()]
 
 
 def test_subalgebra_relations_through_action():
