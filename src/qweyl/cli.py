@@ -163,6 +163,8 @@ def _parse_state(text, n, ctx_name):
             raise ParseError(
                 f"{ctx_name}: each leg is (eps,gammaRe,gammaIm)", 0)
         eps, gre, gim = (float(p) for p in fields)
+        if not all(map(math.isfinite, (eps, gre, gim))):
+            raise ParseError(f"{ctx_name}: leg fields must be finite", 0)
         legs.append((eps, complex(gre, gim)))
     if len(legs) != n:
         raise ParseError(f"{ctx_name}: expected {n} legs, got {len(legs)}", 0)

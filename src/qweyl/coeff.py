@@ -436,6 +436,8 @@ class NumericContext:
             raise ValueError(f"phi={self.phi!r} outside the open punctured range")
         if abs(abs(self.phi) - math.pi / 2) < 1e-12:
             raise ValueError("phi = +-pi/2 makes q**4 = 1; excluded")
+        if not math.isfinite(self.tolerance):
+            raise ValueError(f"tolerance={self.tolerance!r} is not finite")
         if self.tolerance <= 0.0:
             raise ValueError("tolerance must be positive")
 

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 from .errors import ShapeMismatch
 from .report import SuiteReport
+from .sparse import accumulate
 from .weyl import hermitian_generators
 
 
@@ -96,14 +97,8 @@ class GaussianState:
 
     def __add__(self, other):
         self._match(other)
-        out = dict(self.terms)
-        for key, amp in other.terms.items():
-            acc = out.get(key, 0j) + amp
-            if acc == 0:
-                out.pop(key, None)
-            else:
-                out[key] = acc
-        return GaussianState(self.n, out)
+        return GaussianState(self.n,
+                             accumulate(dict(self.terms), other.terms.items()))
 
     def __sub__(self, other):
         return self + other.scaled(-1.0)
@@ -204,30 +199,30 @@ def adjoint_ops(ops):
             for op in ops]
 
 
+def _apply_word(g, word):
+    """Apply a shift word (application order) to one leg."""
+    for kind, amount in word:
+        g = apply_shift_t(amount, g) if kind == "T" else apply_shift_p(amount, g)
+    return g
+
+
 def apply_ops(ops, state):
     """Apply a sum of elementary operators to a state."""
-    acc = {}
-    for key, amp in state.terms.items():
-        for op in ops:
-            if len(op.legs) != state.n:
-                raise ShapeMismatch(f"operator has {len(op.legs)} legs, "
-                                    f"state has {state.n}")
-            val = amp * op.scalar
-            newkey = []
-            for (eps, gam), word in zip(key, op.legs):
-                g = GaussianFactor(eps, gam)
-                for kind, amount in word:
-                    g = apply_shift_t(amount, g) if kind == "T" \
-                        else apply_shift_p(amount, g)
-                val *= g.prefactor
-                newkey.append((g.epsilon, g.gamma))
-            newkey = tuple(newkey)
-            total = acc.get(newkey, 0j) + val
-            if total == 0:
-                acc.pop(newkey, None)
-            else:
-                acc[newkey] = total
-    return GaussianState(state.n, acc)
+    def images():
+        for key, amp in state.terms.items():
+            for op in ops:
+                if len(op.legs) != state.n:
+                    raise ShapeMismatch(f"operator has {len(op.legs)} legs, "
+                                        f"state has {state.n}")
+                val = amp * op.scalar
+                newkey = []
+                for (eps, gam), word in zip(key, op.legs):
+                    g = _apply_word(GaussianFactor(eps, gam), word)
+                    val *= g.prefactor
+                    newkey.append((g.epsilon, g.gamma))
+                yield tuple(newkey), val
+
+    return GaussianState(state.n, accumulate({}, images()))
 
 
 # -- representation of algebra elements ----------------------------------------
@@ -427,36 +422,21 @@ def m2_scaled(c, ops):
 
 
 def model2_apply(ops, state):
-    out = {}
-    for (eps, gam, comp), amp in state.items():
-        for scalar, word, mat in ops:
-            g = GaussianFactor(eps, gam)
-            for kind, amount in word:
-                g = apply_shift_t(amount, g) if kind == "T" \
-                    else apply_shift_p(amount, g)
-            base = amp * scalar * g.prefactor
-            for row in range(2):
-                entry = mat[row][comp]
-                if entry == 0:
-                    continue
-                key = (g.epsilon, g.gamma, row)
-                acc = out.get(key, 0j) + base * entry
-                if acc == 0:
-                    out.pop(key, None)
-                else:
-                    out[key] = acc
-    return out
+    def images():
+        for (eps, gam, comp), amp in state.items():
+            for scalar, word, mat in ops:
+                g = _apply_word(GaussianFactor(eps, gam), word)
+                base = amp * scalar * g.prefactor
+                for row in range(2):
+                    entry = mat[row][comp]
+                    if entry != 0:
+                        yield (g.epsilon, g.gamma, row), base * entry
+
+    return accumulate({}, images())
 
 
 def model2_add(u, v, cv=1.0):
-    out = dict(u)
-    for key, amp in v.items():
-        acc = out.get(key, 0j) + cv * amp
-        if acc == 0:
-            out.pop(key, None)
-        else:
-            out[key] = acc
-    return out
+    return accumulate(dict(u), ((key, cv * amp) for key, amp in v.items()))
 
 
 def model2_inner(u, v):

@@ -10,6 +10,7 @@ against the scale density, ``h(F) = c * sum(amp * <ket, density bra>)``.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, field
 
 from . import coeff, gauss, uq, weyl
@@ -101,6 +102,8 @@ class IntegralContext:
     density: str = "gamma"
 
     def __post_init__(self):
+        if not math.isfinite(self.c):
+            raise ValueError(f"c={self.c!r} is not finite")
         if self.density not in ("gamma", "qinv"):
             raise ValueError(f"unknown density {self.density!r}")
 
@@ -124,37 +127,6 @@ def quantum_trace(F, ictx):
     total = 0j
     for amp, ket, bra in F.terms:
         total += amp * inner(ket, apply_ops(dens, bra))
-    return ictx.c * total
-
-
-def trace_gram_route(F, ictx):
-    """Independent evaluation: materialize ``F . density`` on the span of its
-    legs, orthonormalize the span through the Gram matrix, sum the diagonal."""
-    import numpy as np
-
-    dens = density_ops(F.n, ictx)
-    kets = [ket for _, ket, _ in F.terms]
-    wbras = [apply_ops(dens, bra) for _, _, bra in F.terms]
-    amps = [amp for amp, _, _ in F.terms]
-    basis = kets + wbras
-    m = len(basis)
-    gram = np.empty((m, m), dtype=complex)
-    for p in range(m):
-        for q in range(m):
-            gram[p, q] = inner(basis[p], basis[q])
-    vals, vecs = np.linalg.eigh((gram + gram.conj().T) / 2.0)
-    cutoff = max(vals.max(), 0.0) * 1e-12
-    coords = []
-    for idx in range(m):
-        if vals[idx] > cutoff:
-            coords.append(vecs[:, idx].conjugate() / math.sqrt(vals[idx]))
-    total = 0j
-    for ck in coords:
-        # <w, wbra_i> and <ket_i, w> for w = sum_p ck[p] basis_p
-        for i in range(len(F.terms)):
-            w_dot_g = sum(ck[p] * gram[p, len(kets) + i] for p in range(m))
-            e_dot_w = sum(ck[q].conjugate() * gram[i, q] for q in range(m))
-            total += amps[i] * w_dot_g * e_dot_w
     return ictx.c * total
 
 
@@ -199,14 +171,12 @@ def random_finite_rank(n, rng, max_rank=3, gentle=False):
 
 def check_invariance(n, ictx, count=20, seed=7, max_rank=3, suite="invariance"):
     """Counit-twisted trace invariance for every generator on random dyads."""
-    import random as _random
-
-    rng = _random.Random(seed)
+    rng = random.Random(seed)
     rep = SuiteReport(suite)
     samples = [random_finite_rank(n, rng, max_rank) for _ in range(count)]
     tol = ictx.ctx.tolerance
     for g in uq.generators(n):
-        gname = "K%d^-1" % g[1] if g[0] == uq.KINV else f"{g[0]}{g[1]}"
+        gname = uq._gen_str(g)
         worst = 0.0
         for F in samples:
             base = quantum_trace(F, ictx)
@@ -220,9 +190,7 @@ def check_invariance(n, ictx, count=20, seed=7, max_rank=3, suite="invariance"):
 
 def check_cyclicity(n, ictx, count=20, seed=7, suite="cyclicity"):
     """tr(a g b) == tr(g b a) == tr(b a g) for represented factor pairs."""
-    import random as _random
-
-    rng = _random.Random(seed)
+    rng = random.Random(seed)
     rep = SuiteReport(suite)
     pool = []
     for k in range(1, n + 1):
@@ -271,9 +239,7 @@ def check_obstruction(suite="obstruction"):
 
 def check_operator_star_compat(n, ctx, count=8, seed=13, suite="op-star"):
     """(g > F)* == S(g)* > F* on random low-rank operators."""
-    import random as _random
-
-    rng = _random.Random(seed)
+    rng = random.Random(seed)
     rep = SuiteReport(suite)
     samples = [random_finite_rank(n, rng, max_rank=2, gentle=True)
                for _ in range(count)]
@@ -281,7 +247,7 @@ def check_operator_star_compat(n, ctx, count=8, seed=13, suite="op-star"):
               for _ in range(3)]
     tol = ctx.tolerance
     for g in uq.generators(n):
-        gname = "K%d^-1" % g[1] if g[0] == uq.KINV else f"{g[0]}{g[1]}"
+        gname = uq._gen_str(g)
         sstar = uq.antipode(n, g).star()
         worst = 0.0
         for F in samples:

@@ -21,7 +21,7 @@ import re
 
 from . import coeff, uq, weyl
 from .coeff import ScalarValue
-from .errors import IndexOutOfRange, ParseError
+from .errors import ParseError
 from .uq import HopfElement
 from .weyl import AlgebraElement
 
@@ -248,19 +248,16 @@ class _Parser:
             raise ParseError(f"unknown name {name!r}", at)
         head, idx = m.group(1), int(m.group(2))
         n = self.n
-        try:
-            if head == "y":
-                return weyl.gen_y(n, idx)
-            if head == "x":
-                return weyl.gen_x(n, idx)
-            if head == "R":
-                return weyl.gen_r(n, idx)
-            if head == "Q":
-                return weyl.q_elem(n, idx)
-            return HopfElement.generator(n, {"K": uq.K, "E": uq.E,
-                                             "F": uq.F}[head], idx)
-        except IndexOutOfRange:
-            raise
+        if head == "y":
+            return weyl.gen_y(n, idx)
+        if head == "x":
+            return weyl.gen_x(n, idx)
+        if head == "R":
+            return weyl.gen_r(n, idx)
+        if head == "Q":
+            return weyl.q_elem(n, idx)
+        return HopfElement.generator(n, {"K": uq.K, "E": uq.E,
+                                         "F": uq.F}[head], idx)
 
 
 def parse_expression(text, n):

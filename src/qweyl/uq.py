@@ -15,6 +15,7 @@ from . import coeff, weyl
 from .coeff import ONE, ScalarValue, q0_power, q_power
 from .errors import DescriptorMismatch, IndexOutOfRange
 from .report import SuiteReport
+from .sparse import accumulate
 from .weyl import AlgebraElement, cartan_matrix
 
 K, KINV, E, F = "K", "Kinv", "E", "F"
@@ -73,15 +74,7 @@ class HopfElement:
         if o is None:
             return NotImplemented
         self._match(o)
-        out = dict(self.terms)
-        for word, cv in o.terms.items():
-            acc = out.get(word)
-            acc = cv if acc is None else acc + cv
-            if acc.is_zero:
-                out.pop(word, None)
-            else:
-                out[word] = acc
-        return HopfElement(self.n, out)
+        return HopfElement(self.n, accumulate(dict(self.terms), o.terms.items()))
 
     __radd__ = __add__
 
@@ -100,18 +93,9 @@ class HopfElement:
         if not isinstance(other, HopfElement):
             return NotImplemented
         self._match(other)
-        out = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                word = w1 + w2
-                cv = c1 * c2
-                acc = out.get(word)
-                acc = cv if acc is None else acc + cv
-                if acc.is_zero:
-                    out.pop(word, None)
-                else:
-                    out[word] = acc
-        return HopfElement(self.n, out)
+        return HopfElement(self.n, accumulate({}, (
+            (w1 + w2, c1 * c2) for w1, c1 in self.terms.items()
+            for w2, c2 in other.terms.items())))
 
     def __rmul__(self, other):
         if isinstance(other, (ScalarValue, int)):
@@ -261,17 +245,9 @@ def act(g, f):
     """Apply a single generator to an algebra element, monomial by monomial."""
     n = f.n
     hopf_gen(n, *g)
-    out = {}
-    for key, cv in f.terms.items():
-        for key2, v2 in _act_monomial(n, g, key).items():
-            term = v2 if cv.is_one else cv * v2
-            acc = out.get(key2)
-            acc = term if acc is None else acc + term
-            if acc.is_zero:
-                out.pop(key2, None)
-            else:
-                out[key2] = acc
-    return AlgebraElement(n, out)
+    return AlgebraElement(n, accumulate({}, (
+        (key2, v2 if cv.is_one else cv * v2) for key, cv in f.terms.items()
+        for key2, v2 in _act_monomial(n, g, key).items())))
 
 
 def act_element(h, f):

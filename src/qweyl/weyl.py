@@ -19,6 +19,7 @@ from typing import NamedTuple
 from . import coeff
 from .coeff import ONE, ScalarValue, q0_power, q_power
 from .errors import DescriptorMismatch, IndexOutOfRange
+from .sparse import accumulate
 
 # -- sign bookkeeping -------------------------------------------------------
 
@@ -120,16 +121,8 @@ def _terms_times_atom(n, terms, atom):
         fn = lambda key: _times_x(n, key, k)
     else:
         raise ValueError(f"unknown atom kind {kind!r}")
-    out = {}
-    for key, cv in terms.items():
-        for factor, key2 in fn(key):
-            acc = out.get(key2)
-            acc = factor * cv if acc is None else acc + factor * cv
-            if acc.is_zero:
-                out.pop(key2, None)
-            else:
-                out[key2] = acc
-    return out
+    return accumulate({}, ((key2, factor * cv) for key, cv in terms.items()
+                           for factor, key2 in fn(key)))
 
 
 def _key_atoms(key):
@@ -143,19 +136,6 @@ def _key_atoms(key):
     for i, m in enumerate(c):
         for _ in range(m):
             yield ("x", i + 1)
-
-
-def _key_atoms_reversed(key):
-    r, b, c = key
-    for i in range(len(c) - 1, -1, -1):
-        for _ in range(c[i]):
-            yield ("x", i + 1)
-    for i in range(len(b) - 1, -1, -1):
-        for _ in range(b[i]):
-            yield ("y", i + 1)
-    for i, s in enumerate(r):
-        if s:
-            yield ("R", i + 1, s)
 
 
 def _check_atom(n, atom):
@@ -211,15 +191,8 @@ class AlgebraElement:
         if o is None:
             return NotImplemented
         self._match(o)
-        out = dict(self.terms)
-        for key, cv in o.terms.items():
-            acc = out.get(key)
-            acc = cv if acc is None else acc + cv
-            if acc.is_zero:
-                out.pop(key, None)
-            else:
-                out[key] = acc
-        return AlgebraElement(self.n, out)
+        return AlgebraElement(self.n,
+                              accumulate(dict(self.terms), o.terms.items()))
 
     __radd__ = __add__
 
@@ -259,13 +232,7 @@ class AlgebraElement:
             cur = {k: v * cb for k, v in self.terms.items()}
             for atom in _key_atoms(key_b):
                 cur = _terms_times_atom(n, cur, atom)
-            for key, cv in cur.items():
-                acc = out.get(key)
-                acc = cv if acc is None else acc + cv
-                if acc.is_zero:
-                    out.pop(key, None)
-                else:
-                    out[key] = acc
+            accumulate(out, cur.items())
         return AlgebraElement(n, out)
 
     def __rmul__(self, other):
@@ -307,15 +274,9 @@ class AlgebraElement:
         out = {}
         for key, cv in self.terms.items():
             cur = {(z, z, z): cv.star()}
-            for atom in _key_atoms_reversed(key):
+            for atom in reversed(tuple(_key_atoms(key))):
                 cur = _terms_times_atom(n, cur, atom)
-            for k2, v2 in cur.items():
-                acc = out.get(k2)
-                acc = v2 if acc is None else acc + v2
-                if acc.is_zero:
-                    out.pop(k2, None)
-                else:
-                    out[k2] = acc
+            accumulate(out, cur.items())
         return AlgebraElement(n, out)
 
     # -- inspection -----------------------------------------------------------
@@ -435,35 +396,26 @@ def normal_form(n, words, scalar=ONE):
     return total
 
 
-# -- derived elements -------------------------------------------------------
+# -- derived elements: normal forms of the word lists further down ---------
 
 
 def q_elem(n, k):
     """The commutator scale element at index ``k``; the unit at ``n + 1``."""
     if not 1 <= k <= n + 1:
         raise IndexOutOfRange(f"Q index {k} outside 1..{n + 1}")
-    if k == n + 1:
-        return AlgebraElement.unit(n)
-    return gen_r(n, k, 2).scaled(sign_of(n, k))
+    return normal_form(n, tl_q(n, k))
 
 
 def q_elem_inv(n, k):
     if not 1 <= k <= n + 1:
         raise IndexOutOfRange(f"Q index {k} outside 1..{n + 1}")
-    if k == n + 1:
-        return AlgebraElement.unit(n)
-    return gen_r(n, k, -2).scaled(sign_of(n, k))
+    return normal_form(n, tl_q_inv(n, k))
 
 
 def rho(n, k):
     if not 1 <= k <= n:
         raise IndexOutOfRange(f"rho index {k} outside 1..{n}")
-    if k == n:
-        return gen_r(n, 1) * gen_r(n, n)
-    out = gen_r(n, k) * gen_r(n, k + 1, -2)
-    if k + 2 <= n:
-        out = out * gen_r(n, k + 2)
-    return out
+    return normal_form(n, tl_rho(n, k))
 
 
 def rho_inv(n, k):
@@ -473,31 +425,20 @@ def rho_inv(n, k):
 def a_op(n, k):
     if not 1 <= k <= n:
         raise IndexOutOfRange(f"index {k} outside 1..{n}")
-    if k == n:
-        return gen_y(n, n).scaled(-coeff.I * coeff.LAMBDA_INV)
-    cv = coeff.I * coeff.LAMBDA_INV * q0_power(-1) * q_power(-1)
-    return (q_elem_inv(n, k + 1) * gen_x(n, k + 1) * gen_y(n, k)).scaled(cv)
+    return normal_form(n, tl_a(n, k))
 
 
 def b_op(n, k):
     if not 1 <= k <= n:
         raise IndexOutOfRange(f"index {k} outside 1..{n}")
-    if k == n:
-        cv = -coeff.I * coeff.LAMBDA_INV * q_power(-1)
-        return (rho_inv(n, n) * gen_x(n, n)).scaled(cv)
-    cv = -coeff.I * coeff.LAMBDA_INV * q0_power(1)
-    return (rho_inv(n, k) * q_elem_inv(n, k + 1)
-            * gen_y(n, k + 1) * gen_x(n, k)).scaled(cv)
+    return normal_form(n, tl_b(n, k))
 
 
 def gamma(n):
     """Quantum-trace density: R1^(-2n) * R2^2 * ... * Rn^2 (R1^-2 for n=1)."""
     if n < 1:
         raise IndexOutOfRange("rank must be positive")
-    out = gen_r(n, 1, -2 * n if n > 1 else -2)
-    for k in range(2, n + 1):
-        out = out * gen_r(n, k, 2)
-    return out
+    return normal_form(n, tl_gamma(n))
 
 
 def verify_identity(lhs, rhs):

@@ -1,6 +1,9 @@
+import contextlib
+import io
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qweyl import cli, coeff, parser, uq, weyl
 from qweyl.coeff import ONE, q_power
@@ -214,6 +217,14 @@ def test_cli_repr_check(capsys):
     ["normalize", "--n", "-1", "1"],
     ["act", "--n", "0", "E1", "1"],
     ["integrate", "--ket", "(1,40,0)", "--bra", "(1,40,0)"],
+    ["integrate", "--ket", "(nan,0,0)", "--bra", "(1,0,0)"],
+    ["integrate", "--ket", "(1,nan,0)", "--bra", "(1,0,0)"],
+    ["integrate", "--ket", "(1,0,0)", "--bra", "(1,0,-inf)"],
+    ["integrate", "--ket", "(inf,0,0)", "--bra", "(1,0,0)"],
+    ["integrate", "--ket", "(1,0,0)", "--bra", "(1,0,0)", "--c", "nan"],
+    ["integrate", "--ket", "(1,0,0)", "--bra", "(1,0,0)", "--c", "inf"],
+    ["verify", "--suite", "pointwise", "--tolerance", "nan"],
+    ["verify", "--suite", "pointwise", "--tolerance", "inf"],
 ])
 def test_cli_rejects_vacuous_and_unrepresentable_inputs(capsys, argv):
     rc = cli.main(argv)
@@ -221,3 +232,82 @@ def test_cli_rejects_vacuous_and_unrepresentable_inputs(capsys, argv):
     assert rc == 2
     assert captured.err.startswith("error: ")
     assert "Traceback" not in captured.out + captured.err
+
+
+# -- fuzzing the command line -------------------------------------------------------
+
+_NUMBERS = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "-1", "0", "1e308", "-1e308",
+                     "1e-320", "0.5", "1.0471975512", "3.2"]),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.integers(-10**6, 10**6).map(str),
+)
+_ALGEBRA_ATOMS = ["y1", "x1", "R1", "Q1", "y2", "x2", "R2", "Q2", "Q3", "y3",
+                  "q", "q0", "i", "lambda", "0", "2", "(1/2)"]
+_HOPF_ATOMS = ["K1", "K1^-1", "E1", "F1", "K2", "E2", "F2", "E3", "q",
+               "lambda", "1", "y1"]
+_NOISE = ["+", "-", "*", "/", "^", "^-1", "'", "(", ")", "?", "S(", "eps(", ""]
+
+
+def _expression(atoms):
+    # exponents stay at 2 or -1 so that nested powers keep each example small
+    grammatical = st.recursive(
+        st.sampled_from(atoms),
+        lambda inner: st.one_of(
+            st.tuples(inner, st.sampled_from(["+", "-", "*", "/"]),
+                      inner).map(" ".join),
+            st.tuples(st.sampled_from(["(", "S(", "eps("]), inner).map(
+                lambda p: f"{p[0]}{p[1]})"),
+            st.tuples(inner, st.sampled_from(["^2", "^-1", "'"])).map(
+                lambda p: f"({p[0]}){p[1]}")),
+        max_leaves=5)
+    noise = st.lists(st.sampled_from(atoms + _NOISE), max_size=8).map(" ".join)
+    return st.one_of(grammatical, noise)
+
+
+def _legs(n):
+    tame = st.tuples(st.sampled_from(["0.5", "1", "1.7"]),
+                     st.sampled_from(["0", "-0.4", "1.2"]),
+                     st.sampled_from(["0", "0.3"]))
+    leg = st.one_of(tame, tame, st.tuples(_NUMBERS, _NUMBERS, _NUMBERS))
+    return st.lists(leg.map(lambda f: "(" + ",".join(f) + ")"),
+                    min_size=n, max_size=n).map(";".join)
+
+
+def _dyad(n):
+    return st.tuples(st.just(f"--n={n}"), _legs(n).map(lambda v: f"--ket={v}"),
+                     _legs(n).map(lambda v: f"--bra={v}"))
+
+
+def _flag(name, values):
+    """An optional ``--name=value`` argument; left out, it takes its default."""
+    return st.one_of(st.just(()), values.map(lambda v: (f"--{name}={v}",)))
+
+
+_PHIS = st.one_of(st.sampled_from(["1.0471975512", "-0.7", "2.5"]), _NUMBERS)
+_RANK = _flag("n", st.sampled_from(["-1", "0", "1", "2"]))
+_ARGV = st.one_of(
+    st.tuples(st.just(("normalize",)), _RANK,
+              _expression(_ALGEBRA_ATOMS + _HOPF_ATOMS).map(lambda e: (e,))),
+    st.tuples(st.just(("act",)), _RANK,
+              st.tuples(_expression(_HOPF_ATOMS), _expression(_ALGEBRA_ATOMS))),
+    st.tuples(st.just(("integrate",)), st.sampled_from([1, 2]).flatmap(_dyad),
+              _flag("phi", _PHIS), _flag("c", _NUMBERS),
+              _flag("tolerance", _NUMBERS),
+              _flag("density", st.sampled_from(["gamma", "qinv"]))),
+    st.tuples(st.just(("verify",)),
+              st.sampled_from(["action-table", "obstruction"]).map(
+                  lambda v: (f"--suite={v}",)),
+              _RANK, _flag("phi", _PHIS), _flag("tolerance", _NUMBERS),
+              _flag("c", _NUMBERS)),
+).map(lambda parts: [arg for part in parts for arg in part])
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=_ARGV)
+def test_cli_fuzz_exits_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(argv)
+    assert rc in (0, 1, 2), argv
+    assert "Traceback" not in out.getvalue() + err.getvalue()

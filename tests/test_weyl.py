@@ -265,6 +265,87 @@ def test_index_errors():
         gen_y(1, 1) * gen_y(2, 1)
 
 
+
+# canonical strings of the derived elements, as printed by the hand-built
+# products these builders replaced; (n, builder, index or None, str)
+_PINNED_BUILDERS = [
+    (1, "rho", 1, "R1^2"),
+    (1, "rho_inv", 1, "R1^-2"),
+    (1, "a_op", 1, "((-i*q0^2)/(q0^4 - 1))*y1"),
+    (1, "b_op", 1, "((-i)/(q0^4 - 1))*R1^-2*x1"),
+    (1, "q_elem", 1, "(-1)*R1^2"),
+    (1, "q_elem_inv", 1, "(-1)*R1^-2"),
+    (1, "q_elem", 2, "(1)"),
+    (1, "q_elem_inv", 2, "(1)"),
+    (1, "gamma", None, "R1^-2"),
+    (2, "rho", 1, "R1*R2^-2"),
+    (2, "rho_inv", 1, "R1^-1*R2^2"),
+    (2, "a_op", 1, "((-i*q0)/(q0^4 - 1))*R2^-2*y1*x2"),
+    (2, "b_op", 1, "((i*q0^3)/(q0^4 - 1))*R1^-1*y2*x1"),
+    (2, "q_elem", 1, "R1^2"),
+    (2, "q_elem_inv", 1, "R1^-2"),
+    (2, "rho", 2, "R1*R2"),
+    (2, "rho_inv", 2, "R1^-1*R2^-1"),
+    (2, "a_op", 2, "((-i*q0^2)/(q0^4 - 1))*y2"),
+    (2, "b_op", 2, "((-i)/(q0^4 - 1))*R1^-1*R2^-1*x2"),
+    (2, "q_elem", 2, "(-1)*R2^2"),
+    (2, "q_elem_inv", 2, "(-1)*R2^-2"),
+    (2, "q_elem", 3, "(1)"),
+    (2, "q_elem_inv", 3, "(1)"),
+    (2, "gamma", None, "R1^-4*R2^2"),
+    (3, "rho", 1, "R1*R2^-2*R3"),
+    (3, "rho_inv", 1, "R1^-1*R2^2*R3^-1"),
+    (3, "a_op", 1, "((i*q0)/(q0^4 - 1))*R2^-2*y1*x2"),
+    (3, "b_op", 1, "((-i*q0^3)/(q0^4 - 1))*R1^-1*R3^-1*y2*x1"),
+    (3, "q_elem", 1, "(-1)*R1^2"),
+    (3, "q_elem_inv", 1, "(-1)*R1^-2"),
+    (3, "rho", 2, "R2*R3^-2"),
+    (3, "rho_inv", 2, "R2^-1*R3^2"),
+    (3, "a_op", 2, "((-i*q0)/(q0^4 - 1))*R3^-2*y2*x3"),
+    (3, "b_op", 2, "((i*q0^3)/(q0^4 - 1))*R2^-1*y3*x2"),
+    (3, "q_elem", 2, "R2^2"),
+    (3, "q_elem_inv", 2, "R2^-2"),
+    (3, "rho", 3, "R1*R3"),
+    (3, "rho_inv", 3, "R1^-1*R3^-1"),
+    (3, "a_op", 3, "((-i*q0^2)/(q0^4 - 1))*y3"),
+    (3, "b_op", 3, "((-i)/(q0^4 - 1))*R1^-1*R3^-1*x3"),
+    (3, "q_elem", 3, "(-1)*R3^2"),
+    (3, "q_elem_inv", 3, "(-1)*R3^-2"),
+    (3, "q_elem", 4, "(1)"),
+    (3, "q_elem_inv", 4, "(1)"),
+    (3, "gamma", None, "R1^-6*R2^2*R3^2"),
+]
+
+_BUILDERS = {"rho": rho, "rho_inv": rho_inv, "a_op": a_op, "b_op": b_op,
+             "q_elem": q_elem, "q_elem_inv": q_elem_inv}
+
+
+def test_builders_pinned_to_canonical_strings():
+    for n, name, k, want in _PINNED_BUILDERS:
+        got = gamma(n) if k is None else _BUILDERS[name](n, k)
+        assert str(got) == want, (n, name, k)
+    assert len(_PINNED_BUILDERS) == sum(4 * n + 2 * (n + 1) + 1
+                                        for n in (1, 2, 3))
+
+
+def test_builder_index_messages():
+    for n in (1, 2, 3):
+        for k in (0, n + 1, n + 2):
+            cases = [(rho, f"rho index {k} outside 1..{n}"),
+                     (rho_inv, f"rho index {k} outside 1..{n}"),
+                     (a_op, f"index {k} outside 1..{n}"),
+                     (b_op, f"index {k} outside 1..{n}")]
+            if k != n + 1:
+                cases += [(q_elem, f"Q index {k} outside 1..{n + 1}"),
+                          (q_elem_inv, f"Q index {k} outside 1..{n + 1}")]
+            for fn, want in cases:
+                with pytest.raises(IndexOutOfRange) as err:
+                    fn(n, k)
+                assert str(err.value) == want
+    with pytest.raises(IndexOutOfRange) as err:
+        gamma(0)
+    assert str(err.value) == "rank must be positive"
+
 # -- oracle agreement -----------------------------------------------------------
 
 
