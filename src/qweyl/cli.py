@@ -177,6 +177,8 @@ def _cmd_integrate(args):
     ket = _parse_state(args.ket, args.n, "--ket")
     bra = _parse_state(args.bra, args.n, "--bra")
     value = haar.quantum_trace(haar.rank_one(ket, bra), ictx)
+    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+        raise OverflowError(f"h={value} is not finite")
     print(f"h={value.real:.12e}{value.imag:+.12e}j")
     return 0
 

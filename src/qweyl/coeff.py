@@ -9,6 +9,11 @@ substitutes ``q0 = exp(1j*phi/2)``.
 Values are immutable and canonical: numerator and denominator share no
 factor, no common power of ``q0``, and the denominator is monic, so
 equality and hashing are structural.
+
+Coefficient parts are exact: a Python ``int`` when integral, a
+:class:`Fraction` only when the part is not an integer.  The values met in
+the symbolic sweeps are Gaussian integers, so their arithmetic runs on
+small ints.  A ``float`` never becomes a part.
 """
 
 from __future__ import annotations
@@ -20,15 +25,34 @@ from fractions import Fraction
 
 from .errors import PoleAtEvaluationPoint
 
+# |denominator| below which evaluate() reports a pole; fixed, so that the
+# report tolerance of a NumericContext does not move it
+POLE_TOLERANCE = 1e-9
+
+
+def _digit(x):
+    """Exact part: ``int`` when integral, else a :class:`Fraction`."""
+    if type(x) is not int:
+        x = Fraction(x)
+        if x.denominator == 1:
+            x = x.numerator
+    return x
+
 
 class QI:
-    """Gaussian rational ``re + im*i`` with exact :class:`Fraction` parts."""
+    """Gaussian rational ``re + im*i``.
+
+    Each part is an ``int`` or a :class:`Fraction`.  The constructor does
+    not convert: ``_canonicalize`` turns every part of a new value into an
+    exact one (see :func:`_digit`).  Mixed parts compare, hash and print
+    alike, because ``2 == Fraction(2)``.
+    """
 
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        self.re = re if type(re) is Fraction else Fraction(re)
-        self.im = im if type(im) is Fraction else Fraction(im)
+        self.re = re
+        self.im = im
 
     def __bool__(self):
         return bool(self.re) or bool(self.im)
@@ -61,7 +85,8 @@ class QI:
         nrm = self.re * self.re + self.im * self.im
         if not nrm:
             raise ZeroDivisionError("inverse of zero Gaussian rational")
-        return QI(self.re / nrm, -self.im / nrm)
+        return QI(_digit(Fraction(self.re, nrm)),
+                  _digit(Fraction(-self.im, nrm)))
 
     def as_complex(self):
         return complex(self.re) + 1j * complex(self.im)
@@ -225,6 +250,11 @@ class ScalarValue:
         o = self._co(other)
         if o is None:
             return NotImplemented
+        # values are immutable, so a product by one can share the other factor
+        if o.is_one:
+            return self
+        if self.is_one:
+            return o
         return ScalarValue(_pmul(self.num, o.num), _pmul(self.den, o.den))
 
     __rmul__ = __mul__
@@ -279,10 +309,10 @@ class ScalarValue:
         """Substitute ``q0 = exp(1j*phi/2)``; raise on a (near-)pole."""
         z = ctx.q0_value
         dv = _peval(self.den, z)
-        if abs(dv) < ctx.tolerance:
+        if abs(dv) < POLE_TOLERANCE:
             raise PoleAtEvaluationPoint(
                 f"denominator magnitude {abs(dv):.3e} below tolerance "
-                f"{ctx.tolerance:.1e} at phi={ctx.phi!r}")
+                f"{POLE_TOLERANCE:.1e} at phi={ctx.phi!r}")
         return _peval(self.num, z) / dv
 
     # -- comparisons and display ------------------------------------------
@@ -341,6 +371,11 @@ def _canonicalize(num, den):
         inv = den[-1].inv()
         num = tuple(c * inv for c in num)
         den = tuple(c * inv for c in den)
+    if not all(type(c.re) is int and type(c.im) is int for c in num + den):
+        # exact parts for factory inputs (a float, a Fraction) and ints again
+        # where a division left an integral Fraction
+        num = tuple(QI(_digit(c.re), _digit(c.im)) for c in num)
+        den = tuple(QI(_digit(c.re), _digit(c.im)) for c in den)
     return num, den
 
 
@@ -422,7 +457,10 @@ LAMBDA_INV = LAMBDA.inv()
 
 @dataclass(frozen=True)
 class NumericContext:
-    """Evaluation point ``q0 = exp(1j*phi/2)`` plus a working tolerance.
+    """Evaluation point ``q0 = exp(1j*phi/2)`` plus the report tolerance.
+
+    ``tolerance`` bounds the residuals of the numeric checks; the pole
+    threshold of :meth:`ScalarValue.evaluate` is :data:`POLE_TOLERANCE`.
 
     ``phi`` must avoid 0 and +-pi/2 (so that ``q**4 != 1``) and satisfy
     ``|phi| < pi``.

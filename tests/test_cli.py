@@ -1,5 +1,6 @@
 import contextlib
 import io
+import pathlib
 import random
 
 import pytest
@@ -195,6 +196,33 @@ def test_cli_integrate_value(capsys):
     assert value.real == pytest.approx(closed, rel=1e-9)
 
 
+def test_cli_tolerance_is_not_the_pole_threshold(capsys):
+    dyad = ["integrate", "--ket", "(1,0,0)", "--bra", "(1,0,0)"]
+    assert cli.main(dyad) == 0
+    want = capsys.readouterr().out
+    assert cli.main(dyad + ["--tolerance", "1e300"]) == 0
+    assert capsys.readouterr().out == want
+    # q0^4 - 1 divides denominators, so phi near 0 is a pole at any tolerance
+    for tol in ("1e-9", "1e300"):
+        rc = cli.main(["verify", "--suite", "pointwise", "--phi", "1e-11",
+                       "--tolerance", tol])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err.startswith("error: denominator magnitude ")
+        assert "below tolerance 1.0e-09" in captured.err
+
+
+def test_cli_verify_exact_suites_match_golden(capsys):
+    golden = pathlib.Path(__file__).resolve().parents[1] / "bench" / \
+        "golden_verify_exact.txt"
+    exact = ("weyl-relations", "ab-rho", "action-table", "module-algebra",
+             "obstruction")
+    assert cli.main(["verify", "--seed", "7"]) == 0
+    lines = [line for line in capsys.readouterr().out.splitlines()
+             if line.split(",", 1)[0][len("suite="):] in exact]
+    assert lines == golden.read_text(encoding="utf-8").splitlines()
+
+
 def test_cli_integrate_bad_state(capsys):
     rc = cli.main(["integrate", "--n", "2", "--ket", "(1,0,0)",
                    "--bra", "(1,0,0);(1,0,0)"])
@@ -225,6 +253,7 @@ def test_cli_repr_check(capsys):
     ["integrate", "--ket", "(1,0,0)", "--bra", "(1,0,0)", "--c", "inf"],
     ["verify", "--suite", "pointwise", "--tolerance", "nan"],
     ["verify", "--suite", "pointwise", "--tolerance", "inf"],
+    ["integrate", "--ket", "(1,0,0)", "--bra", "(1,0,0)", "--c", "1e308"],
 ])
 def test_cli_rejects_vacuous_and_unrepresentable_inputs(capsys, argv):
     rc = cli.main(argv)

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from qweyl import coeff
 from qweyl.coeff import (LAMBDA, LAMBDA_INV, NumericContext, ONE, Q, Q0, ZERO,
-                         QI, ScalarValue, gaussian, integer, q0_power, q_power)
+                         QI, ScalarValue, gaussian, integer, q0_power, q_power,
+                         rational)
 from qweyl.errors import PoleAtEvaluationPoint
 
 CTX = NumericContext()
@@ -200,3 +201,94 @@ def test_products_and_quotients_match_sympy_cancel():
         for got, want in ((a * b, _to_sympy(a, z) * _to_sympy(b, z)),
                           (a / b, _to_sympy(a, z) / _to_sympy(b, z))):
             assert sympy.cancel(_to_sympy(got, z) - want) == 0, str(got)
+
+
+# -- exact parts: ints unless a part is not an integer, never a float ----------
+
+
+_UNITS = (QI(1), QI(-1), QI(0, 1), QI(0, -1))
+
+
+def _unit_ended(p):
+    """Leading and lowest nonzero coefficients are Gaussian units."""
+    return p[-1] in _UNITS and p[coeff._pval(p)] in _UNITS
+
+
+def _combine(pair, divides=lambda b: True):
+    """Apply each field operation to a pair; divide only where allowed."""
+    a, b = pair
+    out = [a + b, a - b, a * b, a.star(), -b]
+    if b and divides(b):
+        out += [a / b, b.inv()]
+    return out
+
+
+def _values(leaves, divides=lambda b: True):
+    return st.recursive(
+        leaves, lambda inner: st.tuples(inner, inner).map(
+            lambda pair: _combine(pair, divides)).flatmap(st.sampled_from),
+        max_leaves=4)
+
+
+_small = st.integers(-3, 3)
+_integral_leaves = st.one_of(
+    _small.map(integer), st.tuples(_small, _small).map(lambda p: gaussian(*p)),
+    _small.map(q0_power), st.just(LAMBDA), st.just(LAMBDA_INV))
+_any_leaves = st.one_of(
+    _integral_leaves, scalars(),
+    st.tuples(_small, st.integers(1, 4)).map(lambda p: rational(*p)),
+    st.just(ONE / (Q0 + ONE)),
+    st.floats(-4, 4).map(lambda f: gaussian(f, 0.5)))
+
+
+def _parts(value):
+    return [part for c in value.num + value.den for part in (c.re, c.im)]
+
+
+# Dividing by 2 leaves 1/2, and a denominator ending in 2 leaves a 1/2 after
+# star; the sweeps divide only by unit-ended values such as q0^a*(q0^4 - 1)^m.
+@settings(max_examples=80, deadline=None)
+@given(_values(_integral_leaves, lambda b: _unit_ended(b.num)))
+def test_integral_inputs_keep_int_parts(value):
+    assert all(type(part) is int for part in _parts(value)), repr(value)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_values(_any_leaves))
+def test_parts_are_exact_and_demoted(value):
+    for part in _parts(value):
+        assert type(part) is int or (type(part) is Fraction
+                                     and part.denominator != 1), repr(value)
+
+
+def test_integral_rational_is_the_integer():
+    two = rational(4, 2)
+    assert two == integer(2)
+    assert hash(two) == hash(integer(2))
+    assert str(two) == str(integer(2)) == "2"
+    assert type(two.num[0].re) is int
+
+
+def test_gaussian_float_parts_are_exact():
+    value = gaussian(0.5, 0.1)
+    assert value.num[0].re == Fraction(1, 2)
+    assert value.num[0].im == Fraction(0.1)
+    assert type(value.num[0].im) is Fraction
+
+
+@settings(max_examples=60, deadline=None)
+@given(scalars())
+def test_product_by_one_shares_the_factor(x):
+    full = ScalarValue(coeff._pmul(x.num, ONE.num), coeff._pmul(x.den, ONE.den))
+    assert x * ONE is x
+    # when x is itself one, either factor is the product
+    assert ONE * x is x or x.is_one
+    assert x * ONE == full and ONE * x == full
+
+
+def test_pole_threshold_ignores_report_tolerance():
+    loose = NumericContext(tolerance=1e300)
+    assert (Q0 - ONE).inv().evaluate(loose) == pytest.approx(
+        (Q0 - ONE).inv().evaluate(CTX), rel=1e-15)
+    with pytest.raises(PoleAtEvaluationPoint, match="below tolerance 1.0e-09"):
+        (q0_power(4) - q0_power(2) + ONE).inv().evaluate(loose)
