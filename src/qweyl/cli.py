@@ -4,7 +4,8 @@ Report records are line-oriented ``key=value`` fields::
 
     suite=<name>, case=<id>, residual=<float>, pass=<true|false>
 
-Exit codes: 0 all checks passed, 1 failures present, 2 usage or parse error.
+Exit codes: 0 all checks passed, 1 failures present, 2 usage, parse or
+output-file error.
 """
 
 from __future__ import annotations
@@ -82,8 +83,7 @@ def run_invariance(n, args):
     if n == 1:
         alt = haar.IntegralContext(c=args.c, ctx=_numeric_ctx(args),
                                    density="qinv")
-        sub = haar.check_invariance(1, alt, count=args.samples, seed=args.seed,
-                                    suite="invariance")
+        sub = haar.check_invariance(1, alt, count=args.samples, seed=args.seed)
         for case in sub.cases:
             rep.record(f"qinv:{case.case}", case.passed, residual=case.residual)
     return rep
@@ -258,7 +258,7 @@ def main(argv=None):
     try:
         _check_bounds(args)
         return args.fn(args)
-    except (QweylError, ValueError) as exc:
+    except (QweylError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OverflowError as exc:

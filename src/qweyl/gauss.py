@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .errors import ShapeMismatch
 from .report import SuiteReport
-from .sparse import accumulate
+from .sparse import Combination, accumulate
 from .weyl import hermitian_generators
 
 
@@ -56,22 +56,21 @@ def _leg_overlap(e1, g1, e2, g2):
     return math.sqrt(math.pi / a) * cmath.exp(b * b / (4.0 * a))
 
 
-class GaussianState:
+class GaussianState(Combination):
     """Finite combination of n-leg Gaussian products with complex amplitudes.
 
     Leg prefactors are folded into the amplitudes, so terms are keyed by the
     exact ``(epsilon, gamma)`` data of their legs and merge canonically.
+    A state takes no scalar operands: ``scaled`` multiplies it by a number.
     """
 
-    __slots__ = ("n", "terms")
+    __slots__ = ()
 
-    def __init__(self, n, terms):
-        self.n = n
-        self.terms = terms
+    _scalars = ()
+    _scalar = complex
 
-    @staticmethod
-    def zero(n):
-        return GaussianState(n, {})
+    def _mismatch(self, other):
+        return ShapeMismatch(f"{self.n} legs vs {other.n}")
 
     @staticmethod
     def from_legs(amplitude, legs):
@@ -90,28 +89,6 @@ class GaussianState:
         if amp == 0:
             return GaussianState.zero(len(key))
         return GaussianState(len(key), {tuple(key): amp})
-
-    def _match(self, other):
-        if self.n != other.n:
-            raise ShapeMismatch(f"{self.n} legs vs {other.n}")
-
-    def __add__(self, other):
-        self._match(other)
-        return GaussianState(self.n,
-                             accumulate(dict(self.terms), other.terms.items()))
-
-    def __sub__(self, other):
-        return self + other.scaled(-1.0)
-
-    def scaled(self, c):
-        c = complex(c)
-        if c == 0:
-            return GaussianState.zero(self.n)
-        return GaussianState(self.n, {k: c * v for k, v in self.terms.items()})
-
-    @property
-    def is_zero(self):
-        return not self.terms
 
 
 def inner(u, v):

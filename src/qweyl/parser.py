@@ -76,32 +76,11 @@ class _Parser:
 
     # -- value model ----------------------------------------------------
 
-    def _promote_pair(self, a, b, at):
-        """Lift scalars so that both operands live in the same structure."""
-        if isinstance(a, ScalarValue) and not isinstance(b, ScalarValue):
-            if isinstance(b, AlgebraElement):
-                a = weyl.scalar_element(self.n, a)
-            else:
-                a = HopfElement.unit(self.n).scaled(a)
-        if isinstance(b, ScalarValue) and not isinstance(a, ScalarValue):
-            if isinstance(a, AlgebraElement):
-                b = weyl.scalar_element(self.n, b)
-            else:
-                b = HopfElement.unit(self.n).scaled(b)
-        if type(a) is not type(b):
+    @staticmethod
+    def _check_mix(a, b, at):
+        if not (isinstance(a, ScalarValue) or isinstance(b, ScalarValue)
+                or type(a) is type(b)):
             raise ParseError("cannot mix coordinate and symmetry generators", at)
-        return a, b
-
-    def _mul(self, a, b, at):
-        if isinstance(a, ScalarValue) and isinstance(b, ScalarValue):
-            return a * b
-        if isinstance(a, ScalarValue):
-            return b.scaled(a)
-        if isinstance(b, ScalarValue):
-            return a.scaled(b)
-        if type(a) is not type(b):
-            raise ParseError("cannot mix coordinate and symmetry generators", at)
-        return a * b
 
     def _div(self, a, b, at):
         if not isinstance(b, ScalarValue):
@@ -154,8 +133,8 @@ class _Parser:
             if kind == "op" and sym in "+-":
                 self.advance()
                 rhs = self.term()
-                a, b = self._promote_pair(value, rhs, at)
-                value = a + b if sym == "+" else a - b
+                self._check_mix(value, rhs, at)
+                value = value + rhs if sym == "+" else value - rhs
             else:
                 return value
 
@@ -166,8 +145,11 @@ class _Parser:
             if kind == "op" and sym in "*/":
                 self.advance()
                 rhs = self.unary()
-                value = self._mul(value, rhs, at) if sym == "*" \
-                    else self._div(value, rhs, at)
+                if sym == "*":
+                    self._check_mix(value, rhs, at)
+                    value = value * rhs
+                else:
+                    value = self._div(value, rhs, at)
             else:
                 return value
 
@@ -183,7 +165,7 @@ class _Parser:
                 break
         value = self.postfix()
         if sign < 0:
-            value = -value if isinstance(value, ScalarValue) else value.scaled(-1)
+            value = -value
         return value
 
     def postfix(self):

@@ -1,4 +1,7 @@
-"""The add-and-prune step shared by every sparse linear combination."""
+"""Sparse linear combinations: the add-and-prune step and the shared base."""
+
+from .coeff import ONE, ScalarValue, integer
+from .errors import DescriptorMismatch
 
 
 def accumulate(out, pairs):
@@ -16,3 +19,116 @@ def accumulate(out, pairs):
         else:
             out.pop(key, None)
     return out
+
+
+class Combination:
+    """Finite linear combination ``{key: coefficient}`` over a rank ``n``.
+
+    Holds the vector-space structure; a subclass adds its product and how a
+    key prints (``_key_str``) and sorts (``_sort_key``).  Coefficients are
+    exact scalars unless a subclass overrides ``_scalar``.  An operand of a
+    type in ``_scalars`` stands for that multiple of the unit, whose key a
+    subclass taking such operands gives as ``_unit_key(n)``.  The dict
+    ``terms`` never holds a zero coefficient.
+    """
+
+    __slots__ = ("n", "terms")
+
+    _scalars = (int, ScalarValue)
+    _sort_key = None
+
+    def __init__(self, n, terms):
+        self.n = n
+        self.terms = terms
+
+    @staticmethod
+    def _scalar(c):
+        return integer(c) if isinstance(c, int) else c
+
+    @classmethod
+    def zero(cls, n):
+        return cls(n, {})
+
+    @classmethod
+    def unit(cls, n):
+        return cls(n, {cls._unit_key(n): ONE})
+
+    def _mismatch(self, other):
+        return DescriptorMismatch(f"rank {self.n} vs {other.n}")
+
+    def _match(self, other):
+        if self.n != other.n:
+            raise self._mismatch(other)
+
+    def _co(self, other):
+        """``other`` as an element of this class, or None."""
+        if isinstance(other, type(self)):
+            return other
+        if not isinstance(other, self._scalars):
+            return None
+        c = self._scalar(other)
+        return type(self)(self.n, {self._unit_key(self.n): c} if c else {})
+
+    def __add__(self, other):
+        o = self._co(other)
+        if o is None:
+            return NotImplemented
+        self._match(o)
+        return type(self)(self.n, accumulate(dict(self.terms), o.terms.items()))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return type(self)(self.n, {k: -v for k, v in self.terms.items()})
+
+    def __sub__(self, other):
+        o = self._co(other)
+        if o is None:
+            return NotImplemented
+        return self + (-o)
+
+    def __rsub__(self, other):
+        o = self._co(other)
+        if o is None:
+            return NotImplemented
+        return o + (-self)
+
+    def scaled(self, c):
+        c = self._scalar(c)
+        if not c:
+            return self.zero(self.n)
+        return type(self)(self.n, {k: c * v for k, v in self.terms.items()})
+
+    def __rmul__(self, other):
+        if isinstance(other, self._scalars):
+            return self.scaled(other)
+        return NotImplemented
+
+    @property
+    def is_zero(self):
+        return not self.terms
+
+    def __eq__(self, other):
+        o = self._co(other)
+        if o is None:
+            return NotImplemented
+        return self.n == o.n and self.terms == o.terms
+
+    def __hash__(self):
+        # a frozenset: keys with complex parts do not sort
+        return hash((self.n, frozenset(self.terms.items())))
+
+    def __str__(self):
+        if not self.terms:
+            return "0"
+        parts = []
+        for key in sorted(self.terms, key=self._sort_key):
+            cv = self.terms[key]
+            body = self._key_str(key)
+            if not body:
+                parts.append(f"({cv})")
+            elif cv.is_one:
+                parts.append(body)
+            else:
+                parts.append(f"({cv})*{body}")
+        return " + ".join(parts)

@@ -12,10 +12,10 @@ import itertools
 from functools import lru_cache
 
 from . import coeff, weyl
-from .coeff import ONE, ScalarValue, q0_power, q_power
+from .coeff import ONE, q0_power, q_power
 from .errors import DescriptorMismatch, IndexOutOfRange
 from .report import SuiteReport
-from .sparse import accumulate
+from .sparse import Combination, accumulate
 from .weyl import AlgebraElement, cartan_matrix
 
 K, KINV, E, F = "K", "Kinv", "E", "F"
@@ -35,60 +35,21 @@ def generators(n, jmax=None):
     return [(kind, j) for j in range(1, jmax + 1) for kind in _KINDS]
 
 
-class HopfElement:
+class HopfElement(Combination):
     """Linear combination of free generator words over exact scalars."""
 
-    __slots__ = ("n", "terms")
-
-    def __init__(self, n, terms):
-        self.n = n
-        self.terms = terms
+    __slots__ = ()
 
     @staticmethod
-    def unit(n):
-        return HopfElement(n, {(): ONE})
-
-    @staticmethod
-    def zero(n):
-        return HopfElement(n, {})
+    def _unit_key(n):
+        return ()
 
     @staticmethod
     def generator(n, kind, j):
         return HopfElement(n, {(hopf_gen(n, kind, j),): ONE})
 
-    def _match(self, other):
-        if self.n != other.n:
-            raise DescriptorMismatch(f"rank {self.n} vs {other.n}")
-
-    def _co(self, other):
-        if isinstance(other, HopfElement):
-            return other
-        if isinstance(other, ScalarValue):
-            return HopfElement(self.n, {(): other} if not other.is_zero else {})
-        if isinstance(other, int):
-            return self._co(coeff.integer(other))
-        return None
-
-    def __add__(self, other):
-        o = self._co(other)
-        if o is None:
-            return NotImplemented
-        self._match(o)
-        return HopfElement(self.n, accumulate(dict(self.terms), o.terms.items()))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return HopfElement(self.n, {k: -v for k, v in self.terms.items()})
-
-    def __sub__(self, other):
-        o = self._co(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
     def __mul__(self, other):
-        if isinstance(other, (ScalarValue, int)):
+        if isinstance(other, self._scalars):
             return self.scaled(other)
         if not isinstance(other, HopfElement):
             return NotImplemented
@@ -97,49 +58,18 @@ class HopfElement:
             (w1 + w2, c1 * c2) for w1, c1 in self.terms.items()
             for w2, c2 in other.terms.items())))
 
-    def __rmul__(self, other):
-        if isinstance(other, (ScalarValue, int)):
-            return self.scaled(other)
-        return NotImplemented
-
-    def scaled(self, c):
-        if isinstance(c, int):
-            c = coeff.integer(c)
-        if c.is_zero:
-            return HopfElement.zero(self.n)
-        return HopfElement(self.n, {k: c * v for k, v in self.terms.items()})
-
     def star(self):
         """Antilinear anti-automorphism; every generator is fixed."""
         return HopfElement(self.n, {tuple(reversed(word)): cv.star()
                                     for word, cv in self.terms.items()})
 
-    @property
-    def is_zero(self):
-        return not self.terms
+    @staticmethod
+    def _sort_key(word):
+        return (len(word), word)
 
-    def __eq__(self, other):
-        if not isinstance(other, HopfElement):
-            return NotImplemented
-        return self.n == other.n and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.n, tuple(sorted(self.terms.items()))))
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for word in sorted(self.terms, key=lambda w: (len(w), w)):
-            cv = self.terms[word]
-            body = "*".join(_gen_str(g) for g in word)
-            if not body:
-                parts.append(f"({cv})")
-            elif cv.is_one:
-                parts.append(body)
-            else:
-                parts.append(f"({cv})*{body}")
-        return " + ".join(parts)
+    @staticmethod
+    def _key_str(word):
+        return "*".join(_gen_str(g) for g in word)
 
     def __repr__(self):
         return f"<hopf n={self.n}: {self}>"

@@ -18,8 +18,8 @@ from typing import NamedTuple
 
 from . import coeff
 from .coeff import ONE, ScalarValue, q0_power, q_power
-from .errors import DescriptorMismatch, IndexOutOfRange
-from .sparse import accumulate
+from .errors import IndexOutOfRange
+from .sparse import Combination, accumulate
 
 # -- sign bookkeeping -------------------------------------------------------
 
@@ -149,79 +149,20 @@ def _check_atom(n, atom):
         raise ValueError("R atoms carry an integer exponent")
 
 
-class AlgebraElement:
+class AlgebraElement(Combination):
     """Finite linear combination of canonical monomials over exact scalars."""
 
-    __slots__ = ("n", "terms")
-
-    def __init__(self, n, terms):
-        self.n = n
-        self.terms = terms
-
-    # -- constructors ----------------------------------------------------
+    __slots__ = ()
 
     @staticmethod
-    def zero(n):
-        return AlgebraElement(n, {})
-
-    @staticmethod
-    def unit(n):
+    def _unit_key(n):
         z = (0,) * n
-        return AlgebraElement(n, {(z, z, z): ONE})
-
-    # -- helpers ----------------------------------------------------------
-
-    def _match(self, other):
-        if self.n != other.n:
-            raise DescriptorMismatch(f"rank {self.n} vs {other.n}")
-
-    def _co(self, other):
-        if isinstance(other, AlgebraElement):
-            return other
-        if isinstance(other, ScalarValue):
-            return scalar_element(self.n, other)
-        if isinstance(other, int):
-            return scalar_element(self.n, coeff.integer(other))
-        return None
-
-    # -- vector-space structure -------------------------------------------
-
-    def __add__(self, other):
-        o = self._co(other)
-        if o is None:
-            return NotImplemented
-        self._match(o)
-        return AlgebraElement(self.n,
-                              accumulate(dict(self.terms), o.terms.items()))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return AlgebraElement(self.n, {k: -v for k, v in self.terms.items()})
-
-    def __sub__(self, other):
-        o = self._co(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._co(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
-    def scaled(self, c):
-        if isinstance(c, int):
-            c = coeff.integer(c)
-        if c.is_zero:
-            return AlgebraElement.zero(self.n)
-        return AlgebraElement(self.n, {k: c * v for k, v in self.terms.items()})
+        return (z, z, z)
 
     # -- the product --------------------------------------------------------
 
     def __mul__(self, other):
-        if isinstance(other, (ScalarValue, int)):
+        if isinstance(other, self._scalars):
             return self.scaled(other)
         if not isinstance(other, AlgebraElement):
             return NotImplemented
@@ -234,11 +175,6 @@ class AlgebraElement:
                 cur = _terms_times_atom(n, cur, atom)
             accumulate(out, cur.items())
         return AlgebraElement(n, out)
-
-    def __rmul__(self, other):
-        if isinstance(other, (ScalarValue, int)):
-            return self.scaled(other)
-        return NotImplemented
 
     def __pow__(self, m):
         if not isinstance(m, int):
@@ -281,65 +217,32 @@ class AlgebraElement:
 
     # -- inspection -----------------------------------------------------------
 
-    @property
-    def is_zero(self):
-        return not self.terms
-
-    def coordinate_degree(self):
-        return max((sum(b) + sum(c) for (_, b, c) in self.terms), default=0)
-
     def as_terms(self):
         """Term list ``((scalar, atoms), ...)`` in deterministic order."""
         return tuple((self.terms[key], tuple(_key_atoms(key)))
                      for key in sorted(self.terms))
 
-    def __eq__(self, other):
-        if not isinstance(other, AlgebraElement):
-            if isinstance(other, (int, ScalarValue)):
-                o = self._co(other)
-                return self.n == o.n and self.terms == o.terms
-            return NotImplemented
-        return self.n == other.n and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.n, tuple(sorted((k, v) for k, v in self.terms.items()))))
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for key in sorted(self.terms):
-            cv = self.terms[key]
-            r, b, c = key
-            factors = []
-            for i, s in enumerate(r):
-                if s:
-                    factors.append(f"R{i + 1}" if s == 1 else f"R{i + 1}^{s}")
-            for head, block in (("y", b), ("x", c)):
-                for i, m in enumerate(block):
-                    if m:
-                        factors.append(f"{head}{i + 1}" if m == 1
-                                       else f"{head}{i + 1}^{m}")
-            mono = "*".join(factors)
-            if not mono:
-                parts.append(f"({cv})")
-            elif cv.is_one:
-                parts.append(mono)
-            else:
-                parts.append(f"({cv})*{mono}")
-        return " + ".join(parts)
+    @staticmethod
+    def _key_str(key):
+        r, b, c = key
+        factors = []
+        for i, s in enumerate(r):
+            if s:
+                factors.append(f"R{i + 1}" if s == 1 else f"R{i + 1}^{s}")
+        for head, block in (("y", b), ("x", c)):
+            for i, m in enumerate(block):
+                if m:
+                    factors.append(f"{head}{i + 1}" if m == 1
+                                   else f"{head}{i + 1}^{m}")
+        return "*".join(factors)
 
     def __repr__(self):
         return f"<element n={self.n}: {self}>"
 
 
 def scalar_element(n, c):
-    if isinstance(c, int):
-        c = coeff.integer(c)
-    if c.is_zero:
-        return AlgebraElement.zero(n)
-    z = (0,) * n
-    return AlgebraElement(n, {(z, z, z): c})
+    """The constant ``c`` (an exact scalar or an int) as an element."""
+    return AlgebraElement.zero(n) + c
 
 
 # -- generators and normal form --------------------------------------------
@@ -461,10 +364,6 @@ def verify_identity(lhs, rhs):
 class Relation(NamedTuple):
     name: str
     terms: tuple  # ((scalar, atoms), ...)
-
-
-def w(*atoms):
-    return tuple(atoms)
 
 
 def tl(*pairs):

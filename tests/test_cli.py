@@ -67,6 +67,27 @@ def test_parse_errors_carry_positions():
         parse_algebra("q0 ^ x", 1)
 
 
+@pytest.mark.parametrize("text, position", [
+    ("x1 - E1", 3), ("E1 - x1", 3), ("x1 + E1", 3), ("E1 + x1", 3),
+    ("x1 * E1", 3), ("E1*x1", 2), ("2*E1 - x1", 5), ("(x1 - 2) * (3*E1)", 9),
+])
+def test_parse_refuses_mixed_families(text, position):
+    with pytest.raises(ParseError) as err:
+        parse_expression(text, 1)
+    assert str(err.value) == ("cannot mix coordinate and symmetry generators "
+                              f"(at position {position})")
+
+
+@pytest.mark.parametrize("text, printed", [
+    ("2 - E1*F1", "(2) + (-1)*E1*F1"),
+    ("-E1 + 3*K1^-1", "(-1)*E1 + (3)*K1^-1"),
+    ("3 - x1", "(3) + (-1)*x1"),
+    ("x1*(2 - y1)", "(-1) + (2)*x1 + (-q0^2)*R1^2"),
+])
+def test_parse_scalar_operands(text, printed):
+    assert str(parse_expression(text, 1)) == printed
+
+
 def test_roundtrip_random_elements():
     rng = random.Random(404)
     for n in (1, 2, 3):
@@ -254,9 +275,12 @@ def test_cli_repr_check(capsys):
     ["verify", "--suite", "pointwise", "--tolerance", "nan"],
     ["verify", "--suite", "pointwise", "--tolerance", "inf"],
     ["integrate", "--ket", "(1,0,0)", "--bra", "(1,0,0)", "--c", "1e308"],
+    ["verify", "--suite", "obstruction", "--out", "{missing}/r.txt"],
+    ["repr-check", "--samples", "1", "--out", "{missing}/r.txt"],
 ])
-def test_cli_rejects_vacuous_and_unrepresentable_inputs(capsys, argv):
-    rc = cli.main(argv)
+def test_cli_rejects_vacuous_and_unrepresentable_inputs(capsys, tmp_path, argv):
+    missing = str(tmp_path / "no-such-dir")
+    rc = cli.main([arg.replace("{missing}", missing) for arg in argv])
     captured = capsys.readouterr()
     assert rc == 2
     assert captured.err.startswith("error: ")
