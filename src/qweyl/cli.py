@@ -11,8 +11,10 @@ output-file error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import random
+import re
 import sys
 
 from . import gauss, haar, parser, uq, weyl
@@ -111,31 +113,38 @@ _RUNNERS = {
 }
 
 
-def _emit(report_lines, out_path):
+def _out_file(path):
+    """Open ``--out`` before the suites run; it is emptied only when written."""
+    return (open(path, "a", encoding="utf-8") if path
+            else contextlib.nullcontext())
+
+
+def _emit(report_lines, out_file):
     text = "\n".join(report_lines)
     if text:
         print(text)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text + ("\n" if text else ""))
+    if out_file is not None:
+        out_file.truncate(0)
+        out_file.write(text + ("\n" if text else ""))
 
 
 def _cmd_verify(args):
-    merged = SuiteReport("verify")
-    if args.suite:
-        runner = _RUNNERS[args.suite]
-        rep = runner(args.n, args)
-        merged.cases.extend(rep.cases)
-    else:
-        for suite in SUITES:
-            ranks = (1,) if suite in ("model2-n1", "obstruction") else (1, 2)
-            for n in ranks:
-                rep = _RUNNERS[suite](n, args)
-                for case in rep.cases:
-                    merged.cases.append(type(case)(
-                        case.suite, f"n{n}:{case.case}", case.passed,
-                        case.residual, case.detail))
-    _emit(merged.lines(), args.out)
+    with _out_file(args.out) as out_file:
+        merged = SuiteReport("verify")
+        if args.suite:
+            runner = _RUNNERS[args.suite]
+            rep = runner(args.n, args)
+            merged.cases.extend(rep.cases)
+        else:
+            for suite in SUITES:
+                ranks = (1,) if suite in ("model2-n1", "obstruction") else (1, 2)
+                for n in ranks:
+                    rep = _RUNNERS[suite](n, args)
+                    for case in rep.cases:
+                        merged.cases.append(type(case)(
+                            case.suite, f"n{n}:{case.case}", case.passed,
+                            case.residual, case.detail))
+        _emit(merged.lines(), out_file)
     return 0 if merged.ok else 1
 
 
@@ -184,10 +193,11 @@ def _cmd_integrate(args):
 
 
 def _cmd_repr_check(args):
-    rep = run_pointwise(args.n, args)
-    if args.n == 1:
-        rep.extend(run_model2(1, args))
-    _emit(rep.lines(), args.out)
+    with _out_file(args.out) as out_file:
+        rep = run_pointwise(args.n, args)
+        if args.n == 1:
+            rep.extend(run_model2(1, args))
+        _emit(rep.lines(), out_file)
     return 0 if rep.ok else 1
 
 
@@ -209,16 +219,21 @@ def build_arg_parser():
                        help="trace normalization constant")
         p.add_argument("--out", default=None, help="also write the report here")
 
+    # argparse's negative-number pattern, widened so that "-x1" is read as an
+    # expression; "-h", "--n" and an unknown "--bogus" keep their meaning
+    expression_arg = re.compile(r"^-[^-]")
     p = sub.add_parser("normalize", help="print the canonical form")
     p.add_argument("--n", type=int, default=1)
     p.add_argument("expr")
     p.set_defaults(fn=_cmd_normalize)
+    p._negative_number_matcher = expression_arg
 
     p = sub.add_parser("act", help="apply a symmetry word to an element")
     p.add_argument("--n", type=int, default=1)
     p.add_argument("hopf")
     p.add_argument("element")
     p.set_defaults(fn=_cmd_act)
+    p._negative_number_matcher = expression_arg
 
     p = sub.add_parser("verify", help="run verification suites")
     common(p)

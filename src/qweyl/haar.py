@@ -9,6 +9,7 @@ against the scale density, ``h(F) = c * sum(amp * <ket, density bra>)``.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass, field
@@ -108,12 +109,15 @@ class IntegralContext:
             raise ValueError(f"unknown density {self.density!r}")
 
 
+@functools.lru_cache(maxsize=None)
+def _density_element(n, density):
+    return weyl.q_elem_inv(1, 1) if density == "qinv" else weyl.gamma(n)
+
+
 def density_ops(n, ictx):
-    if ictx.density == "qinv":
-        if n != 1:
-            raise ValueError("the qinv density convention is rank-1 only")
-        return represent(weyl.q_elem_inv(1, 1), ictx.ctx)
-    return represent(weyl.gamma(n), ictx.ctx)
+    if ictx.density == "qinv" and n != 1:
+        raise ValueError("the qinv density convention is rank-1 only")
+    return represent(_density_element(n, ictx.density), ictx.ctx)
 
 
 def plain_trace(F):

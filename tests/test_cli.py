@@ -2,6 +2,8 @@ import contextlib
 import io
 import pathlib
 import random
+import runpy
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -242,6 +244,71 @@ def test_cli_verify_exact_suites_match_golden(capsys):
     lines = [line for line in capsys.readouterr().out.splitlines()
              if line.split(",", 1)[0][len("suite="):] in exact]
     assert lines == golden.read_text(encoding="utf-8").splitlines()
+
+
+def test_cli_verify_numeric_suites_match_golden(capsys):
+    golden = pathlib.Path(__file__).with_name("golden_verify_numeric.txt")
+    lines = []
+    for suite in ("pointwise", "invariance", "cyclicity"):
+        assert cli.main(["verify", "--suite", suite, "--n", "3", "--seed", "7",
+                         "--samples", "8"]) == 0
+        lines.extend(capsys.readouterr().out.splitlines())
+    assert lines == golden.read_text(encoding="utf-8").splitlines()
+
+
+@pytest.mark.parametrize("argv, printed", [
+    (["normalize", "--n", "1", "-x1"], "(-1)*x1"),
+    (["normalize", "-x2", "--n", "2"], "(-1)*x2"),
+    (["normalize", "-E1*F1"], "(-1)*E1*F1"),
+    (["normalize", "-(1/2)*q"], "-1/2*q0^2"),
+    (["act", "--n", "1", "-F1", "-y1"], "(i)"),
+    (["act", "--n", "2", "-E1", "x1"], "((-i)/(q0))*x2"),
+])
+def test_cli_expressions_may_start_with_minus(capsys, argv, printed):
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == printed + "\n"
+
+
+def test_cli_options_beside_minus_expressions(capsys):
+    for verb in ("normalize", "act"):
+        assert cli.main([verb, "-h"]) == 0
+        assert capsys.readouterr().out.startswith(f"usage: qweyl {verb} ")
+    for argv in (["normalize", "--n", "1", "--bogus"],
+                 ["normalize", "--bogus", "x1"],
+                 ["act", "--n", "1", "--bogus", "-F1", "-y1"]):
+        assert cli.main(argv) == 2
+        assert "error: " in capsys.readouterr().err
+
+
+def test_python_dash_m_runs_the_cli(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["qweyl", "normalize", "--n", "1", "-x1"])
+    with pytest.raises(SystemExit) as done:
+        runpy.run_module("qweyl", run_name="__main__")
+    assert done.value.code == 0
+    assert capsys.readouterr().out == "(-1)*x1\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "obstruction"],
+    ["verify", "--suite", "pointwise", "--samples", "1"],
+    ["repr-check", "--samples", "1"],
+])
+def test_cli_unwritable_out_refused_before_any_report(capsys, tmp_path, argv):
+    out = str(tmp_path / "no-such-dir" / "r.txt")
+    assert cli.main(argv + ["--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def test_cli_failed_run_keeps_earlier_out_file(capsys, tmp_path):
+    out = tmp_path / "r.txt"
+    out.write_text("earlier report\n", encoding="utf-8")
+    assert cli.main(["verify", "--suite", "pointwise", "--phi", "1e-11",
+                     "--out", str(out)]) == 2
+    assert out.read_text(encoding="utf-8") == "earlier report\n"
+    assert cli.main(["verify", "--suite", "obstruction", "--out", str(out)]) == 0
+    assert out.read_text(encoding="utf-8") == capsys.readouterr().out
 
 
 def test_cli_integrate_bad_state(capsys):

@@ -223,6 +223,62 @@ def test_trivial_relation_residual_zero():
     assert gauss.relation_residual(1, rel, state, CTX) == 0.0
 
 
+def _residual_reference(n, relation, state, ctx):
+    """Per-state loop: represent every term again for this one state."""
+    scale = norm(state)
+    image = GaussianState.zero(state.n)
+    for cv, atoms in relation.terms:
+        piece = apply_ops(represent_word(n, atoms, ctx, scalar=cv.evaluate(ctx)),
+                          state)
+        scale = max(scale, norm(piece))
+        image = image + piece
+    return norm(image) / scale
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_pointwise_check_equals_per_state_residuals(n):
+    rng = random.Random(70 + n)
+    states = gauss.sample_states(n, rng, 3)
+    for rels in (weyl.coordinate_relations(n), weyl.localized_relations(n),
+                 weyl.ab_rho_relations(n)):
+        rep = gauss.check_relations_pointwise(n, rels, states, CTX)
+        assert [case.case for case in rep.cases] == [rel.name for rel in rels]
+        for rel, case in zip(rels, rep.cases):
+            worst = 0.0
+            for state in states:
+                want = _residual_reference(n, rel, state, CTX)
+                assert gauss.relation_residual(n, rel, state, CTX) == want
+                worst = max(worst, want)
+            assert case.residual == worst
+
+
+def test_represent_memo_matches_fresh_build(monkeypatch):
+    monkeypatch.setattr(gauss, "_REPRESENT_MEMO", {})
+    rng = random.Random(23)
+    for ctx in (CTX, NEG):
+        for n in (1, 2, 3):
+            elements = [weyl.gamma(n), weyl.rho(n, 1) * weyl.a_op(n, n)]
+            elements += [weyl.normal_form(n, [(weyl.ONE, _random_word(n, rng))])
+                         for _ in range(3)]
+            for element in elements:
+                fresh = gauss.represent_terms(n, element.as_terms(), ctx)
+                cold = represent(element, ctx)
+                warm = represent(element, ctx)
+                assert type(cold) is type(warm) is list
+                assert cold == fresh and warm == fresh
+
+
+def test_represent_result_can_be_mutated_safely():
+    element = weyl.gen_x(2, 1)
+    first = represent(element, CTX)
+    want = list(first)
+    first.append(gauss.op_identity(2))
+    first[0] = gauss.op_identity(2)
+    assert represent(element, CTX) == want
+    first.clear()
+    assert represent(element, CTX) == want
+
+
 def test_family_closure_never_truncates():
     rng = random.Random(17)
     for n in (1, 2):

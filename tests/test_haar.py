@@ -96,6 +96,26 @@ def test_single_pair_density_conventions_differ_by_sign():
         haar.density_ops(2, qin)
 
 
+@pytest.mark.parametrize("n, density, builder", [
+    (1, "gamma", "gamma"), (3, "gamma", "gamma"), (1, "qinv", "q_elem_inv"),
+])
+def test_density_element_built_at_most_once(monkeypatch, n, density, builder):
+    real = getattr(weyl, builder)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(weyl, builder, counted)
+    ictx = IntegralContext(c=1.0, ctx=NEG, density=density)
+    first = density_ops(n, ictx)
+    second = density_ops(n, ictx)
+    assert len(calls) <= 1
+    want = real(*((1, 1) if density == "qinv" else (n,)))
+    assert first == second == gauss.represent_terms(n, want.as_terms(), NEG)
+
+
 def trace_gram_route(F, ictx):
     """Independent evaluation: materialize ``F . density`` on the span of its
     legs, orthonormalize the span through the Gram matrix, sum the diagonal."""
