@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import math
 import random
 import re
@@ -163,10 +164,8 @@ def _cmd_act(args):
 
 def _parse_state(text, n, ctx_name):
     legs = []
-    for part in text.replace(";", " ").split():
-        part = part.strip().strip("()")
-        if not part:
-            continue
+    # drop spaces beside commas, then split legs on parentheses, ';' and spaces
+    for part in re.findall(r"[^\s;()]+", re.sub(r"\s*,\s*", ",", text)):
         fields = [p.strip() for p in part.split(",")]
         if len(fields) != 3:
             raise ParseError(
@@ -246,7 +245,7 @@ def build_arg_parser():
     common(p)
     p.add_argument("--density", choices=("gamma", "qinv"), default="gamma")
     p.add_argument("--ket", required=True,
-                   help="legs as (eps,gammaRe,gammaIm), semicolon separated")
+                   help="legs as (eps, gammaRe, gammaIm), split by ';' or spaces")
     p.add_argument("--bra", required=True)
     p.set_defaults(fn=_cmd_integrate)
 
@@ -264,10 +263,15 @@ def _check_bounds(args):
             raise QweylError(f"--{flag} must be at least {least}, got {value}")
 
 
+@functools.cache
+def _arg_parser():
+    """The parser that every :func:`main` call in a process shares."""
+    return build_arg_parser()
+
+
 def main(argv=None):
-    ap = build_arg_parser()
     try:
-        args = ap.parse_args(argv)
+        args = _arg_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

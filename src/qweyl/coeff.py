@@ -121,10 +121,6 @@ def _pneg(a):
     return tuple(-c for c in a)
 
 
-def _psub(a, b):
-    return _padd(a, _pneg(b))
-
-
 def _pmul(a, b):
     if not a or not b:
         return ()
@@ -234,7 +230,7 @@ class ScalarValue:
         o = self._co(other)
         if o is None:
             return NotImplemented
-        num = _psub(_pmul(self.num, o.den), _pmul(o.num, self.den))
+        num = _padd(_pmul(self.num, o.den), _pneg(_pmul(o.num, self.den)))
         return ScalarValue(num, _pmul(self.den, o.den))
 
     def __rsub__(self, other):
@@ -255,7 +251,8 @@ class ScalarValue:
             return self
         if self.is_one:
             return o
-        return ScalarValue(_pmul(self.num, o.num), _pmul(self.den, o.den))
+        return _monomial_product(self, o) or ScalarValue(
+            _pmul(self.num, o.num), _pmul(self.den, o.den))
 
     __rmul__ = __mul__
 
@@ -371,12 +368,40 @@ def _canonicalize(num, den):
         inv = den[-1].inv()
         num = tuple(c * inv for c in num)
         den = tuple(c * inv for c in den)
-    if not all(type(c.re) is int and type(c.im) is int for c in num + den):
-        # exact parts for factory inputs (a float, a Fraction) and ints again
-        # where a division left an integral Fraction
-        num = tuple(QI(_digit(c.re), _digit(c.im)) for c in num)
-        den = tuple(QI(_digit(c.re), _digit(c.im)) for c in den)
-    return num, den
+    return _exact(num), _exact(den)
+
+
+def _exact(p):
+    """``p`` with exact parts: an int wherever a part is integral."""
+    if all(type(c.re) is int and type(c.im) is int for c in p):
+        return p
+    return tuple(QI(_digit(c.re), _digit(c.im)) for c in p)
+
+
+def _monomial_product(a, b):
+    """``a*b`` of nonzero values when one is ``c*q0**k``, else None: the other
+    scaled by ``c`` and shifted less the common ``q0`` power, with no gcd."""
+    if not (a.num and b.num):
+        return None
+    for m, f in ((b, a), (a, b)):
+        num, den = m.num, m.den
+        if len(den) == 1 and not any(num[:-1]):
+            c, k = num[-1], len(num) - 1
+        elif len(num) == 1 and not any(den[:-1]):
+            c, k = num[0], 1 - len(den)
+        else:
+            continue
+        num, den = f.num, f.den
+        if c != _QI1:
+            num = _exact(tuple(c * p for p in num))
+        if k > 0:
+            v = min(k, _pval(den))
+            num, den = _pshift(num, k - v), den[v:]
+        elif k < 0:
+            v = min(-k, _pval(num))
+            num, den = num[v:], _pshift(den, -k - v)
+        return ScalarValue(num, den, _canonical=True)
+    return None
 
 
 def _qi_str(c):

@@ -317,6 +317,102 @@ def test_cli_integrate_bad_state(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("ket", [
+    "(1,0,0);(0.5,-0.4,0.3)", "(1,0,0) (0.5,-0.4,0.3)", "1,0,0;0.5,-0.4,0.3",
+    "1,0,0 0.5,-0.4,0.3", "(1, 0, 0); (0.5, -0.4, 0.3)",
+    "( 1 , 0 , 0 ) ( 0.5 ,-0.4, 0.3 )", " 1, 0, 0 ; 0.5, -0.4, 0.3 ",
+])
+def test_cli_integrate_legs_may_contain_spaces(capsys, ket):
+    dyad = ["integrate", "--n", "2", "--bra", "(1,0.5,-0.2);(1,0,0)"]
+    assert cli.main(dyad + ["--ket", "(1,0,0);(0.5,-0.4,0.3)"]) == 0
+    want = capsys.readouterr().out
+    assert cli.main(dyad + ["--ket", ket]) == 0
+    assert capsys.readouterr().out == want
+
+
+def test_cli_integrate_single_leg_forms(capsys):
+    outs = []
+    for ket in ("(1,0,0)", "1,0,0", "(1, 0, 0)", "1 , 0 , 0"):
+        assert cli.main(["integrate", "--ket", ket, "--bra", "(1,0,0)"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert len(set(outs)) == 1
+
+
+@pytest.mark.parametrize("ket, message", [
+    ("(1,0)", "--ket: each leg is (eps,gammaRe,gammaIm)"),
+    ("(1 0 0)", "--ket: each leg is (eps,gammaRe,gammaIm)"),
+    ("(1,0,0,0)", "--ket: each leg is (eps,gammaRe,gammaIm)"),
+    ("(1, nan, 0)", "--ket: leg fields must be finite"),
+    ("(1, 0, 0)", "--ket: expected 2 legs, got 1"),
+    ("(1,0,0) (1,0,0) (1,0,0)", "--ket: expected 2 legs, got 3"),
+    ("", "--ket: expected 2 legs, got 0"),
+])
+def test_cli_integrate_bad_legs_keep_their_messages(capsys, ket, message):
+    rc = cli.main(["integrate", "--n", "2", "--ket", ket,
+                   "--bra", "(1,0,0);(1,0,0)"])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message} (at position 0)\n"
+
+
+def _run_sequence(argvs, out_path):
+    """stdout, stderr, exit code and --out contents of each call in turn."""
+    results = []
+    for argv in argvs:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = cli.main(list(argv))
+        written = out_path.read_text() if out_path.exists() else None
+        results.append((argv, rc, out.getvalue(), err.getvalue(), written))
+    return results
+
+
+def test_cli_shared_parser_matches_a_fresh_parser_per_call(tmp_path,
+                                                           monkeypatch):
+    out_path = tmp_path / "r.txt"
+    argvs = [
+        ["normalize", "--n", "2", "x2*y2"], ["normalize", "x1*y1"],
+        ["verify", "--suite", "nope"], ["verify", "--suite", "obstruction"],
+        ["normalize", "--n", "1"], ["act", "--n", "2", "E1", "x1"],
+        ["-h"], ["normalize", "-h"], ["verify", "-h"], ["--bogus"], [],
+        ["verify", "--suite", "obstruction", "--out", str(out_path)],
+        ["verify", "--suite", "obstruction"],
+        ["repr-check", "--samples", "1", "--seed", "4"],
+        ["normalize", "--n", "1", "-x1"], ["act", "--n", "1", "-F1", "-y1"],
+        ["normalize", "-(1/2)*q", "--n", "2"], ["normalize", "--n", "-x1"],
+        ["integrate", "--ket", "(1, 0, 0)", "--bra", "(1,0,0)"],
+        ["integrate", "--n", "2", "--ket", "(1,0,0)", "--bra", "(1,0,0)"],
+        ["integrate", "--ket", "(1,0,0)", "--bra", "(1,0.5,-0.2)",
+         "--density", "qinv", "--c", "2"],
+        ["normalize", "x1"],
+    ]
+    cli._arg_parser.cache_clear()
+    shared = _run_sequence(argvs, out_path)
+    out_path.unlink()
+    monkeypatch.setattr(cli, "_arg_parser", cli.build_arg_parser)
+    fresh = _run_sequence(argvs, out_path)
+    assert shared == fresh
+    assert [r[1] for r in shared[:4]] == [0, 0, 2, 0]
+    assert shared[6][1] == 0 and shared[6][2].startswith("usage: qweyl ")
+
+
+def test_cli_builds_its_parser_once_per_process(capsys, monkeypatch):
+    built = []
+    build = cli.build_arg_parser
+
+    def counting():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_arg_parser", counting)
+    cli._arg_parser.cache_clear()
+    for argv in (["normalize", "x1"], ["verify", "--suite", "nope"],
+                 ["act", "E1", "x1"]):
+        cli.main(argv)
+    capsys.readouterr()
+    assert len(built) == 1
+    cli._arg_parser.cache_clear()
+
+
 def test_cli_repr_check(capsys):
     rc = cli.main(["repr-check", "--n", "1", "--samples", "4", "--seed", "5"])
     out = capsys.readouterr().out

@@ -286,6 +286,61 @@ def test_product_by_one_shares_the_factor(x):
     assert x * ONE == full and ONE * x == full
 
 
+# -- products by a Laurent monomial c*q0^k against the general route -----------
+
+
+def _general_product(a, b):
+    """``a*b`` through ``_pmul`` and ``_canonicalize``, never the shortcut."""
+    return ScalarValue(coeff._pmul(a.num, b.num), coeff._pmul(a.den, b.den))
+
+
+def _structure(value):
+    return tuple(tuple((type(c.re), c.re, type(c.im), c.im) for c in side)
+                 for side in (value.num, value.den))
+
+
+def _laurent(c, k):
+    if k >= 0:
+        return ScalarValue((QI(0),) * k + (c,), (QI(1),))
+    return ScalarValue((c,), (QI(0),) * -k + (QI(1),))
+
+
+_monomials = st.builds(
+    _laurent,
+    st.one_of(st.sampled_from(_UNITS), st.builds(QI, _fracs.filter(bool)),
+              _nonzero_qi),
+    st.integers(-4, 4))
+_operands = st.one_of(
+    scalars(), _monomials, st.sampled_from([ZERO, ONE, coeff.MINUS_ONE]),
+    _values(_any_leaves),
+    st.tuples(scalars(), st.integers(-3, 3)).map(
+        lambda p: _general_product(p[0], q0_power(p[1]))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_monomials, _operands, st.booleans())
+def test_monomial_product_matches_general_route(m, x, monomial_first):
+    a, b = (m, x) if monomial_first else (x, m)
+    got = a * b
+    assert _structure(got) == _structure(_general_product(a, b))
+    for part in _parts(got):
+        assert type(part) is int or (type(part) is Fraction
+                                     and part.denominator != 1), repr(got)
+    if m.is_one:
+        # when x is itself one, either factor is the product
+        assert got is x or x.is_one
+    elif a and b:
+        assert _structure(coeff._monomial_product(a, b)) == _structure(got)
+
+
+def test_monomial_product_strips_the_common_q0_power():
+    x = ONE / (Q0 * (Q0 + ONE))
+    got = x * q0_power(3)
+    assert (got.num, got.den) == ((QI(0), QI(0), QI(1)), (QI(1), QI(1)))
+    assert _structure(got) == _structure(_general_product(x, q0_power(3)))
+    assert coeff._monomial_product(LAMBDA, LAMBDA_INV) is None
+
+
 def test_pole_threshold_ignores_report_tolerance():
     loose = NumericContext(tolerance=1e300)
     assert (Q0 - ONE).inv().evaluate(loose) == pytest.approx(
