@@ -8,8 +8,7 @@ invariant quantum-trace functional on finite-rank operators.
 from .coeff import NumericContext, ScalarValue
 from .errors import (DescriptorMismatch, IndexOutOfRange, ParseError,
                      PoleAtEvaluationPoint, QweylError, ShapeMismatch)
-from .gauss import (ElementaryOperator, GaussianFactor, GaussianState,
-                    apply_ops, apply_shift_p, apply_shift_t, inner, norm,
+from .gauss import (ElementaryOperator, GaussianState, apply_ops, inner, norm,
                     represent)
 from .haar import (FiniteRankOperator, IntegralContext, quantum_trace,
                    rank_one)
@@ -23,12 +22,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlgebraElement", "DescriptorMismatch", "ElementaryOperator",
-    "FiniteRankOperator", "GaussianFactor", "GaussianState", "HopfElement",
-    "IndexOutOfRange", "IntegralContext", "NumericContext", "ParseError",
+    "FiniteRankOperator", "GaussianState", "HopfElement", "IndexOutOfRange",
+    "IntegralContext", "NumericContext", "ParseError",
     "PoleAtEvaluationPoint", "QweylError", "ScalarValue", "ShapeMismatch",
-    "a_op", "act", "act_element", "antipode", "apply_ops", "apply_shift_p",
-    "apply_shift_t", "b_op", "coproduct", "counit", "gamma", "gen_r", "gen_x",
-    "gen_y", "inner", "norm", "normal_form", "parse_algebra",
+    "a_op", "act", "act_element", "antipode", "apply_ops", "b_op",
+    "coproduct", "counit", "gamma", "gen_r", "gen_x", "gen_y", "inner",
+    "norm", "normal_form", "parse_algebra",
     "parse_expression", "parse_hopf", "parse_scalar", "q_elem", "q_elem_inv",
     "quantum_trace", "rank_one", "represent", "rho", "rho_inv",
     "verify_identity",

@@ -115,7 +115,7 @@ _RUNNERS = {
 
 
 def _out_file(path):
-    """Open ``--out`` before the suites run; it is emptied only when written."""
+    """Open ``--out`` before any work is done; it is emptied only when written."""
     return (open(path, "a", encoding="utf-8") if path
             else contextlib.nullcontext())
 
@@ -180,14 +180,15 @@ def _parse_state(text, n, ctx_name):
 
 
 def _cmd_integrate(args):
-    ictx = haar.IntegralContext(c=args.c, ctx=_numeric_ctx(args),
-                                density=args.density)
-    ket = _parse_state(args.ket, args.n, "--ket")
-    bra = _parse_state(args.bra, args.n, "--bra")
-    value = haar.quantum_trace(haar.rank_one(ket, bra), ictx)
-    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-        raise OverflowError(f"h={value} is not finite")
-    print(f"h={value.real:.12e}{value.imag:+.12e}j")
+    with _out_file(args.out) as out_file:
+        ictx = haar.IntegralContext(c=args.c, ctx=_numeric_ctx(args),
+                                    density=args.density)
+        ket = _parse_state(args.ket, args.n, "--ket")
+        bra = _parse_state(args.bra, args.n, "--bra")
+        value = haar.quantum_trace(haar.rank_one(ket, bra), ictx)
+        if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+            raise OverflowError(f"h={value} is not finite")
+        _emit([f"h={value.real:.12e}{value.imag:+.12e}j"], out_file)
     return 0
 
 

@@ -1,14 +1,18 @@
 """Shift-operator realization on Gaussian wave packets.
 
 States live on ``n`` tensor legs, each a finite combination of packets
-``exp(-eps*t**2 + gamma*t)`` with ``eps > 0``.  Every generator of the
-algebra becomes a finite sum of per-leg shift words built from
+``exp(-eps*s**2 + gamma*s)`` with ``eps > 0``.  Every generator of the
+algebra becomes a finite sum of elementary operators: a complex scalar
+times one shift leg ``(t, p)`` per tensor leg, which applies ``e^{t T}``
+and then ``e^{p P}``:
 
-    e^{a T}: gamma -> gamma + a
-    e^{b P}: prefactor *= exp(eps*b**2 + 1j*gamma*b), gamma -> gamma - 2j*eps*b
+    e^{t T}: gamma -> gamma + t
+    e^{p P}: prefactor *= exp(eps*p**2 + 1j*gamma*p), gamma -> gamma - 2j*eps*p
 
-so applying any represented element to a state stays inside the family and
-all inner products reduce to the closed-form Gaussian integral
+Composing two legs moves the second ``T`` shift past the first ``P`` shift
+at the exact phase ``exp(-1j*p0*t1)``, so every leg stays one ``(t, p)``
+pair.  Applying any represented element to a state stays inside the
+family, and all inner products reduce to the closed-form Gaussian integral
 ``sqrt(pi/a) * exp(b**2/(4a))``.  The inner product is linear in its first
 argument.
 """
@@ -25,28 +29,19 @@ from .sparse import Combination, accumulate
 from .weyl import hermitian_generators
 
 
-@dataclass(frozen=True)
-class GaussianFactor:
-    """One leg: ``prefactor * exp(-epsilon*t**2 + gamma*t)``."""
+def _apply_leg(eps, gamma, leg):
+    """Apply the shift leg ``(t, p)`` to ``exp(-eps*s**2 + gamma*s)``.
 
-    epsilon: float
-    gamma: complex
-    prefactor: complex = 1.0 + 0.0j
-
-    def __post_init__(self):
-        if self.epsilon <= 0.0:
-            raise ValueError("epsilon must be positive for square-integrability")
-
-
-def apply_shift_t(alpha, g):
-    """Left shift of the argument: multiply by ``e^{alpha*T}``."""
-    return GaussianFactor(g.epsilon, g.gamma + alpha, g.prefactor)
-
-
-def apply_shift_p(beta, g):
-    """Imaginary translation ``t -> t + 1j*beta`` expanded back into the family."""
-    pre = g.prefactor * cmath.exp(g.epsilon * beta * beta + 1j * g.gamma * beta)
-    return GaussianFactor(g.epsilon, g.gamma - 2j * g.epsilon * beta, pre)
+    Returns ``(gamma', prefactor)``; ``eps`` is unchanged.
+    """
+    t, p = leg
+    if t:
+        gamma = gamma + t
+    if not p:
+        return gamma, 1.0 + 0j
+    # not a no-op: the product by one turns a -0.0 part into +0.0
+    pre = (1.0 + 0j) * cmath.exp(eps * p * p + 1j * gamma * p)
+    return gamma - 2j * eps * p, pre
 
 
 def _leg_overlap(e1, g1, e2, g2):
@@ -73,19 +68,22 @@ class GaussianState(Combination):
         return ShapeMismatch(f"{self.n} legs vs {other.n}")
 
     @staticmethod
+    def _sort_key(key):
+        return tuple((eps, gam.real, gam.imag) for eps, gam in key)
+
+    @staticmethod
+    def _key_str(key):
+        return "*".join(f"G({eps!r}, {gam!r})" for eps, gam in key)
+
+    @staticmethod
     def from_legs(amplitude, legs):
-        """Build a one-term state; legs are GaussianFactors or (eps, gamma)."""
+        """Build a one-term state from ``(eps, gamma)`` legs, each ``eps > 0``."""
         key = []
+        for eps, gam in legs:
+            if eps <= 0:
+                raise ValueError("epsilon must be positive")
+            key.append((float(eps), complex(gam)))
         amp = complex(amplitude)
-        for leg in legs:
-            if isinstance(leg, GaussianFactor):
-                amp *= leg.prefactor
-                key.append((float(leg.epsilon), complex(leg.gamma)))
-            else:
-                eps, gam = leg
-                if eps <= 0:
-                    raise ValueError("epsilon must be positive")
-                key.append((float(eps), complex(gam)))
         if amp == 0:
             return GaussianState.zero(len(key))
         return GaussianState(len(key), {tuple(key): amp})
@@ -111,76 +109,56 @@ def norm(u):
 # -- elementary operators ------------------------------------------------------
 
 
-def collapse_word(word):
-    """Reduce a shift word to canonical ``T then P`` application order.
+def _compose_legs(first, then):
+    """The leg ``first`` followed by ``then``, as ``(phase, leg)``.
 
-    Successive shifts of the same kind add; reordering a ``T`` shift past
-    accumulated ``P`` shifts picks up the exact phase ``exp(-1j*P*alpha)``.
-    Returns ``(phase, word)``.  Keeping words collapsed avoids the huge
-    intermediate prefactors that uncollapsed conjugation words would
-    produce on sharply peaked packets.
+    Moving the ``T`` shift of ``then`` past the ``P`` shift of ``first``
+    picks up ``exp(-1j*p0*t1)``.  Keeping legs composed avoids the huge
+    intermediate prefactors that uncomposed conjugation words would produce
+    on sharply peaked packets.
     """
-    t_total = 0.0
-    p_total = 0.0
-    arg = 0.0
-    for kind, amount in word:
-        if kind == "T":
-            arg -= p_total * amount
-            t_total += amount
-        else:
-            p_total += amount
-    out = ()
-    if t_total:
-        out += (("T", t_total),)
-    if p_total:
-        out += (("P", p_total),)
+    t0, p0 = first
+    t1, p1 = then
+    arg = -p0 * t1
     phase = cmath.exp(1j * arg) if arg else 1.0 + 0j
-    return phase, out
+    return phase, (t0 + t1, p0 + p1)
 
 
 @dataclass(frozen=True)
 class ElementaryOperator:
-    """Complex scalar times per-leg shift words (application order).
-
-    Construct through :func:`make_elementary` so leg words stay collapsed.
-    """
+    """Complex scalar times one shift leg ``(t, p)`` per tensor leg."""
 
     scalar: complex
-    legs: tuple  # tuple over legs of tuples of ("T"|"P", amount)
+    legs: tuple  # per tensor leg: e^{t T}, then e^{p P}
 
     def applied_after(self, other):
         """Composite acting as ``other`` first, then ``self``."""
-        return make_elementary(
-            self.scalar * other.scalar,
-            tuple(o + s for o, s in zip(other.legs, self.legs)))
+        return _composed(self.scalar * other.scalar, zip(other.legs, self.legs))
 
 
-def make_elementary(scalar, legs):
-    scalar = complex(scalar)
-    out = []
-    for leg in legs:
-        phase, word = collapse_word(leg)
+def _composed(scalar, leg_pairs):
+    """``scalar`` times the composite of each ``(first, then)`` leg pair."""
+    legs = []
+    for first, then in leg_pairs:
+        phase, leg = _compose_legs(first, then)
         scalar *= phase
-        out.append(word)
-    return ElementaryOperator(scalar, tuple(out))
+        legs.append(leg)
+    return ElementaryOperator(scalar, tuple(legs))
 
 
 def op_identity(n):
-    return ElementaryOperator(1.0 + 0j, ((),) * n)
+    return ElementaryOperator(1.0 + 0j, ((0.0, 0.0),) * n)
 
 
 def adjoint_ops(ops):
-    """Adjoint of a sum of shift words: reverse each word, conjugate scalars."""
-    return [make_elementary(op.scalar.conjugate(),
-                            tuple(tuple(reversed(leg)) for leg in op.legs))
+    """Adjoint of a sum of elementary operators.
+
+    Each shift is its own adjoint, so a leg's shifts act in reverse order
+    (``e^{p P}`` first, then ``e^{t T}``); scalars are conjugated.
+    """
+    return [_composed(op.scalar.conjugate(),
+                      (((0.0, p), (t, 0.0)) for t, p in op.legs))
             for op in ops]
-
-
-def _apply_word(g, word):
-    """Apply a shift word (application order) to one leg."""
-    for kind, amount in word:
-        g = apply_shift_t(amount, g) if kind == "T" else apply_shift_p(amount, g)
-    return g
 
 
 def apply_ops(ops, state):
@@ -193,10 +171,10 @@ def apply_ops(ops, state):
                                         f"state has {state.n}")
                 val = amp * op.scalar
                 newkey = []
-                for (eps, gam), word in zip(key, op.legs):
-                    g = _apply_word(GaussianFactor(eps, gam), word)
-                    val *= g.prefactor
-                    newkey.append((g.epsilon, g.gamma))
+                for (eps, gam), leg in zip(key, op.legs):
+                    gam, pre = _apply_leg(eps, gam, leg)
+                    val *= pre
+                    newkey.append((eps, gam))
                 yield tuple(newkey), val
 
     return GaussianState(state.n, accumulate({}, images()))
@@ -206,52 +184,31 @@ def apply_ops(ops, state):
 
 
 def _atom_variants(atom, n, ctx):
-    """Options (scalar, legs) realizing one generator atom."""
+    """The elementary operators whose sum realizes one generator atom."""
     phi = ctx.phi
-    kind = atom[0]
-    k = atom[1]
-    empty = ()
+    kind, k = atom[0], atom[1]
+    main = n - k
+    before = ((0.0, phi),) * main
+    after = ((0.0, 0.0),) * (k - 1)
     if kind == "R":
-        s = atom[2]
-        legs = tuple((("P", s * phi),) if pos <= n - k else empty
-                     for pos in range(n))
-        return [(1.0 + 0j, legs)]
+        return [ElementaryOperator(1.0 + 0j,
+                                   ((0.0, atom[2] * phi),) * (main + 1) + after)]
     if kind == "y":
-        legs = []
-        for pos in range(n):
-            if pos < n - k:
-                legs.append((("P", phi),))
-            elif pos == n - k:
-                legs.append((("T", 1.0),))
-            else:
-                legs.append(empty)
-        return [(1.0 + 0j, tuple(legs))]
+        return [ElementaryOperator(1.0 + 0j, before + ((1.0, 0.0),) + after)]
     if kind == "x":
-        sign = -1.0 if (n - k) % 2 else 1.0
-        prefix = []
-        for pos in range(n):
-            if pos < n - k:
-                prefix.append((("P", phi),))
-            else:
-                prefix.append(empty)
-        main = n - k
-        legs_a = list(prefix)
-        legs_a[main] = (("T", -1.0), ("P", 2.0 * phi))
-        legs_b = list(prefix)
-        legs_b[main] = (("T", -1.0),)
-        qv = ctx.q_value
-        return [(sign * qv, tuple(legs_a)), (sign + 0j, tuple(legs_b))]
+        sign = -1.0 if main % 2 else 1.0
+        return [ElementaryOperator(sign * ctx.q_value,
+                                   before + ((-1.0, 2.0 * phi),) + after),
+                ElementaryOperator(sign + 0j, before + ((-1.0, 0.0),) + after)]
     raise ValueError(f"unknown atom kind {kind!r}")
 
 
 def represent_word(n, atoms, ctx, scalar=1.0 + 0j):
     """Represent a free product of generator atoms as elementary operators."""
-    ops = [ElementaryOperator(complex(scalar), ((),) * n)]
+    ops = [ElementaryOperator(complex(scalar), ((0.0, 0.0),) * n)]
     for atom in reversed(tuple(atoms)):
         variants = _atom_variants(atom, n, ctx)
-        ops = [make_elementary(v_scalar, v_legs).applied_after(op)
-               for op in ops
-               for v_scalar, v_legs in variants]
+        ops = [v.applied_after(op) for op in ops for v in variants]
     return ops
 
 
@@ -350,7 +307,7 @@ def sample_states(n, rng, count):
 # -- the rank-one two-component model (single coordinate pair only) -----------
 #
 # States carry an internal two-component leg; operators are sums of
-# (scalar, shift word, 2x2 matrix).
+# (scalar, shift leg, 2x2 matrix).
 
 SIGMA0 = ((1.0 + 0j, 0j), (0j, -1.0 + 0j))
 SIGMA1 = ((0j, 1.0 + 0j), (1.0 + 0j, 0j))
@@ -374,12 +331,12 @@ def model2_operators(ctx):
     qv = ctx.q_value
     s01 = mat_mul(SIGMA0, SIGMA1)
     return {
-        "y": [(1.0 + 0j, (("T", 1.0),), SIGMA1)],
-        "x": [(qv, (("T", -1.0), ("P", beta)), s01),
-              (1.0 + 0j, (("T", -1.0),), SIGMA1)],
-        "Q": [(-1.0 + 0j, (("P", beta),), SIGMA0)],
-        "Qinv": [(-1.0 + 0j, (("P", -beta),), SIGMA0)],
-        "one": [(1.0 + 0j, (), ID2)],
+        "y": [(1.0 + 0j, (1.0, 0.0), SIGMA1)],
+        "x": [(qv, (-1.0, beta), s01),
+              (1.0 + 0j, (-1.0, 0.0), SIGMA1)],
+        "Q": [(-1.0 + 0j, (0.0, beta), SIGMA0)],
+        "Qinv": [(-1.0 + 0j, (0.0, -beta), SIGMA0)],
+        "one": [(1.0 + 0j, (0.0, 0.0), ID2)],
     }
 
 
@@ -401,10 +358,10 @@ def model2_random_state(rng):
 def m2_compose(after, before):
     """Compose two-component operators (``before`` acts first)."""
     out = []
-    for sa, wa, ma in after:
-        for sb, wb, mb in before:
-            phase, word = collapse_word(wb + wa)
-            out.append((sa * sb * phase, word, mat_mul(ma, mb)))
+    for sa, la, ma in after:
+        for sb, lb, mb in before:
+            phase, leg = _compose_legs(lb, la)
+            out.append((sa * sb * phase, leg, mat_mul(ma, mb)))
     return out
 
 
@@ -415,13 +372,13 @@ def m2_scaled(c, ops):
 def model2_apply(ops, state):
     def images():
         for (eps, gam, comp), amp in state.items():
-            for scalar, word, mat in ops:
-                g = _apply_word(GaussianFactor(eps, gam), word)
-                base = amp * scalar * g.prefactor
+            for scalar, leg, mat in ops:
+                shifted, pre = _apply_leg(eps, gam, leg)
+                base = amp * scalar * pre
                 for row in range(2):
                     entry = mat[row][comp]
                     if entry != 0:
-                        yield (g.epsilon, g.gamma, row), base * entry
+                        yield (eps, shifted, row), base * entry
 
     return accumulate({}, images())
 

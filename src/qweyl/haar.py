@@ -105,6 +105,8 @@ class IntegralContext:
     def __post_init__(self):
         if not math.isfinite(self.c):
             raise ValueError(f"c={self.c!r} is not finite")
+        if self.c == 0:
+            raise ValueError("c=0 makes every trace vanish")
         if self.density not in ("gamma", "qinv"):
             raise ValueError(f"unknown density {self.density!r}")
 
@@ -186,7 +188,10 @@ def check_invariance(n, ictx, count=20, seed=7, max_rank=3, suite="invariance"):
             base = quantum_trace(F, ictx)
             moved = quantum_trace(act_on_operator(g, F, ictx.ctx), ictx)
             eps = 1.0 if g[0] in (uq.K, uq.KINV) else 0.0
-            err = abs(moved - eps * base) / (1.0 + abs(base))
+            # relative to |c|, so the residual does not scale with c
+            err = abs(moved - eps * base) / (abs(ictx.c) + abs(base))
+            if not math.isfinite(err):
+                raise OverflowError(f"the {gname} invariance residual is {err}")
             worst = max(worst, err)
         rep.record(f"{gname}", worst <= tol, residual=worst)
     return rep

@@ -121,13 +121,14 @@ class Combination:
     def __str__(self):
         if not self.terms:
             return "0"
+        one = self._scalar(1)
         parts = []
         for key in sorted(self.terms, key=self._sort_key):
             cv = self.terms[key]
             body = self._key_str(key)
             if not body:
                 parts.append(f"({cv})")
-            elif cv.is_one:
+            elif cv == one:
                 parts.append(body)
             else:
                 parts.append(f"({cv})*{body}")

@@ -274,17 +274,11 @@ def gen_r(n, k, power=1):
     return AlgebraElement(n, {(r, z, z): ONE})
 
 
-def normal_form(n, words, scalar=ONE):
-    """Normalize a free word (or weighted word list) of generator atoms.
+def normal_form(n, words):
+    """Normalize a weighted word list ``((scalar, atoms), ...)``.
 
-    ``words`` is either a single iterable of atoms or an iterable of
-    ``(scalar, atoms)`` pairs.  Returns the canonical element.
+    Returns the canonical element of the sum; an empty list gives zero.
     """
-    words = list(words)
-    if words and (not words[0] or not isinstance(words[0][0], (ScalarValue, int))):
-        words = [(scalar, tuple(words))] if words else []
-    elif not words:
-        words = [(scalar, ())]
     z = (0,) * n
     total = AlgebraElement.zero(n)
     for cv, atoms in words:

@@ -249,8 +249,9 @@ def test_cli_verify_exact_suites_match_golden(capsys):
 def test_cli_verify_numeric_suites_match_golden(capsys):
     golden = pathlib.Path(__file__).with_name("golden_verify_numeric.txt")
     lines = []
-    for suite in ("pointwise", "invariance", "cyclicity"):
-        assert cli.main(["verify", "--suite", suite, "--n", "3", "--seed", "7",
+    runs = [(suite, "3") for suite in ("pointwise", "invariance", "cyclicity")]
+    for suite, n in runs + [("model2-n1", "1")]:
+        assert cli.main(["verify", "--suite", suite, "--n", n, "--seed", "7",
                          "--samples", "8"]) == 0
         lines.extend(capsys.readouterr().out.splitlines())
     assert lines == golden.read_text(encoding="utf-8").splitlines()
@@ -292,6 +293,7 @@ def test_python_dash_m_runs_the_cli(capsys, monkeypatch):
     ["verify", "--suite", "obstruction"],
     ["verify", "--suite", "pointwise", "--samples", "1"],
     ["repr-check", "--samples", "1"],
+    ["integrate", "--ket", "(1,0,0)", "--bra", "(1,0,0)"],
 ])
 def test_cli_unwritable_out_refused_before_any_report(capsys, tmp_path, argv):
     out = str(tmp_path / "no-such-dir" / "r.txt")
@@ -309,6 +311,19 @@ def test_cli_failed_run_keeps_earlier_out_file(capsys, tmp_path):
     assert out.read_text(encoding="utf-8") == "earlier report\n"
     assert cli.main(["verify", "--suite", "obstruction", "--out", str(out)]) == 0
     assert out.read_text(encoding="utf-8") == capsys.readouterr().out
+
+
+def test_cli_integrate_writes_out_file(capsys, tmp_path):
+    out = tmp_path / "h.txt"
+    dyad = ["integrate", "--ket", "(1,0,0)", "--bra", "(1,0.5,-0.2)"]
+    assert cli.main(dyad + ["--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert printed.startswith("h=")
+    assert out.read_text(encoding="utf-8") == printed
+    # an integral that overflows leaves the earlier file as it was
+    assert cli.main(["integrate", "--ket", "(1,40,0)", "--bra", "(1,40,0)",
+                     "--out", str(out)]) == 2
+    assert out.read_text(encoding="utf-8") == printed
 
 
 def test_cli_integrate_bad_state(capsys):
@@ -438,6 +453,8 @@ def test_cli_repr_check(capsys):
     ["verify", "--suite", "pointwise", "--tolerance", "nan"],
     ["verify", "--suite", "pointwise", "--tolerance", "inf"],
     ["integrate", "--ket", "(1,0,0)", "--bra", "(1,0,0)", "--c", "1e308"],
+    ["verify", "--suite", "invariance", "--c", "0"],
+    ["verify", "--suite", "invariance", "--c", "1e308"],
     ["verify", "--suite", "obstruction", "--out", "{missing}/r.txt"],
     ["repr-check", "--samples", "1", "--out", "{missing}/r.txt"],
 ])

@@ -8,18 +8,17 @@ from scipy.integrate import quad
 from qweyl import gauss, weyl
 from qweyl.coeff import NumericContext
 from qweyl.errors import ShapeMismatch
-from qweyl.gauss import (ElementaryOperator, GaussianFactor, GaussianState,
-                         apply_ops, apply_shift_p, apply_shift_t,
-                         collapse_word, inner, make_elementary, norm,
-                         represent, represent_word)
+from qweyl.gauss import (ElementaryOperator, GaussianState, _apply_leg,
+                         _compose_legs, apply_ops, inner, norm, represent,
+                         represent_word)
 
 CTX = NumericContext()
 NEG = NumericContext(phi=-math.pi / 5)
 
 
-def factor_value(g, t):
-    """Evaluate one leg at a (possibly complex) argument."""
-    return g.prefactor * cmath.exp(-g.epsilon * t * t + g.gamma * t)
+def packet_value(eps, gamma, t):
+    """Evaluate ``exp(-eps*t**2 + gamma*t)`` at a (possibly complex) ``t``."""
+    return cmath.exp(-eps * t * t + gamma * t)
 
 
 def complex_quad(fn, bound=25.0):
@@ -28,69 +27,69 @@ def complex_quad(fn, bound=25.0):
     return complex(re, im)
 
 
+def _random_leg(rng):
+    return (rng.uniform(0.5, 2.0),
+            complex(rng.uniform(-1, 1), rng.uniform(-1, 1)))
+
+
 # -- elementary shifts ------------------------------------------------------
 
 
 def test_shift_t_examples():
-    g = GaussianFactor(1.0, 0j)
-    assert apply_shift_t(0.0, g) == g
-    shifted = apply_shift_t(2.0, g)
-    assert shifted == GaussianFactor(1.0, 2.0 + 0j)
-    twice = apply_shift_t(1.5, apply_shift_t(-0.5, g))
-    assert twice == apply_shift_t(1.0, g)
+    assert _apply_leg(1.0, 0j, (0.0, 0.0)) == (0j, 1.0 + 0j)
+    assert _apply_leg(1.0, 0j, (2.0, 0.0)) == (2.0 + 0j, 1.0 + 0j)
+    first, _ = _apply_leg(1.0, 0j, (-0.5, 0.0))
+    assert _apply_leg(1.0, first, (1.5, 0.0)) == _apply_leg(1.0, 0j, (1.0, 0.0))
 
 
 def test_shift_p_single_step_values():
-    g = GaussianFactor(1.0, 0j)
-    shifted = apply_shift_p(1.0, g)
-    assert shifted.epsilon == 1.0
-    assert shifted.gamma == -2j
-    assert shifted.prefactor == pytest.approx(math.e)
+    gamma, pre = _apply_leg(1.0, 0j, (0.0, 1.0))
+    assert gamma == -2j
+    assert pre == pytest.approx(math.e)
 
 
 def test_shift_p_matches_imaginary_translation():
     rng = random.Random(12)
     for _ in range(6):
-        g = GaussianFactor(rng.uniform(0.5, 2.0),
-                           complex(rng.uniform(-1, 1), rng.uniform(-1, 1)))
+        eps, gamma = _random_leg(rng)
         beta = rng.uniform(-1.5, 1.5)
-        shifted = apply_shift_p(beta, g)
+        shifted, pre = _apply_leg(eps, gamma, (0.0, beta))
         for t in (-1.3, 0.0, 0.7, 2.1):
-            direct = factor_value(g, t + 1j * beta)
-            assert factor_value(shifted, t) == pytest.approx(direct, rel=1e-12)
+            direct = packet_value(eps, gamma, t + 1j * beta)
+            got = pre * packet_value(eps, shifted, t)
+            assert got == pytest.approx(direct, rel=1e-12)
 
 
 def test_weyl_exchange_relation_exact_fields():
     # e^{bP} e^{aT} == e^{iba} e^{aT} e^{bP} inside the family
     rng = random.Random(3)
     for _ in range(8):
-        g = GaussianFactor(rng.uniform(0.5, 2.0),
-                           complex(rng.uniform(-1, 1), rng.uniform(-1, 1)))
+        eps, gamma = _random_leg(rng)
         alpha = rng.uniform(-2, 2)
         beta = rng.uniform(-2, 2)
-        lhs = apply_shift_p(beta, apply_shift_t(alpha, g))
-        rhs0 = apply_shift_t(alpha, apply_shift_p(beta, g))
-        rhs = GaussianFactor(rhs0.epsilon, rhs0.gamma,
-                             cmath.exp(1j * beta * alpha) * rhs0.prefactor)
-        assert lhs.epsilon == rhs.epsilon
-        assert lhs.gamma == rhs.gamma
-        assert lhs.prefactor == pytest.approx(rhs.prefactor, rel=1e-13)
+        lhs, lhs_pre = _apply_leg(eps, gamma, (alpha, beta))
+        mid, pre_p = _apply_leg(eps, gamma, (0.0, beta))
+        rhs, pre_t = _apply_leg(eps, mid, (alpha, 0.0))
+        assert lhs == rhs
+        rhs_pre = cmath.exp(1j * beta * alpha) * pre_p * pre_t
+        assert lhs_pre == pytest.approx(rhs_pre, rel=1e-13)
 
 
-def test_collapse_word_phase():
-    phase, word = collapse_word((("P", 2.0), ("T", 1.5)))
-    assert word == (("T", 1.5), ("P", 2.0))
+def test_leg_composition_phase():
+    phase, leg = _compose_legs((0.0, 2.0), (1.5, 0.0))
+    assert leg == (1.5, 2.0)
     assert phase == pytest.approx(cmath.exp(-3j))
-    phase, word = collapse_word((("P", 1.0), ("P", -1.0)))
+    phase, leg = _compose_legs((0.0, 1.0), (0.0, -1.0))
     assert phase == 1.0
-    assert word == ()
+    assert leg == (0.0, 0.0)
 
 
 def test_operator_word_exchange_collapses_identically():
-    # the exchange relation holds at the level of collapsed operator data
-    lhs = make_elementary(1.0, ((("T", 0.75), ("P", -1.25)),))
-    rhs = make_elementary(cmath.exp(1j * (-1.25) * 0.75),
-                          ((("P", -1.25), ("T", 0.75)),))
+    # the exchange relation holds at the level of composed operator data
+    lhs = ElementaryOperator(1.0 + 0j, ((0.75, -1.25),))
+    p_first = ElementaryOperator(1.0 + 0j, ((0.0, -1.25),))
+    rhs = ElementaryOperator(cmath.exp(1j * (-1.25) * 0.75),
+                             ((0.75, 0.0),)).applied_after(p_first)
     assert lhs.legs == rhs.legs
     assert lhs.scalar == pytest.approx(rhs.scalar, rel=1e-15)
 
@@ -104,18 +103,30 @@ def test_inner_gaussian_value():
 
 
 def test_inner_matches_quadrature():
+    # plain packets, and a P shift applied through an operator against the
+    # packet evaluated at t + 1j*beta under the integral
     rng = random.Random(8)
     for _ in range(5):
-        gu = GaussianFactor(rng.uniform(0.5, 2.0),
-                            complex(rng.uniform(-1, 1), rng.uniform(-1, 1)))
-        gv = GaussianFactor(rng.uniform(0.5, 2.0),
-                            complex(rng.uniform(-1, 1), rng.uniform(-1, 1)))
-        u = GaussianState.from_legs(1.0, [gu])
-        v = GaussianState.from_legs(1.0, [gv])
+        eu, gu = _random_leg(rng)
+        ev, gv = _random_leg(rng)
+        beta = rng.uniform(-1.0, 1.0)
+        u = GaussianState.from_legs(1.0, [(eu, gu)])
+        v = GaussianState.from_legs(1.0, [(ev, gv)])
         direct = inner(u, v)
-        byquad = complex_quad(lambda t: factor_value(gu, t)
-                              * factor_value(gv, t).conjugate())
+        byquad = complex_quad(lambda t: packet_value(eu, gu, t)
+                              * packet_value(ev, gv, t).conjugate())
         assert direct == pytest.approx(byquad, rel=1e-9)
+        shift = [ElementaryOperator(1.0 + 0j, ((0.0, beta),))]
+        direct = inner(apply_ops(shift, u), v)
+        byquad = complex_quad(lambda t: packet_value(eu, gu, t + 1j * beta)
+                              * packet_value(ev, gv, t).conjugate())
+        assert direct == pytest.approx(byquad, rel=1e-9)
+
+
+def test_from_legs_refuses_nonpositive_epsilon():
+    for eps in (0.0, -1.0):
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            GaussianState.from_legs(1.0, [(1.0, 0j), (eps, 0j)])
 
 
 def test_inner_hermitian_symmetric_and_linear():
@@ -143,13 +154,13 @@ def test_shape_mismatch():
 
 def test_represent_single_pair_generators():
     ops = represent(weyl.gen_y(1, 1), CTX)
-    assert ops == [ElementaryOperator(1.0 + 0j, ((("T", 1.0),),))]
+    assert ops == [ElementaryOperator(1.0 + 0j, ((1.0, 0.0),))]
     ops = represent(weyl.gen_r(1, 1), CTX)
-    assert ops == [ElementaryOperator(1.0 + 0j, ((("P", CTX.phi),),))]
+    assert ops == [ElementaryOperator(1.0 + 0j, ((0.0, CTX.phi),))]
     ops = represent(weyl.q_elem(1, 1), CTX)
     assert len(ops) == 1
     assert ops[0].scalar == pytest.approx(-1.0)
-    assert ops[0].legs == ((("P", 2 * CTX.phi),),)
+    assert ops[0].legs == ((0.0, 2 * CTX.phi),)
 
 
 def test_apply_shift_through_representation():
@@ -318,8 +329,7 @@ def test_model2_q_display_matches_quadrature():
     ((eps, gam, comp), amp), = image.items()
     assert comp == 0
     beta = 2 * ctx.phi - math.copysign(math.pi, ctx.phi)
-    g = GaussianFactor(1.0, 0.3 + 0.1j)
     for t in (-0.9, 0.2, 1.4):
-        direct = -factor_value(g, t + 1j * beta)
+        direct = -packet_value(1.0, 0.3 + 0.1j, t + 1j * beta)
         got = amp * cmath.exp(-eps * t * t + gam * t)
         assert got == pytest.approx(direct, rel=1e-12)

@@ -160,3 +160,9 @@ def test_combination_strings():
     assert str(hopf) == "(3) + F1 + ((-q0^4 + 1)/(q0^2))*K1^-1*E1"
     assert str(HopfElement.zero(1)) == "0"
     assert str(weyl.AlgebraElement.unit(1).scaled(coeff.I)) == "(i)"
+    # legs with equal epsilon sort without comparing complex numbers
+    state = (GaussianState.from_legs(1.0, [(0.7, -2 + 0j), (1.0, 0j)])
+             + GaussianState.from_legs(0.5 - 1j, [(0.7, 0.5j), (1.0, 0j)]))
+    assert str(state) == ("G(0.7, (-2+0j))*G(1.0, 0j)"
+                          " + ((0.5-1j))*G(0.7, 0.5j)*G(1.0, 0j)")
+    assert str(GaussianState.zero(2)) == "0"

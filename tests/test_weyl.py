@@ -171,7 +171,12 @@ def test_xy_normal_form_single_pair():
 
 def test_generator_already_normal():
     y = gen_y(2, 1)
-    assert normal_form(2, [("y", 1)]) == y
+    assert normal_form(2, [(ONE, (("y", 1),))]) == y
+
+
+def test_empty_word_list_is_zero():
+    assert normal_form(2, []) == AlgebraElement.zero(2)
+    assert normal_form(2, [(ONE, ())]) == AlgebraElement.unit(2)
 
 
 def test_defining_commutator_collapses():
@@ -352,7 +357,7 @@ def test_builder_index_messages():
 def test_mixed_index_word_against_oracle():
     # x1 * y2 * y1 at two coordinate pairs
     word = (("x", 1), ("y", 2), ("y", 1))
-    engine = normal_form(2, word)
+    engine = normal_form(2, [(ONE, word)])
     for seed in range(5):
         oracle = naive_normal_form(2, [(ONE, word)], random.Random(seed))
         assert engine == oracle
@@ -366,7 +371,7 @@ def test_random_words_match_oracle():
     for n in (1, 2, 3):
         for _ in range(40):
             word = random_word(n, rng)
-            engine = normal_form(n, word)
+            engine = normal_form(n, [(ONE, word)])
             for strategy_seed in range(3):
                 oracle = naive_normal_form(
                     n, [(ONE, word)], random.Random(strategy_seed))
@@ -378,7 +383,7 @@ def test_termination_on_degree_eight_words():
     for n in (1, 2, 3):
         for _ in range(10):
             word = random_word(n, rng, max_len=8)
-            element = normal_form(n, word)
+            element = normal_form(n, [(ONE, word)])
             for key in element.terms:
                 _, b, c = key
                 assert all(min(bi, ci) == 0 for bi, ci in zip(b, c))
@@ -393,7 +398,7 @@ def _random_element(n, rng, words=2, max_len=4):
         cv = coeff.integer(rng.randint(-3, 3))
         if cv.is_zero:
             cv = ONE
-        total = total + normal_form(n, random_word(n, rng, max_len), scalar=cv)
+        total = total + normal_form(n, [(cv, random_word(n, rng, max_len))])
     return total
 
 
