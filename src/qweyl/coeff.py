@@ -19,6 +19,7 @@ small ints.  A ``float`` never becomes a part.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -458,8 +459,9 @@ def gaussian(re, im):
     return ScalarValue((QI(re, im),), _P_ONE)
 
 
+@functools.cache
 def q0_power(k):
-    """``q0**k`` for any integer ``k``."""
+    """``q0**k`` for any integer ``k``, built once per exponent."""
     if k >= 0:
         return ScalarValue(_pshift(_P_ONE, k), _P_ONE, _canonical=True)
     return ScalarValue(_P_ONE, _pshift(_P_ONE, -k), _canonical=True)

@@ -77,11 +77,13 @@ class GaussianState(Combination):
 
     @staticmethod
     def from_legs(amplitude, legs):
-        """Build a one-term state from ``(eps, gamma)`` legs, each ``eps > 0``."""
+        """One-term state from finite ``(eps, gamma)`` legs, each ``eps > 0``."""
         key = []
         for eps, gam in legs:
-            if eps <= 0:
-                raise ValueError("epsilon must be positive")
+            if not (math.isfinite(eps) and eps > 0):
+                raise ValueError("epsilon must be positive and finite")
+            if not cmath.isfinite(complex(gam)):
+                raise ValueError("gamma must be finite")
             key.append((float(eps), complex(gam)))
         amp = complex(amplitude)
         if amp == 0:
@@ -103,7 +105,17 @@ def inner(u, v):
 
 
 def norm(u):
-    return math.sqrt(abs(inner(u, u)))
+    """``sqrt(inner(u, u))`` over unordered term pairs: as ``(j, i)`` is the
+    conjugate of ``(i, j)``, an off-diagonal pair adds twice its real part."""
+    items = tuple(u.terms.items())
+    total = 0.0
+    for i, (ku, au) in enumerate(items):
+        for j, (kv, av) in enumerate(items[i:]):
+            prod = au * av.conjugate()
+            for (e1, g1), (e2, g2) in zip(ku, kv):
+                prod *= _leg_overlap(e1, g1, e2, g2)
+            total += 2.0 * prod.real if j else prod.real
+    return math.sqrt(abs(total))
 
 
 # -- elementary operators ------------------------------------------------------

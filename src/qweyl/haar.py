@@ -180,12 +180,12 @@ def check_invariance(n, ictx, count=20, seed=7, max_rank=3, suite="invariance"):
     rng = random.Random(seed)
     rep = SuiteReport(suite)
     samples = [random_finite_rank(n, rng, max_rank) for _ in range(count)]
+    bases = [quantum_trace(F, ictx) for F in samples]
     tol = ictx.ctx.tolerance
     for g in uq.generators(n):
         gname = uq._gen_str(g)
         worst = 0.0
-        for F in samples:
-            base = quantum_trace(F, ictx)
+        for F, base in zip(samples, bases):
             moved = quantum_trace(act_on_operator(g, F, ictx.ctx), ictx)
             eps = 1.0 if g[0] in (uq.K, uq.KINV) else 0.0
             # relative to |c|, so the residual does not scale with c

@@ -18,6 +18,12 @@ def test_star_q0_is_inverse():
     assert Q0.star() == q0_power(-1)
 
 
+def test_q0_power_is_built_once_per_exponent():
+    assert q0_power(-3) is q0_power(-3)
+    assert q_power(2) is q0_power(4)
+    assert q0_power(5) * q0_power(-5) == ONE
+
+
 def test_star_lambda_is_minus_lambda():
     assert LAMBDA.star() == -LAMBDA
 

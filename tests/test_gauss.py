@@ -3,6 +3,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from qweyl import gauss, weyl
@@ -138,6 +139,111 @@ def test_inner_hermitian_symmetric_and_linear():
     lhs = inner(u + w, v)
     assert lhs == pytest.approx(inner(u, v) + inner(w, v), rel=1e-12)
     assert inner(u.scaled(2j), v) == pytest.approx(2j * inner(u, v), rel=1e-12)
+
+
+def test_from_legs_refuses_non_finite_epsilon():
+    for eps in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            GaussianState.from_legs(1.0, [(1.0, 0j), (eps, 0j)])
+
+
+def test_from_legs_refuses_non_finite_gamma():
+    for gamma in (complex(math.nan, 0.0), complex(0.0, math.inf), -math.inf):
+        with pytest.raises(ValueError, match="gamma must be finite"):
+            GaussianState.from_legs(1.0, [(1.0, 0j), (1.0, gamma)])
+
+
+def _inner_reference(u, v):
+    """The ordered double loop over term pairs, one leg overlap at a time."""
+    u._match(v)
+    total = 0j
+    for ku, au in u.terms.items():
+        for kv, av in v.terms.items():
+            prod = au * av.conjugate()
+            for (e1, g1), (e2, g2) in zip(ku, kv):
+                prod *= gauss._leg_overlap(e1, g1, e2, g2)
+            total += prod
+    return total
+
+
+def _norm_reference(u):
+    """The norm through the ordered Gram sum of ``inner``."""
+    return math.sqrt(abs(inner(u, u)))
+
+
+def test_inner_equals_ordered_reference_loop_exactly():
+    rng = random.Random(14)
+    for n in (1, 2, 3):
+        for _ in range(6):
+            u = gauss.random_state(n, rng, max_terms=4)
+            v = gauss.random_state(n, rng, max_terms=4)
+            assert inner(u, v) == _inner_reference(u, v)
+            assert inner(u, u) == _inner_reference(u, u)
+
+
+_unit = st.floats(-1.0, 1.0)
+_legs = st.lists(st.tuples(st.floats(0.5, 2.0), st.floats(-1.4, 1.4),
+                           st.floats(-1.4, 1.4)), min_size=3, max_size=3)
+# (amplitude, legs, whether to add -amplitude one ulp away in gamma)
+_terms = st.lists(st.tuples(_unit, _unit, _legs, st.booleans()),
+                  min_size=1, max_size=3)
+
+
+@given(n=st.integers(1, 3), terms=_terms)
+@settings(max_examples=80, deadline=None)
+def test_norm_matches_ordered_gram_sum(n, terms):
+    state = GaussianState.zero(n)
+    for re, im, legs, cancel in terms:
+        amp = complex(re, im)
+        legs = [(eps, complex(gr, gi)) for eps, gr, gi in legs[:n]]
+        state = state + GaussianState.from_legs(amp, legs)
+        if cancel:
+            eps, gam = legs[-1]
+            nudged = complex(math.nextafter(gam.real, math.inf), gam.imag)
+            state = state + GaussianState.from_legs(
+                -amp, legs[:-1] + [(eps, nudged)])
+    scale = sum(_norm_reference(GaussianState(n, {key: amp}))
+                for key, amp in state.terms.items())
+    want = _norm_reference(state)
+    assert abs(norm(state) ** 2 - want ** 2) <= 1e-12 * scale ** 2
+
+
+def test_norm_matches_quadrature():
+    rng = random.Random(31)
+    terms = [(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)), *_random_leg(rng))
+             for _ in range(3)]
+    state = GaussianState.zero(1)
+    for amp, eps, gamma in terms:
+        state = state + GaussianState.from_legs(amp, [(eps, gamma)])
+    assert len(state.terms) == 3
+
+    def density(t):
+        value = sum(amp * packet_value(eps, gamma, t)
+                    for amp, eps, gamma in terms)
+        return complex(abs(value) ** 2)
+
+    byquad = complex_quad(density).real
+    assert norm(state) == pytest.approx(math.sqrt(byquad), rel=1e-9)
+
+
+@pytest.mark.parametrize("n, count", [(1, 1), (2, 4), (3, 6)])
+def test_norm_visits_each_unordered_pair_once(n, count, monkeypatch):
+    rng = random.Random(40 + n)
+    state = GaussianState.zero(n)
+    for _ in range(count):
+        state = state + GaussianState.from_legs(
+            1.0 + 0.5j, [_random_leg(rng) for _ in range(n)])
+    assert len(state.terms) == count
+    calls = []
+    overlap = gauss._leg_overlap
+
+    def counted(*args):
+        calls.append(args)
+        return overlap(*args)
+
+    monkeypatch.setattr(gauss, "_leg_overlap", counted)
+    norm(state)
+    assert len(calls) == n * count * (count + 1) // 2
 
 
 def test_shape_mismatch():

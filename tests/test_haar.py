@@ -216,6 +216,20 @@ def test_invariance_all_generators():
             assert rep.ok, [(c.case, c.residual) for c in rep.failures()]
 
 
+def test_invariance_traces_each_unmoved_sample_once(monkeypatch):
+    calls = []
+    trace = haar.quantum_trace
+
+    def counted(F, ictx):
+        calls.append(F)
+        return trace(F, ictx)
+
+    monkeypatch.setattr(haar, "quantum_trace", counted)
+    rep = haar.check_invariance(1, IntegralContext(ctx=CTX), count=3, seed=5)
+    assert rep.ok
+    assert len(calls) == 3 + 3 * len(uq.generators(1))
+
+
 def test_invariance_qinv_convention():
     for ctx in (CTX, NEG):
         ictx = IntegralContext(c=1.0, ctx=ctx, density="qinv")
