@@ -10,10 +10,13 @@ Values are immutable and canonical: numerator and denominator share no
 factor, no common power of ``q0``, and the denominator is monic, so
 equality and hashing are structural.
 
-Coefficient parts are exact: a Python ``int`` when integral, a
-:class:`Fraction` only when the part is not an integer.  The values met in
-the symbolic sweeps are Gaussian integers, so their arithmetic runs on
-small ints.  A ``float`` never becomes a part.
+Polynomials are coefficient tuples indexed by degree.  A real coefficient
+is an ``int``, or a :class:`Fraction` when not integral; only one with a
+nonzero imaginary part is a :class:`QI`, whose parts follow the same rule
+(``c.real``/``c.imag`` read any coefficient).  Most coefficients met in the
+sweeps are real integers, so their arithmetic runs on small ints.  A
+``float`` never becomes a part.  A degree above :data:`MAX_DEGREE` is never
+built: the product or shift that would reach it raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -30,6 +33,9 @@ from .errors import PoleAtEvaluationPoint
 # report tolerance of a NumericContext does not move it
 POLE_TOLERANCE = 1e-9
 
+# nested powers multiply degrees, so the bound is checked where tuples grow
+MAX_DEGREE = 100_000
+
 
 def _digit(x):
     """Exact part: ``int`` when integral, else a :class:`Fraction`."""
@@ -41,65 +47,83 @@ def _digit(x):
 
 
 class QI:
-    """Gaussian rational ``re + im*i``.
+    """Gaussian rational ``real + imag*i``.
 
-    Each part is an ``int`` or a :class:`Fraction`.  The constructor does
-    not convert: ``_canonicalize`` turns every part of a new value into an
-    exact one (see :func:`_digit`).  Mixed parts compare, hash and print
-    alike, because ``2 == Fraction(2)``.
+    Each part is an ``int`` or a :class:`Fraction`.  Arithmetic takes an
+    ``int`` or :class:`Fraction` operand on either side and neither converts
+    nor demotes: ``_canonicalize`` puts every coefficient of a new value in
+    canonical form (see :func:`_exact`).  A ``QI`` with a zero imaginary
+    part equals and hashes like its real part.
     """
 
-    __slots__ = ("re", "im")
+    __slots__ = ("real", "imag")
 
-    def __init__(self, re=0, im=0):
-        self.re = re
-        self.im = im
+    def __init__(self, real=0, imag=0):
+        self.real = real
+        self.imag = imag
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return bool(self.real) or bool(self.imag)
 
     def __eq__(self, other):
-        if not isinstance(other, QI):
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+        if isinstance(other, QI):
+            return self.real == other.real and self.imag == other.imag
+        if isinstance(other, (int, Fraction)):
+            return self.real == other and not self.imag
+        return NotImplemented
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        return hash((self.real, self.imag)) if self.imag else hash(self.real)
 
     def __add__(self, other):
-        return QI(self.re + other.re, self.im + other.im)
+        if type(other) is QI:
+            return QI(self.real + other.real, self.imag + other.imag)
+        return QI(self.real + other, self.imag)
+
+    __radd__ = __add__
 
     def __sub__(self, other):
-        return QI(self.re - other.re, self.im - other.im)
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
 
     def __neg__(self):
-        return QI(-self.re, -self.im)
+        return QI(-self.real, -self.imag)
 
     def __mul__(self, other):
-        return QI(self.re * other.re - self.im * other.im,
-                  self.re * other.im + self.im * other.re)
+        if type(other) is QI:
+            return QI(self.real * other.real - self.imag * other.imag,
+                      self.real * other.imag + self.imag * other.real)
+        return QI(self.real * other, self.imag * other)
+
+    __rmul__ = __mul__
 
     def conjugate(self):
-        return QI(self.re, -self.im)
+        return QI(self.real, -self.imag)
 
     def inv(self):
-        nrm = self.re * self.re + self.im * self.im
+        nrm = self.real * self.real + self.imag * self.imag
         if not nrm:
             raise ZeroDivisionError("inverse of zero Gaussian rational")
-        return QI(_digit(Fraction(self.re, nrm)),
-                  _digit(Fraction(-self.im, nrm)))
+        return QI(_digit(Fraction(self.real, nrm)),
+                  _digit(Fraction(-self.imag, nrm)))
 
-    def as_complex(self):
-        return complex(self.re) + 1j * complex(self.im)
+    def __complex__(self):
+        return complex(self.real) + 1j * complex(self.imag)
 
     def __repr__(self):
-        return f"QI({self.re}, {self.im})"
+        return f"QI({self.real}, {self.imag})"
 
 
-_QI0 = QI(0)
-_QI1 = QI(1)
+def _inv(c):
+    """Exact inverse of a nonzero coefficient."""
+    return c.inv() if type(c) is QI else _digit(Fraction(1, c))
 
-# Polynomials in q0 are coefficient tuples indexed by degree; () is zero.
+
+def _check_degree(d):
+    if d > MAX_DEGREE:
+        raise ValueError(f"q0 degree {d} exceeds the bound {MAX_DEGREE}")
 
 
 def _trim(cs):
@@ -125,7 +149,8 @@ def _pneg(a):
 def _pmul(a, b):
     if not a or not b:
         return ()
-    out = [_QI0] * (len(a) + len(b) - 1)
+    _check_degree(len(a) + len(b) - 2)
+    out = [0] * (len(a) + len(b) - 1)
     for ka, ca in enumerate(a):
         if not ca:
             continue
@@ -140,10 +165,10 @@ def _pdivmod(a, b):
         raise ZeroDivisionError("polynomial division by zero")
     if len(a) < len(b):
         return (), a
-    binv = b[-1].inv()
+    binv = _inv(b[-1])
     db = len(b) - 1
     rem = list(a)
-    quo = [_QI0] * (len(a) - db)
+    quo = [0] * (len(a) - db)
     for i in range(len(a) - db - 1, -1, -1):
         c = rem[db + i]
         if not c:
@@ -156,10 +181,10 @@ def _pdivmod(a, b):
 
 
 def _pmonic(a):
-    if not a or a[-1] == _QI1:
+    if not a or a[-1] == 1:
         return a
-    inv = a[-1].inv()
-    return tuple(c * inv for c in a)
+    inv = _inv(a[-1])
+    return _exact(tuple(c * inv for c in a))
 
 
 def _pgcd(a, b):
@@ -179,17 +204,18 @@ def _pval(a):
 def _pshift(a, k):
     if not a:
         return a
-    return (_QI0,) * k + tuple(a)
+    _check_degree(len(a) + k - 1)
+    return (0,) * k + tuple(a)
 
 
 def _peval(a, z):
     out = 0j
     for c in reversed(a):
-        out = out * z + c.as_complex()
+        out = out * z + complex(c)
     return out
 
 
-_P_ONE = (_QI1,)
+_P_ONE = (1,)
 
 
 class ScalarValue:
@@ -215,13 +241,15 @@ class ScalarValue:
         if isinstance(other, ScalarValue):
             return other
         if isinstance(other, (int, Fraction)):
-            return ScalarValue((QI(other),), _P_ONE)
+            return ScalarValue((other,), _P_ONE)
         return None
 
     def __add__(self, other):
         o = self._co(other)
         if o is None:
             return NotImplemented
+        if self.den == o.den:
+            return ScalarValue(_padd(self.num, o.num), self.den)
         num = _padd(_pmul(self.num, o.den), _pmul(o.num, self.den))
         return ScalarValue(num, _pmul(self.den, o.den))
 
@@ -231,8 +259,7 @@ class ScalarValue:
         o = self._co(other)
         if o is None:
             return NotImplemented
-        num = _padd(_pmul(self.num, o.den), _pneg(_pmul(o.num, self.den)))
-        return ScalarValue(num, _pmul(self.den, o.den))
+        return self + (-o)
 
     def __rsub__(self, other):
         o = self._co(other)
@@ -281,8 +308,8 @@ class ScalarValue:
         while k:
             if k & 1:
                 out = out * base
-            base = base * base
             k >>= 1
+            base = base * base if k else base
         return out
 
     def inv(self):
@@ -365,18 +392,25 @@ def _canonicalize(num, den):
         if len(g) > 1:
             num, _ = _pdivmod(num, g)
             den, _ = _pdivmod(den, g)
-    if den[-1] != _QI1:
-        inv = den[-1].inv()
+    if den[-1] != 1:
+        inv = _inv(den[-1])
         num = tuple(c * inv for c in num)
         den = tuple(c * inv for c in den)
     return _exact(num), _exact(den)
 
 
 def _exact(p):
-    """``p`` with exact parts: an int wherever a part is integral."""
-    if all(type(c.re) is int and type(c.im) is int for c in p):
+    """``p`` in canonical coefficient form (see the module docstring)."""
+    if all(type(c) is int for c in p):
         return p
-    return tuple(QI(_digit(c.re), _digit(c.im)) for c in p)
+    return tuple(map(_exact_coeff, p))
+
+
+def _exact_coeff(c):
+    if type(c) is not QI:
+        return _digit(c)
+    real, imag = _digit(c.real), _digit(c.imag)
+    return QI(real, imag) if imag else real
 
 
 def _monomial_product(a, b):
@@ -393,7 +427,7 @@ def _monomial_product(a, b):
         else:
             continue
         num, den = f.num, f.den
-        if c != _QI1:
+        if c != 1:
             num = _exact(tuple(c * p for p in num))
         if k > 0:
             v = min(k, _pval(den))
@@ -406,15 +440,16 @@ def _monomial_product(a, b):
 
 
 def _qi_str(c):
-    if not c.im:
-        return str(c.re)
-    if not c.re:
-        if c.im == 1:
+    re, im = c.real, c.imag
+    if not im:
+        return str(re)
+    if not re:
+        if im == 1:
             return "i"
-        if c.im == -1:
+        if im == -1:
             return "-i"
-        return f"{c.im}*i"
-    return f"({c.re} + {c.im}*i)" if c.im > 0 else f"({c.re} - {-c.im}*i)"
+        return f"{im}*i"
+    return f"({re} + {im}*i)" if im > 0 else f"({re} - {-im}*i)"
 
 
 def _poly_str(p):
@@ -429,9 +464,9 @@ def _poly_str(p):
             parts.append(_qi_str(c))
             continue
         mono = "q0" if k == 1 else f"q0^{k}"
-        if c == _QI1:
+        if c == 1:
             parts.append(mono)
-        elif c == QI(-1):
+        elif c == -1:
             parts.append(f"-{mono}")
         else:
             parts.append(f"{_qi_str(c)}*{mono}")
@@ -448,11 +483,11 @@ def _poly_str(p):
 
 
 def integer(k):
-    return ScalarValue((QI(k),), _P_ONE)
+    return ScalarValue((k,), _P_ONE)
 
 
 def rational(p, q=1):
-    return ScalarValue((QI(Fraction(p, q)),), _P_ONE)
+    return ScalarValue((Fraction(p, q),), _P_ONE)
 
 
 def gaussian(re, im):

@@ -97,11 +97,13 @@ class _Parser:
                 raise ParseError("division by zero", at)
             return a ** k
         if isinstance(a, AlgebraElement):
-            try:
-                return a ** k
-            except ValueError:
-                raise ParseError(
-                    "negative exponents are only defined on scale generators", at)
+            if k < 0:
+                try:
+                    a, k = a.monomial_inverse(), -k
+                except ValueError:
+                    raise ParseError("negative exponents are only defined "
+                                     "on scale generators", at)
+            return a ** k
         # symmetry words: negative powers only for K words
         if k >= 0:
             out = HopfElement.unit(self.n)

@@ -280,12 +280,15 @@ def check_module_algebra(n, degree=3, jmax=None):
 
         failures = 0
         witness = ""
-        for f1 in monomials:
-            for f2 in monomials:
+        # each coproduct leg's image of each monomial, formed once
+        images = [([act_element(h1, f) for f in monomials],
+                   [act_element(h2, f) for f in monomials]) for h1, h2 in cop]
+        for i1, f1 in enumerate(monomials):
+            for i2, f2 in enumerate(monomials):
                 lhs = act(g, f1 * f2)
                 rhs = AlgebraElement.zero(n)
-                for h1, h2 in cop:
-                    rhs = rhs + act_element(h1, f1) * act_element(h2, f2)
+                for left, right in images:
+                    rhs = rhs + left[i1] * right[i2]
                 if lhs != rhs:
                     failures += 1
                     if not witness:

@@ -186,8 +186,8 @@ class AlgebraElement(Combination):
         while m:
             if m & 1:
                 out = out * base
-            base = base * base
             m >>= 1
+            base = base * base if m else base
         return out
 
     def monomial_inverse(self):

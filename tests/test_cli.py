@@ -467,6 +467,36 @@ def test_cli_rejects_vacuous_and_unrepresentable_inputs(capsys, tmp_path, argv):
     assert "Traceback" not in captured.out + captured.err
 
 
+@pytest.mark.parametrize("text, degree", [
+    ("q0^100001", 100001),
+    ("((q0^999)^999)^999", 102897),
+    ("q^-50001", 100002),
+    ("(q0^40000*R1)^3", 120000),
+])
+def test_cli_refuses_q0_degrees_over_the_bound(capsys, text, degree):
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        rc = cli.main(["normalize", text])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == (f"error: q0 degree {degree} exceeds the bound "
+                            f"{coeff.MAX_DEGREE}\n")
+    # a polynomial at the bound takes 0.8 MB; the nested power would take GBs
+    assert peak < 8e6
+
+
+def test_cli_powers_up_to_the_bound(capsys):
+    assert cli.main(["normalize", "q0^100000"]) == 0
+    assert capsys.readouterr().out == "q0^100000\n"
+    assert cli.main(["normalize", "(q0^40000*R1)^2"]) == 0
+    assert capsys.readouterr().out == "(q0^80000)*R1^2\n"
+
+
 # -- fuzzing the command line -------------------------------------------------------
 
 _NUMBERS = st.one_of(

@@ -1,9 +1,10 @@
 import cmath
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from qweyl import coeff
 from qweyl.coeff import (LAMBDA, LAMBDA_INV, NumericContext, ONE, Q, Q0, ZERO,
@@ -143,14 +144,14 @@ def _canonicalize_via_gcd(num, den):
     """The canonical form with the polynomial gcd always taken."""
     num, den = coeff._trim(num), coeff._trim(den)
     if not num:
-        return (), (QI(1),)
+        return (), (1,)
     v = min(coeff._pval(num), coeff._pval(den))
     num, den = num[v:], den[v:]
     g = coeff._pgcd(num, den)
     if len(g) > 1:
         num, _ = coeff._pdivmod(num, g)
         den, _ = coeff._pdivmod(den, g)
-    inv = den[-1].inv()
+    inv = coeff._inv(den[-1])
     return tuple(c * inv for c in num), tuple(c * inv for c in den)
 
 
@@ -184,8 +185,9 @@ def _to_sympy(value, z):
     import sympy
 
     def poly(p):
-        return sum((sympy.Rational(c.re.numerator, c.re.denominator)
-                    + sympy.I * sympy.Rational(c.im.numerator, c.im.denominator))
+        return sum((sympy.Rational(c.real.numerator, c.real.denominator)
+                    + sympy.I * sympy.Rational(c.imag.numerator,
+                                               c.imag.denominator))
                    * z ** k for k, c in enumerate(p))
 
     return poly(value.num) / poly(value.den)
@@ -209,10 +211,11 @@ def test_products_and_quotients_match_sympy_cancel():
             assert sympy.cancel(_to_sympy(got, z) - want) == 0, str(got)
 
 
-# -- exact parts: ints unless a part is not an integer, never a float ----------
+# -- exact coefficients: an int, a non-integral Fraction, or a QI with a nonzero
+# imaginary part; never a float ------------------------------------------------
 
 
-_UNITS = (QI(1), QI(-1), QI(0, 1), QI(0, -1))
+_UNITS = (1, -1, QI(0, 1), QI(0, -1))
 
 
 def _unit_ended(p):
@@ -248,7 +251,19 @@ _any_leaves = st.one_of(
 
 
 def _parts(value):
-    return [part for c in value.num + value.den for part in (c.re, c.im)]
+    return [part for c in value.num + value.den for part in (c.real, c.imag)]
+
+
+def _exact_part(part):
+    return type(part) is int or (type(part) is Fraction
+                                 and part.denominator != 1)
+
+
+def _canonical_coefficient(c):
+    """A real coefficient is itself an exact part; a QI has a nonzero imag."""
+    if type(c) is QI:
+        return bool(c.imag) and _exact_part(c.real) and _exact_part(c.imag)
+    return _exact_part(c)
 
 
 # Dividing by 2 leaves 1/2, and a denominator ending in 2 leaves a 1/2 after
@@ -257,14 +272,17 @@ def _parts(value):
 @given(_values(_integral_leaves, lambda b: _unit_ended(b.num)))
 def test_integral_inputs_keep_int_parts(value):
     assert all(type(part) is int for part in _parts(value)), repr(value)
+    for c in value.num + value.den:
+        assert type(c) is int or (type(c) is QI and c.imag), repr(value)
 
 
 @settings(max_examples=80, deadline=None)
 @given(_values(_any_leaves))
 def test_parts_are_exact_and_demoted(value):
     for part in _parts(value):
-        assert type(part) is int or (type(part) is Fraction
-                                     and part.denominator != 1), repr(value)
+        assert _exact_part(part), repr(value)
+    for c in value.num + value.den:
+        assert _canonical_coefficient(c), repr(value)
 
 
 def test_integral_rational_is_the_integer():
@@ -272,14 +290,16 @@ def test_integral_rational_is_the_integer():
     assert two == integer(2)
     assert hash(two) == hash(integer(2))
     assert str(two) == str(integer(2)) == "2"
-    assert type(two.num[0].re) is int
+    assert type(two.num[0]) is int
+    half = rational(1, 2) + gaussian(0, 1) - coeff.I
+    assert type(half.num[0]) is Fraction and half == rational(2, 4)
 
 
 def test_gaussian_float_parts_are_exact():
     value = gaussian(0.5, 0.1)
-    assert value.num[0].re == Fraction(1, 2)
-    assert value.num[0].im == Fraction(0.1)
-    assert type(value.num[0].im) is Fraction
+    assert value.num[0].real == Fraction(1, 2)
+    assert value.num[0].imag == Fraction(0.1)
+    assert type(value.num[0].imag) is Fraction
 
 
 @settings(max_examples=60, deadline=None)
@@ -301,14 +321,14 @@ def _general_product(a, b):
 
 
 def _structure(value):
-    return tuple(tuple((type(c.re), c.re, type(c.im), c.im) for c in side)
-                 for side in (value.num, value.den))
+    return tuple(tuple((type(c), type(c.real), c.real, type(c.imag), c.imag)
+                       for c in side) for side in (value.num, value.den))
 
 
 def _laurent(c, k):
     if k >= 0:
-        return ScalarValue((QI(0),) * k + (c,), (QI(1),))
-    return ScalarValue((c,), (QI(0),) * -k + (QI(1),))
+        return ScalarValue((0,) * k + (c,), (1,))
+    return ScalarValue((c,), (0,) * -k + (1,))
 
 
 _monomials = st.builds(
@@ -329,9 +349,8 @@ def test_monomial_product_matches_general_route(m, x, monomial_first):
     a, b = (m, x) if monomial_first else (x, m)
     got = a * b
     assert _structure(got) == _structure(_general_product(a, b))
-    for part in _parts(got):
-        assert type(part) is int or (type(part) is Fraction
-                                     and part.denominator != 1), repr(got)
+    for c in got.num + got.den:
+        assert _canonical_coefficient(c), repr(got)
     if m.is_one:
         # when x is itself one, either factor is the product
         assert got is x or x.is_one
@@ -342,7 +361,9 @@ def test_monomial_product_matches_general_route(m, x, monomial_first):
 def test_monomial_product_strips_the_common_q0_power():
     x = ONE / (Q0 * (Q0 + ONE))
     got = x * q0_power(3)
-    assert (got.num, got.den) == ((QI(0), QI(0), QI(1)), (QI(1), QI(1)))
+    assert _structure(got) == (((int, int, 0, int, 0),) * 2
+                               + ((int, int, 1, int, 0),),
+                               ((int, int, 1, int, 0),) * 2)
     assert _structure(got) == _structure(_general_product(x, q0_power(3)))
     assert coeff._monomial_product(LAMBDA, LAMBDA_INV) is None
 
@@ -353,3 +374,123 @@ def test_pole_threshold_ignores_report_tolerance():
         (Q0 - ONE).inv().evaluate(CTX), rel=1e-15)
     with pytest.raises(PoleAtEvaluationPoint, match="below tolerance 1.0e-09"):
         (q0_power(4) - q0_power(2) + ONE).inv().evaluate(loose)
+
+
+# -- sums over a shared denominator against the cross-product route ------------
+
+
+def _cross_sum(a, b, sign):
+    """``a + sign*b`` as ``(a.num*b.den + sign*b.num*a.den)/(a.den*b.den)``."""
+    right = coeff._pmul(b.num, a.den)
+    if sign < 0:
+        right = coeff._pneg(right)
+    return ScalarValue(coeff._padd(coeff._pmul(a.num, b.den), right),
+                       coeff._pmul(a.den, b.den))
+
+
+@st.composite
+def shared_den_pairs(draw):
+    """Canonical ``(a, b)`` over one denominator ``f*g``.  The numerators are
+    free, or cancel, or sum to a multiple of ``g``, a factor of the
+    denominator."""
+    f, g = draw(_nonzero_poly), draw(_nonzero_poly)
+    den = coeff._pmul(f, g)
+    top = draw(_poly)
+    kind = draw(st.sampled_from(["free", "cancel", "factor"]))
+    if kind == "free":
+        other = draw(_poly)
+    elif kind == "cancel":
+        other = coeff._pneg(top)
+    else:
+        other = coeff._padd(coeff._pmul(g, draw(_nonzero_poly)),
+                            coeff._pneg(top))
+    a, b = ScalarValue(top, den), ScalarValue(other, den)
+    assume(a.den == b.den)
+    return a, b
+
+
+@settings(max_examples=150, deadline=None)
+@given(shared_den_pairs())
+def test_shared_denominator_sums_match_cross_products(pair):
+    a, b = pair
+    want = {(x, y, s): _cross_sum(x, y, s)
+            for x, y in ((a, b), (b, a)) for s in (1, -1)}
+    with mock.patch.object(coeff, "_pmul", wraps=coeff._pmul) as pmul:
+        got = {(a, b, 1): a + b, (a, b, -1): a - b,
+               (b, a, 1): b + a, (b, a, -1): b - a}
+    assert not pmul.called
+    for key, value in got.items():
+        assert _structure(value) == _structure(want[key])
+        assert hash(value) == hash(want[key])
+
+
+def test_shared_denominator_sum_cancels_a_common_factor():
+    den = q0_power(4) - ONE
+    a, b = ONE / den, q0_power(2) / den
+    assert a.den == b.den
+    got = a + b
+    assert _structure(got) == _structure(ONE / (q0_power(2) - ONE))
+    assert _structure(got) == _structure(_cross_sum(a, b, 1))
+    assert _structure(a - a) == _structure(ZERO) == _structure(b + (-b))
+
+
+# -- every field operation leaves canonical coefficients -----------------------
+
+
+def _field_results(a, b):
+    """Equal values reached by different routes, grouped."""
+    groups = [[a + b, b + a, b - (-a), -((-a) - b)],
+              [a - b, a + (-b), -(b - a)],
+              [a * b, b * a],
+              [a.star().star(), a, (a + b) - b],
+              [a ** 2, a * a], [-a, ZERO - a, 0 - a],
+              [a + 1, 1 + a, a - (-1)], [Fraction(1, 2) * a, a / 2]]
+    if b:
+        groups += [[a / b, a * b.inv()], [b.inv(), ONE / b, b ** -1],
+                   [(a * b) / b, a]]
+    return groups
+
+
+_any_operands = st.one_of(_values(_any_leaves), _monomials)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_any_operands, _any_operands)
+def test_every_operation_keeps_coefficients_canonical(a, b):
+    for group in _field_results(a, b):
+        for value in group:
+            for c in value.num + value.den:
+                assert _canonical_coefficient(c), repr(value)
+            assert value == group[0]
+            assert _structure(value) == _structure(group[0])
+            assert hash(value) == hash(group[0])
+
+
+def test_real_and_gaussian_coefficients_mix():
+    c = QI(Fraction(1, 2), 3)
+    assert 2 * c == c * 2 == QI(1, 6)
+    assert 1 + c == c + 1 == QI(Fraction(3, 2), 3)
+    assert 1 - c == QI(Fraction(1, 2), -3) and c - 1 == QI(Fraction(-1, 2), 3)
+    assert QI(2, 0) == 2 == QI(Fraction(2), 0) and hash(QI(2, 0)) == hash(2)
+    assert QI(2, 0) != QI(2, 1) and QI(0, 1) != 0
+    assert complex(c) == 0.5 + 3j
+    value = gaussian(1, 2) * gaussian(1, -2)
+    assert type(value.num[0]) is int and value == integer(5)
+
+
+# -- the q0 degree bound -------------------------------------------------------
+
+
+def test_degree_bound_raises_before_building():
+    top = coeff.MAX_DEGREE
+    assert len(q0_power(top).num) == top + 1
+    with pytest.raises(ValueError, match=f"q0 degree {top + 1} exceeds"):
+        coeff._pshift((1,), top + 1)
+    with pytest.raises(ValueError, match=f"q0 degree {top + 1} exceeds"):
+        coeff._pmul((0,) * 50_000 + (1,), (0,) * 50_001 + (1,))
+    with pytest.raises(ValueError, match="exceeds the bound"):
+        Q0 ** (top + 1)
+    with pytest.raises(ValueError, match="exceeds the bound"):
+        (Q0 + ONE) * q0_power(top)
+    with pytest.raises(ValueError, match="exceeds the bound"):
+        q0_power(-top - 1)

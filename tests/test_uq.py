@@ -219,6 +219,54 @@ def test_module_algebra_unit_case():
     assert rep.ok
 
 
+def test_module_algebra_acts_once_per_leg_and_monomial(monkeypatch):
+    calls = []
+
+    def counted(h, f, _act_element=uq.act_element):
+        calls.append(h)
+        return _act_element(h, f)
+
+    monkeypatch.setattr(uq, "act_element", counted)
+    m = len(uq.coordinate_monomials(1, 2))
+    gens = uq.generators(1)
+    terms = sum(len(coproduct(1, g)) for g in gens)
+    assert uq.check_module_algebra(1, degree=2).ok
+    # Leibniz: both legs of each coproduct term on each monomial; star
+    # compatibility: one image per monomial; antipode: one per term and monomial
+    assert len(calls) == 2 * terms * m + len(gens) * m + terms * m
+
+
+def _leibniz_witness(n, g, monomials):
+    """The first failing ``(f1, f2)`` of the Leibniz rule, acting pairwise."""
+    for f1 in monomials:
+        for f2 in monomials:
+            rhs = AlgebraElement.zero(n)
+            for h1, h2 in uq.coproduct(n, g):
+                rhs = rhs + act_element(h1, f1) * act_element(h2, f2)
+            if act(g, f1 * f2) != rhs:
+                return f"f1={f1}, f2={f2}"
+    return None
+
+
+def test_module_algebra_reports_a_wrong_coproduct_term(monkeypatch):
+    def swapped(n, g, _coproduct=uq.coproduct):
+        legs = _coproduct(n, g)
+        if g == (E, 1):
+            (a, b), (c, d) = legs
+            legs = [(a, b), (d, c)]
+        return legs
+
+    monkeypatch.setattr(uq, "coproduct", swapped)
+    monomials = uq.coordinate_monomials(1, 2)
+    witness = _leibniz_witness(1, (E, 1), monomials)
+    first = f"f1={monomials[0]}, f2={monomials[0]}"
+    assert witness is not None and witness != first
+    cases = {c.case: c for c in uq.check_module_algebra(1, degree=2).cases}
+    assert not cases["modalg[E1]"].passed
+    assert cases["modalg[E1]"].detail == witness
+    assert cases["modalg[F1]"].passed and cases["modalg[K1]"].passed
+
+
 def test_defining_relations_through_action():
     for n in (1, 2):
         report = uq.check_defining_relations(n, degree=2)
