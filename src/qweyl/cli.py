@@ -23,8 +23,9 @@ from .coeff import NumericContext
 from .errors import ParseError, QweylError
 from .report import SuiteReport
 
-SUITES = ("weyl-relations", "ab-rho", "action-table", "module-algebra",
-          "pointwise", "model2-n1", "invariance", "cyclicity", "obstruction")
+# far above any rank whose sweep can finish; a larger --n would first spend
+# memory on its n-tuple keys
+MAX_RANK = 10_000
 
 
 def _symbolic_suite(name, relations, n):
@@ -112,6 +113,7 @@ _RUNNERS = {
     "cyclicity": run_cyclicity,
     "obstruction": run_obstruction,
 }
+SUITES = tuple(_RUNNERS)
 
 
 def _out_file(path):
@@ -257,11 +259,14 @@ def build_arg_parser():
 
 
 def _check_bounds(args):
-    """Reject counts that would make a check pass on nothing."""
+    """Reject counts that would make a check pass on nothing, and ranks
+    above :data:`MAX_RANK`."""
     for flag, least in (("n", 1), ("samples", 1), ("degree", 0)):
         value = getattr(args, flag, least)
         if value < least:
             raise QweylError(f"--{flag} must be at least {least}, got {value}")
+    if args.n > MAX_RANK:
+        raise QweylError(f"--n must be at most {MAX_RANK}, got {args.n}")
 
 
 @functools.cache

@@ -301,6 +301,9 @@ class ScalarValue:
     def __pow__(self, k):
         if not isinstance(k, int):
             return NotImplemented
+        if any(self.num[:-1]) or any(self.den[:-1]):
+            # a dense base squares its way up: refuse before the first product
+            _check_degree(abs(k) * (max(len(self.num), len(self.den)) - 1))
         if k < 0:
             return self.inv() ** (-k)
         out = ONE

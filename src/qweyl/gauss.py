@@ -281,9 +281,9 @@ def check_relations_pointwise(n, relations, states, ctx, suite="pointwise"):
     return rep
 
 
-def check_hermiticity_pointwise(n, states, ctx, suite="pointwise"):
+def check_hermiticity_pointwise(n, states, ctx):
     """Symmetry ``<Op u, v> == <u, Op v>`` for the hermitian element list."""
-    rep = SuiteReport(suite)
+    rep = SuiteReport("pointwise")
     pairs = [(states[i], states[(i + 1) % len(states)])
              for i in range(len(states))]
     for name, element in hermitian_generators(n):
@@ -427,9 +427,9 @@ def _m2_relation_residual(op_terms, states):
     return worst
 
 
-def check_model2(states, ctx, suite="model2-n1"):
+def check_model2(states, ctx):
     """Pointwise defining relations and hermiticity in the two-component model."""
-    rep = SuiteReport(suite)
+    rep = SuiteReport("model2-n1")
     ops = model2_operators(ctx)
     qv = ctx.q_value
     lam = ctx.lambda_value

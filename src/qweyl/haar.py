@@ -175,10 +175,10 @@ def random_finite_rank(n, rng, max_rank=3, gentle=False):
     return FiniteRankOperator(n, terms)
 
 
-def check_invariance(n, ictx, count=20, seed=7, max_rank=3, suite="invariance"):
+def check_invariance(n, ictx, count=20, seed=7, max_rank=3):
     """Counit-twisted trace invariance for every generator on random dyads."""
     rng = random.Random(seed)
-    rep = SuiteReport(suite)
+    rep = SuiteReport("invariance")
     samples = [random_finite_rank(n, rng, max_rank) for _ in range(count)]
     bases = [quantum_trace(F, ictx) for F in samples]
     tol = ictx.ctx.tolerance
@@ -197,10 +197,10 @@ def check_invariance(n, ictx, count=20, seed=7, max_rank=3, suite="invariance"):
     return rep
 
 
-def check_cyclicity(n, ictx, count=20, seed=7, suite="cyclicity"):
+def check_cyclicity(n, ictx, count=20, seed=7):
     """tr(a g b) == tr(g b a) == tr(b a g) for represented factor pairs."""
     rng = random.Random(seed)
-    rep = SuiteReport(suite)
+    rep = SuiteReport("cyclicity")
     pool = []
     for k in range(1, n + 1):
         pool.append((f"y{k}", weyl.gen_y(n, k)))
@@ -226,14 +226,14 @@ def check_cyclicity(n, ictx, count=20, seed=7, suite="cyclicity"):
     return rep
 
 
-def check_obstruction(suite="obstruction"):
+def check_obstruction():
     """No normalized invariant integral exists on the coordinate algebra.
 
     Derivation: the lowering generator sends the first coordinate to the
     unit (times i), yet has vanishing counit, so ``h(1) = 1`` would force
     ``1 = -1j * eps(F) * h(y) = 0``.
     """
-    rep = SuiteReport(suite)
+    rep = SuiteReport("obstruction")
     f_gen = (uq.F, 1)
     got = uq.act(f_gen, weyl.gen_y(1, 1))
     expected = weyl.AlgebraElement.unit(1).scaled(coeff.I)
@@ -246,10 +246,10 @@ def check_obstruction(suite="obstruction"):
     return rep
 
 
-def check_operator_star_compat(n, ctx, count=8, seed=13, suite="op-star"):
+def check_operator_star_compat(n, ctx, count=8, seed=13):
     """(g > F)* == S(g)* > F* on random low-rank operators."""
     rng = random.Random(seed)
-    rep = SuiteReport(suite)
+    rep = SuiteReport("op-star")
     samples = [random_finite_rank(n, rng, max_rank=2, gentle=True)
                for _ in range(count)]
     probes = [gauss.random_state(n, rng, eps_range=(0.6, 1.2), gamma_bound=1.0)

@@ -264,59 +264,45 @@ def coordinate_monomials(n, max_degree):
     return out
 
 
+def _record_sweep(rep, case, witnesses):
+    """Record ``case`` as passing when the lazy ``witnesses`` yield nothing,
+    and otherwise as failing with the first witness as its detail."""
+    witness = next(witnesses, "")
+    rep.record(case, not witness, detail=witness)
+
+
 def check_module_algebra(n, degree=3, jmax=None):
     """Leibniz rule, unit rule, star compatibility, antipode cancellation."""
     rep = SuiteReport("module-algebra")
     monomials = coordinate_monomials(n, degree)
+    unit, zero = AlgebraElement.unit(n), AlgebraElement.zero(n)
     for g in generators(n, jmax):
         gname = _gen_str(g)
         cop = coproduct(n, g)
         eps = counit(HopfElement(n, {(g,): ONE}))
-        unit = AlgebraElement.unit(n)
 
         got = act(g, unit)
         rep.record(f"modeins[{gname}]", got == unit.scaled(eps),
                    detail="" if got == unit.scaled(eps) else str(got))
 
-        failures = 0
-        witness = ""
         # each coproduct leg's image of each monomial, formed once
         images = [([act_element(h1, f) for f in monomials],
                    [act_element(h2, f) for f in monomials]) for h1, h2 in cop]
-        for i1, f1 in enumerate(monomials):
-            for i2, f2 in enumerate(monomials):
-                lhs = act(g, f1 * f2)
-                rhs = AlgebraElement.zero(n)
-                for left, right in images:
-                    rhs = rhs + left[i1] * right[i2]
-                if lhs != rhs:
-                    failures += 1
-                    if not witness:
-                        witness = f"f1={f1}, f2={f2}"
-        rep.record(f"modalg[{gname}]", failures == 0,
-                   detail=witness if failures else "")
+        _record_sweep(rep, f"modalg[{gname}]", (
+            f"f1={f1}, f2={f2}"
+            for i1, f1 in enumerate(monomials) for i2, f2 in enumerate(monomials)
+            if act(g, f1 * f2) != sum((left[i1] * right[i2]
+                                       for left, right in images), zero)))
 
         sstar = antipode(n, g).star()
-        failures = 0
-        witness = ""
-        for f in monomials:
-            lhs = act(g, f).star()
-            rhs = act_element(sstar, f.star())
-            if lhs != rhs:
-                failures += 1
-                if not witness:
-                    witness = f"f={f}"
-        rep.record(f"modstar[{gname}]", failures == 0,
-                   detail=witness if failures else "")
+        _record_sweep(rep, f"modstar[{gname}]", (
+            f"f={f}" for f in monomials
+            if act(g, f).star() != act_element(sstar, f.star())))
 
-        failures = 0
-        for f in monomials:
-            total = AlgebraElement.zero(n)
-            for h1, h2 in cop:
-                total = total + act_element(antipode_element(h1) * h2, f)
-            if total != f.scaled(eps):
-                failures += 1
-        rep.record(f"antipode[{gname}]", failures == 0)
+        cancel = [antipode_element(h1) * h2 for h1, h2 in cop]
+        _record_sweep(rep, f"antipode[{gname}]", (
+            f"f={f}" for f in monomials
+            if sum((act_element(h, f) for h in cancel), zero) != f.scaled(eps)))
     return rep
 
 
@@ -377,13 +363,7 @@ def check_defining_relations(n, degree=3, jmax=None):
     rep = SuiteReport("uq-relations")
     monomials = coordinate_monomials(n, degree)
     for name, rel in defining_relations(n, jmax):
-        failures = 0
-        witness = ""
-        for f in monomials:
-            got = act_element(rel, f)
-            if not got.is_zero:
-                failures += 1
-                if not witness:
-                    witness = f"f={f} -> {got}"
-        rep.record(name, failures == 0, detail=witness)
+        _record_sweep(rep, name, (
+            f"f={f} -> {got}" for f in monomials
+            if not (got := act_element(rel, f)).is_zero))
     return rep

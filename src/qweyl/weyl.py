@@ -38,91 +38,74 @@ def sign_table(n):
 # -- the rewriting core -----------------------------------------------------
 #
 # Keys are (r, b, c): three n-tuples of exponents, b and c nonnegative with
-# min(b[k], c[k]) == 0.  Each helper multiplies a canonical key by a single
-# generator on the right and returns a list of (scalar, key) pairs, again
-# canonical.
+# min(b[k], c[k]) == 0.  Each rule multiplies a canonical key by a single
+# atom on the right and returns (scalar, key) pairs, again canonical.
 
 
 def _bump(t, i, s):
     return t[:i] + (t[i] + s,) + t[i + 1:]
 
 
-def _times_r(n, key, k, s):
+def _contract(n, k, r, b, c, ea, eb):
+    """A same-index ``y_k``/``x_k`` pair contracted in place: ``q^ea`` times
+    the ``Q_{k+1}`` term minus ``q^eb`` times the ``Q_k`` term, with the signs
+    of :func:`sign_of`; ``Q_{n+1}`` is 1."""
+    ca = q_power(ea) if sign_of(n, k + 1) > 0 else -q_power(ea)
+    cb = -q_power(eb) if sign_of(n, k) > 0 else q_power(eb)
+    return ((ca, (_bump(r, k, 2) if k < n else r, b, c)),
+            (cb, (_bump(r, k - 1, 2), b, c)))
+
+
+def _times_r(n, key, atom):
+    _, k, s = atom
     r, b, c = key
-    i = k - 1
     t = 0
-    for j in range(i, n):
+    for j in range(k - 1, n):
         t += c[j] - b[j]
-    return ((q_power(s * t), (_bump(r, i, s), b, c)),)
+    return ((q_power(s * t), (_bump(r, k - 1, s), b, c)),)
 
 
-def _times_y(n, key, k):
+def _times_y(n, key, atom):
+    k = atom[1]
     r, b, c = key
     i = k - 1
+    bgt = sum(b[k:])
     if c[i] == 0:
         # crossing the x block costs q per distinct-index generator,
         # slotting into the y block costs 1/q per higher-index generator
-        t = sum(c) - c[i] - sum(b[i + 1:])
-        return ((q_power(t), (r, _bump(b, i, 1), c)),)
+        return ((q_power(sum(c) - c[i] - bgt), (r, _bump(b, i, 1), c)),)
     # contraction with the rightmost x_k; note b[i] == 0 on canonical input
-    f0 = sum(c[i + 1:])
-    bgt = sum(b[i + 1:])
-    c2 = _bump(c, i, -1)
-    out = []
-    if k < n:
-        ca = q_power(f0 - 2 * bgt)
-        if sign_of(n, k + 1) < 0:
-            ca = -ca
-        out.append((ca, (_bump(r, i + 1, 2), b, c2)))
-    else:
-        out.append((q_power(f0), (r, b, c2)))
-    cb = -q_power(f0 + 1 + 2 * (c[i] - 1) - 2 * bgt)
-    if sign_of(n, k) < 0:
-        cb = -cb
-    out.append((cb, (_bump(r, i, 2), b, c2)))
-    return out
+    e = sum(c[k:]) - 2 * bgt
+    return _contract(n, k, r, b, _bump(c, i, -1), e, e + 2 * c[i] - 1)
 
 
-def _times_x(n, key, k):
+def _times_x(n, key, atom):
+    k = atom[1]
     r, b, c = key
     i = k - 1
-    f0 = sum(c[i + 1:])
+    cgt = sum(c[k:])
     if b[i] == 0:
-        return ((q_power(f0), (r, b, _bump(c, i, 1))),)
+        return ((q_power(cgt), (r, b, _bump(c, i, 1))),)
     # contraction: walk one y_k rightward onto the freshly inserted x_k
-    ygt = sum(b[i + 1:])
-    clt = sum(c[:i])
-    b2 = _bump(b, i, -1)
-    base = f0 + ygt - clt
-    out = []
-    if k < n:
-        ca = q_power(base - 2 * ygt)
-        if sign_of(n, k + 1) < 0:
-            ca = -ca
-        out.append((ca, (_bump(r, i + 1, 2), b2, c)))
-    else:
-        out.append((q_power(base), (r, b2, c)))
-    cb = -q_power(base - 1 - 2 * (b[i] - 1 + ygt))
-    if sign_of(n, k) < 0:
-        cb = -cb
-    out.append((cb, (_bump(r, i, 2), b2, c)))
+    e = cgt - sum(b[k:]) - sum(c[:i])
+    return _contract(n, k, r, _bump(b, i, -1), c, e, e + 1 - 2 * b[i])
+
+
+_RULES = {"R": _times_r, "y": _times_y, "x": _times_x}
+
+
+def _sum_words(n, words):
+    """Term map of the sum over ``(terms, atoms)`` of a canonical term map
+    times the atoms, multiplied on the right one at a time."""
+    out = {}
+    for terms, atoms in words:
+        for atom in atoms:
+            rule = _RULES[atom[0]]
+            terms = accumulate({}, ((key2, factor * cv)
+                                    for key, cv in terms.items()
+                                    for factor, key2 in rule(n, key, atom)))
+        accumulate(out, terms.items())
     return out
-
-
-def _terms_times_atom(n, terms, atom):
-    kind = atom[0]
-    k = atom[1]
-    if kind == "R":
-        s = atom[2]
-        fn = lambda key: _times_r(n, key, k, s)
-    elif kind == "y":
-        fn = lambda key: _times_y(n, key, k)
-    elif kind == "x":
-        fn = lambda key: _times_x(n, key, k)
-    else:
-        raise ValueError(f"unknown atom kind {kind!r}")
-    return accumulate({}, ((key2, factor * cv) for key, cv in terms.items()
-                           for factor, key2 in fn(key)))
 
 
 def _key_atoms(key):
@@ -138,15 +121,18 @@ def _key_atoms(key):
             yield ("x", i + 1)
 
 
-def _check_atom(n, atom):
-    kind = atom[0]
-    if kind not in ("R", "y", "x"):
-        raise ValueError(f"unknown atom kind {kind!r}")
-    k = atom[1]
-    if not 1 <= k <= n:
-        raise IndexOutOfRange(f"generator index {k} outside 1..{n}")
-    if kind == "R" and (len(atom) < 3 or not isinstance(atom[2], int)):
-        raise ValueError("R atoms carry an integer exponent")
+def _checked(n, atoms):
+    """``atoms``, once each is known to be a valid atom at rank ``n``."""
+    for atom in atoms:
+        kind = atom[0]
+        if kind not in _RULES:
+            raise ValueError(f"unknown atom kind {kind!r}")
+        k = atom[1]
+        if not 1 <= k <= n:
+            raise IndexOutOfRange(f"generator index {k} outside 1..{n}")
+        if kind == "R" and (len(atom) < 3 or not isinstance(atom[2], int)):
+            raise ValueError("R atoms carry an integer exponent")
+    return atoms
 
 
 class AlgebraElement(Combination):
@@ -167,14 +153,9 @@ class AlgebraElement(Combination):
         if not isinstance(other, AlgebraElement):
             return NotImplemented
         self._match(other)
-        n = self.n
-        out = {}
-        for key_b, cb in other.terms.items():
-            cur = {k: v * cb for k, v in self.terms.items()}
-            for atom in _key_atoms(key_b):
-                cur = _terms_times_atom(n, cur, atom)
-            accumulate(out, cur.items())
-        return AlgebraElement(n, out)
+        return AlgebraElement(self.n, _sum_words(self.n, (
+            ({k: v * cb for k, v in self.terms.items()}, _key_atoms(key_b))
+            for key_b, cb in other.terms.items())))
 
     def __pow__(self, m):
         if not isinstance(m, int):
@@ -205,15 +186,10 @@ class AlgebraElement(Combination):
 
     def star(self):
         """Anti-multiplicative involution fixing every generator."""
-        n = self.n
-        z = (0,) * n
-        out = {}
-        for key, cv in self.terms.items():
-            cur = {(z, z, z): cv.star()}
-            for atom in reversed(tuple(_key_atoms(key))):
-                cur = _terms_times_atom(n, cur, atom)
-            accumulate(out, cur.items())
-        return AlgebraElement(n, out)
+        unit = self._unit_key(self.n)
+        return AlgebraElement(self.n, _sum_words(self.n, (
+            ({unit: cv.star()}, reversed(tuple(_key_atoms(key))))
+            for key, cv in self.terms.items())))
 
     # -- inspection -----------------------------------------------------------
 
@@ -279,18 +255,10 @@ def normal_form(n, words):
 
     Returns the canonical element of the sum; an empty list gives zero.
     """
-    z = (0,) * n
-    total = AlgebraElement.zero(n)
-    for cv, atoms in words:
-        if isinstance(cv, int):
-            cv = coeff.integer(cv)
-        for atom in atoms:
-            _check_atom(n, atom)
-        cur = {(z, z, z): cv}
-        for atom in atoms:
-            cur = _terms_times_atom(n, cur, atom)
-        total = total + AlgebraElement(n, cur)
-    return total
+    unit = AlgebraElement._unit_key(n)
+    return AlgebraElement(n, _sum_words(n, (
+        ({unit: AlgebraElement._scalar(cv)}, _checked(n, atoms))
+        for cv, atoms in words)))
 
 
 # -- derived elements: normal forms of the word lists further down ---------

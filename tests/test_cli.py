@@ -443,6 +443,7 @@ def test_cli_repr_check(capsys):
     ["normalize", "--n", "0", "1"],
     ["normalize", "--n", "-1", "1"],
     ["act", "--n", "0", "E1", "1"],
+    ["normalize", "--n", "1000000000000", "y1"],
     ["integrate", "--ket", "(1,40,0)", "--bra", "(1,40,0)"],
     ["integrate", "--ket", "(nan,0,0)", "--bra", "(1,0,0)"],
     ["integrate", "--ket", "(1,nan,0)", "--bra", "(1,0,0)"],

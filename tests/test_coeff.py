@@ -494,3 +494,21 @@ def test_degree_bound_raises_before_building():
         (Q0 + ONE) * q0_power(top)
     with pytest.raises(ValueError, match="exceeds the bound"):
         q0_power(-top - 1)
+
+
+def test_dense_power_checks_its_degree_before_any_product(monkeypatch):
+    monkeypatch.setattr(coeff, "MAX_DEGREE", 64)
+    dense = Q0 + ONE
+    assert (dense ** 64).num == tuple(math.comb(64, j) for j in range(65))
+    assert (dense ** -32).den == tuple(math.comb(32, j) for j in range(33))
+    over = Q0 / (Q0 * Q0 + ONE)
+
+    def no_product(a, b):
+        raise AssertionError("a product was formed")
+
+    monkeypatch.setattr(coeff, "_pmul", no_product)
+    for base, k, degree in ((dense, 65, 65), (dense, -65, 65),
+                            (over, 33, 66)):
+        with pytest.raises(ValueError) as err:
+            base ** k
+        assert str(err.value) == f"q0 degree {degree} exceeds the bound 64"

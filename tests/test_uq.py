@@ -267,6 +267,115 @@ def test_module_algebra_reports_a_wrong_coproduct_term(monkeypatch):
     assert cases["modalg[F1]"].passed and cases["modalg[K1]"].passed
 
 
+# -- planted defects: the failing cases and their first witnesses ---------------
+
+_SANDWICH = uq.sandwich
+
+
+@pytest.fixture
+def fresh_action():
+    """No memoized action images before or after the test."""
+    uq._ACT_MEMO.clear()
+    _SANDWICH.cache_clear()
+    yield
+    uq._ACT_MEMO.clear()
+    _SANDWICH.cache_clear()
+
+
+def _failing(report):
+    return {c.case: c.detail for c in report.cases if not c.passed}
+
+
+def _star_witness(n, g, monomials):
+    """The first ``f`` with ``(g > f)* != S(g)* > f*``."""
+    sstar = uq.antipode(n, g).star()
+    for f in monomials:
+        if act(g, f).star() != act_element(sstar, f.star()):
+            return f"f={f}"
+    return None
+
+
+def _relation_witness(rel, monomials):
+    for f in monomials:
+        got = act_element(rel, f)
+        if not got.is_zero:
+            return f"f={f} -> {got}"
+    return None
+
+
+def test_a_wrong_e_antipode_fails_only_star_and_antipode(monkeypatch,
+                                                         fresh_action):
+    def planted(n, g, _antipode=uq.antipode):
+        if g[0] == E:
+            return -(hopf(n, E, g[1]) * hopf(n, KINV, g[1]))
+        return _antipode(n, g)
+
+    monkeypatch.setattr(uq, "antipode", planted)
+    monomials = uq.coordinate_monomials(1, 2)
+    g = (E, 1)
+    cancel_witness = None
+    for f in monomials:
+        total = AlgebraElement.zero(1)
+        for h1, h2 in coproduct(1, g):
+            total = total + act_element(antipode_element(h1) * h2, f)
+        if not total.is_zero:
+            cancel_witness = f"f={f}"
+            break
+    assert _star_witness(1, g, monomials) == "f=x1"
+    assert cancel_witness is not None
+    assert _failing(uq.check_module_algebra(1, degree=2)) == {
+        "modstar[E1]": "f=x1", "antipode[E1]": cancel_witness}
+
+
+def test_a_wrong_f_sandwich_fails_every_f_case_and_ef(monkeypatch,
+                                                      fresh_action):
+    def planted(n, g):
+        terms = _SANDWICH(n, g)
+        if g[0] == F:
+            (c, left, right), (_, left2, right2) = terms
+            terms = ((c, left, right), (-q_power(1), left2, right2))
+        return terms
+
+    monkeypatch.setattr(uq, "sandwich", planted)
+    n = 2
+    monomials = uq.coordinate_monomials(n, 2)
+    want = {}
+    for j in (1, 2):
+        g = (F, j)
+        # the counit of F is zero, so the image of the unit is the detail
+        want[f"modeins[F{j}]"] = str(act(g, AlgebraElement.unit(n)))
+        want[f"modalg[F{j}]"] = _leibniz_witness(n, g, monomials)
+        want[f"modstar[F{j}]"] = _star_witness(n, g, monomials)
+    assert all(want.values()) and "0" not in want.values()
+    assert _failing(uq.check_module_algebra(n, degree=2)) == want
+    relations = dict(uq.defining_relations(n))
+    want = {name: _relation_witness(relations[name], monomials)
+            for name in ("EF[1]", "EF[2]")}
+    assert all(want.values())
+    assert _failing(uq.check_defining_relations(n, degree=2)) == want
+
+
+def test_a_wrong_serre_word_fails_only_its_relations(monkeypatch,
+                                                     fresh_action):
+    n = 2
+    planted_relations = []
+    for name, rel in uq.defining_relations(n):
+        if name.startswith("EEserre"):
+            j, l = map(int, name[len("EEserre["):-1].split(","))
+            # the middle word at -q in place of -(q + 1/q)
+            rel = rel + q_power(-1) * (hopf(n, E, j) * hopf(n, E, l)
+                                       * hopf(n, E, j))
+        planted_relations.append((name, rel))
+    monkeypatch.setattr(uq, "defining_relations",
+                        lambda n, jmax=None: planted_relations)
+    monomials = uq.coordinate_monomials(n, 2)
+    relations = dict(planted_relations)
+    want = {name: _relation_witness(relations[name], monomials)
+            for name in ("EEserre[1,2]", "EEserre[2,1]")}
+    assert all(want.values())
+    assert _failing(uq.check_defining_relations(n, degree=2)) == want
+
+
 def test_defining_relations_through_action():
     for n in (1, 2):
         report = uq.check_defining_relations(n, degree=2)

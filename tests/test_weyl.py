@@ -366,11 +366,21 @@ def test_mixed_index_word_against_oracle():
     assert engine == direct
 
 
+def _same_index_words(n):
+    """Every ``x_k^a y_k^b`` and ``y_k^a x_k^b`` with a, b <= 3: both
+    contraction rules, at k < n and at k = n."""
+    for k in range(1, n + 1):
+        for a in range(1, 4):
+            for b in range(1, 4):
+                yield (("x", k),) * a + (("y", k),) * b
+                yield (("y", k),) * a + (("x", k),) * b
+
+
 def test_random_words_match_oracle():
     rng = random.Random(20240817)
     for n in (1, 2, 3):
-        for _ in range(40):
-            word = random_word(n, rng)
+        words = [random_word(n, rng) for _ in range(40)]
+        for word in words + list(_same_index_words(n)):
             engine = normal_form(n, [(ONE, word)])
             for strategy_seed in range(3):
                 oracle = naive_normal_form(
