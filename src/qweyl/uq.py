@@ -271,38 +271,56 @@ def _record_sweep(rep, case, witnesses):
     rep.record(case, not witness, detail=witness)
 
 
+# the module-algebra properties with a sweep and a tensor certificate
+CERTIFIED = ("modalg", "modstar", "antipode")
+
+
+def check_generator(rep, n, g, monomials, certified=()):
+    """Record the unit rule, Leibniz rule, star compatibility and antipode
+    cancellation of ``g``, sweeping ``monomials``.  A property named in
+    ``certified`` is recorded passing, as its sweep would record it, and is
+    not swept."""
+    gname = _gen_str(g)
+    cop = coproduct(n, g)
+    eps = counit(HopfElement(n, {(g,): ONE}))
+    unit, zero = AlgebraElement.unit(n), AlgebraElement.zero(n)
+
+    got = act(g, unit)
+    rep.record(f"modeins[{gname}]", got == unit.scaled(eps),
+               detail="" if got == unit.scaled(eps) else str(got))
+
+    def leibniz():
+        # each coproduct leg's image of each monomial, formed once
+        images = [([act_element(h1, f) for f in monomials],
+                   [act_element(h2, f) for f in monomials]) for h1, h2 in cop]
+        return (f"f1={f1}, f2={f2}"
+                for i1, f1 in enumerate(monomials)
+                for i2, f2 in enumerate(monomials)
+                if act(g, f1 * f2) != sum((left[i1] * right[i2]
+                                           for left, right in images), zero))
+
+    def star():
+        sstar = antipode(n, g).star()
+        return (f"f={f}" for f in monomials
+                if act(g, f).star() != act_element(sstar, f.star()))
+
+    def cancellation():
+        cancel = [antipode_element(h1) * h2 for h1, h2 in cop]
+        return (f"f={f}" for f in monomials
+                if sum((act_element(h, f) for h in cancel), zero)
+                != f.scaled(eps))
+
+    for prop, sweep in zip(CERTIFIED, (leibniz, star, cancellation)):
+        _record_sweep(rep, f"{prop}[{gname}]",
+                      iter(()) if prop in certified else sweep())
+
+
 def check_module_algebra(n, degree=3, jmax=None):
     """Leibniz rule, unit rule, star compatibility, antipode cancellation."""
     rep = SuiteReport("module-algebra")
     monomials = coordinate_monomials(n, degree)
-    unit, zero = AlgebraElement.unit(n), AlgebraElement.zero(n)
     for g in generators(n, jmax):
-        gname = _gen_str(g)
-        cop = coproduct(n, g)
-        eps = counit(HopfElement(n, {(g,): ONE}))
-
-        got = act(g, unit)
-        rep.record(f"modeins[{gname}]", got == unit.scaled(eps),
-                   detail="" if got == unit.scaled(eps) else str(got))
-
-        # each coproduct leg's image of each monomial, formed once
-        images = [([act_element(h1, f) for f in monomials],
-                   [act_element(h2, f) for f in monomials]) for h1, h2 in cop]
-        _record_sweep(rep, f"modalg[{gname}]", (
-            f"f1={f1}, f2={f2}"
-            for i1, f1 in enumerate(monomials) for i2, f2 in enumerate(monomials)
-            if act(g, f1 * f2) != sum((left[i1] * right[i2]
-                                       for left, right in images), zero)))
-
-        sstar = antipode(n, g).star()
-        _record_sweep(rep, f"modstar[{gname}]", (
-            f"f={f}" for f in monomials
-            if act(g, f).star() != act_element(sstar, f.star())))
-
-        cancel = [antipode_element(h1) * h2 for h1, h2 in cop]
-        _record_sweep(rep, f"antipode[{gname}]", (
-            f"f={f}" for f in monomials
-            if sum((act_element(h, f) for h in cancel), zero) != f.scaled(eps)))
+        check_generator(rep, n, g, monomials)
     return rep
 
 
@@ -366,4 +384,99 @@ def check_defining_relations(n, degree=3, jmax=None):
         _record_sweep(rep, name, (
             f"f={f} -> {got}" for f in monomials
             if not (got := act_element(rel, f)).is_zero))
+    return rep
+
+
+# -- sandwich-tensor certificates ---------------------------------------------
+#
+# A word acts as ``f -> sum(c * L * f * R)``, an element of A (x) A^op kept as
+# the term map ``{(key_L, key_R): c}``.  A zero tensor proves an identity for
+# every ``f`` at once.  A nonzero one proves nothing, since the map
+# A (x) A^op -> End(A) is not shown injective, so failures come from sweeps.
+
+
+def _mono(n, key):
+    return AlgebraElement(n, {key: ONE})
+
+
+def _outer(c, left, right):
+    """The tensor terms of ``c * left (x) right``."""
+    return (((a, b), c * va * vb) for a, va in left.terms.items()
+            for b, vb in right.terms.items())
+
+
+def _tensor(n, h):
+    """Term map of ``h``, composed from ``sandwich`` as
+    ``(L' (x) R') o (L (x) R) = L'L (x) R R'``."""
+    unit = AlgebraElement._unit_key(n)
+    out = {}
+    for word, cv in h.terms.items():
+        t = {(unit, unit): cv}
+        for g in reversed(word):
+            step = {}
+            for (kl, kr), v in t.items():
+                left, right = _mono(n, kl), _mono(n, kr)
+                for c, l2, r2 in sandwich(n, g):
+                    accumulate(step, _outer(
+                        c * v, left if l2 is None else l2 * left,
+                        right if r2 is None else right * r2))
+            t = step
+        accumulate(out, t.items())
+    return out
+
+
+def certify(n, g):
+    """The names in :data:`CERTIFIED` whose identity is a zero tensor for
+    ``g``; a name left out is not certified, which does not make it false."""
+    unit = AlgebraElement._unit_key(n)
+    hg = HopfElement(n, {(g,): ONE})
+    tg = _tensor(n, hg)
+    cop = coproduct(n, g)
+    closed = set()
+    # Leibniz: L (x) 1 (x) R against L1 (x) R1*L2 (x) R2 per coproduct term
+    leibniz = {(kl, unit, kr): -v for (kl, kr), v in tg.items()}
+    for h1, h2 in cop:
+        t2 = _tensor(n, h2)
+        for (l1, r1), v1 in _tensor(n, h1).items():
+            for (l2, r2), v2 in t2.items():
+                mid = _mono(n, r1) * _mono(n, l2)
+                accumulate(leibniz, (((l1, km, r2), v1 * v2 * vm)
+                                     for km, vm in mid.terms.items()))
+    if not leibniz:
+        closed.add("modalg")
+    # star: sum(conj(c) * R* (x) L*) against the tensor of S(g)*
+    star = _tensor(n, -antipode(n, g).star())
+    for (kl, kr), v in tg.items():
+        accumulate(star, _outer(v.star(), _mono(n, kr).star(),
+                                _mono(n, kl).star()))
+    if not star:
+        closed.add("modstar")
+    # antipode: sum(S(h1) * h2) against eps(g) * 1 (x) 1
+    cancel = accumulate({}, (((unit, unit), -counit(hg)),))
+    for h1, h2 in cop:
+        accumulate(cancel, _tensor(n, antipode_element(h1) * h2).items())
+    if not cancel:
+        closed.add("antipode")
+    return closed
+
+
+def check_certificates(n):
+    """Each generator's :func:`certify` properties, its trace density
+    ``sum(c * R * Gamma * L) == eps(g) * Gamma`` and each defining relation's
+    zero tensor as cases; a failing case is not certified, not disproved."""
+    rep = SuiteReport("certificate")
+    gamma = weyl.gamma(n)
+    for g in generators(n):
+        gname = _gen_str(g)
+        hg = HopfElement(n, {(g,): ONE})
+        closed = certify(n, g)
+        for prop in CERTIFIED:
+            rep.record(f"cert-{prop}[{gname}]", prop in closed)
+        density = sum(((_mono(n, kr) * gamma * _mono(n, kl)).scaled(v)
+                       for (kl, kr), v in _tensor(n, hg).items()),
+                      AlgebraElement.zero(n))
+        rep.record(f"cert-density[{gname}]",
+                   density == gamma.scaled(counit(hg)))
+    for name, rel in defining_relations(n):
+        rep.record(f"cert-rel[{name}]", not _tensor(n, rel))
     return rep

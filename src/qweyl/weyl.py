@@ -135,6 +135,23 @@ def _checked(n, atoms):
     return atoms
 
 
+# A power of a sum of T terms expands into T^m words of m terms each; no
+# power whose words hold more atoms in all than this is formed
+MAX_POWER_WORK = 1 << 24
+
+
+def _check_power_work(terms, m, atoms):
+    """Refuse the ``m``-th power of a ``terms``-term element whose largest
+    term has ``atoms`` atoms when its expansion passes MAX_POWER_WORK."""
+    work = m * atoms
+    for _ in range(m):
+        work *= terms
+        if work > MAX_POWER_WORK:
+            raise ValueError(
+                f"power {m} of a {terms}-term element expands to {terms}^{m} "
+                f"words of {m * atoms} atoms, over the bound {MAX_POWER_WORK}")
+
+
 class AlgebraElement(Combination):
     """Finite linear combination of canonical monomials over exact scalars."""
 
@@ -162,6 +179,11 @@ class AlgebraElement(Combination):
             return NotImplemented
         if m < 0:
             return self.monomial_inverse() ** (-m)
+        if len(self.terms) > 1:
+            # a sum squares its way up: refuse before the first product
+            _check_power_work(len(self.terms), m,
+                              max(sum(map(abs, r)) + sum(b) + sum(c)
+                                  for r, b, c in self.terms))
         out = AlgebraElement.unit(self.n)
         base = self
         while m:

@@ -575,3 +575,44 @@ def test_cli_fuzz_exits_cleanly(argv):
         rc = cli.main(argv)
     assert rc in (0, 1, 2), argv
     assert "Traceback" not in out.getvalue() + err.getvalue()
+
+
+def test_cli_module_algebra_sweeps_nothing_that_certifies(capsys, monkeypatch):
+    assert cli.main(["verify", "--suite", "module-algebra", "--n", "2",
+                     "--degree", "3"]) == 0
+    assert capsys.readouterr().out.splitlines() == \
+        uq.check_module_algebra(2, degree=3).lines()
+
+    def no_monomials(n, degree):
+        raise AssertionError("the monomials were built")
+
+    monkeypatch.setattr(uq, "coordinate_monomials", no_monomials)
+    assert cli.main(["verify", "--suite", "module-algebra", "--n", "3",
+                     "--degree", "9"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 48
+    assert all(line.startswith("suite=module-algebra, case=")
+               and line.endswith(", residual=0.000000e+00, pass=true")
+               for line in lines)
+
+
+def test_cli_certificate_suite_is_opt_in(capsys):
+    assert cli.main(["verify", "--suite", "certificate", "--n", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    cases = {line.split(", ")[1][len("case="):] for line in lines}
+    assert {"cert-modalg[E1]", "cert-modstar[F2]", "cert-antipode[K1^-1]",
+            "cert-density[K2]", "cert-rel[EF[1]]"} <= cases
+    assert len(lines) == 4 * len(uq.generators(2)) + \
+        len(uq.defining_relations(2))
+    assert "certificate" not in cli.DEFAULT_SUITES
+
+
+def test_cli_refuses_powers_over_the_work_bound(capsys, monkeypatch):
+    monkeypatch.setattr(weyl, "MAX_POWER_WORK", 64)
+    assert cli.main(["normalize", "--n", "1", "(y1+x1)^4"]) == 0
+    assert capsys.readouterr().out == \
+        f"{parse_algebra('(y1+x1)*(y1+x1)*(y1+x1)*(y1+x1)', 1)}\n"
+    assert cli.main(["normalize", "--n", "1", "(y1+x1)^5"]) == 2
+    assert capsys.readouterr().err == (
+        "error: power 5 of a 2-term element expands to 2^5 words of 5 atoms, "
+        "over the bound 64\n")

@@ -1,11 +1,13 @@
+import argparse
 import random
 
 import pytest
 
-from qweyl import coeff, uq, weyl
+from qweyl import cli, coeff, uq, weyl
 from qweyl.coeff import LAMBDA_INV, ONE, q0_power, q_power
 from qweyl.errors import DescriptorMismatch, IndexOutOfRange
 from qweyl.parser import parse_hopf, parse_scalar
+from qweyl.report import SuiteReport
 from qweyl.uq import (E, F, K, KINV, HopfElement, act, act_element, antipode,
                       antipode_element, coproduct, counit)
 from qweyl.weyl import AlgebraElement, gen_x, gen_y
@@ -248,7 +250,8 @@ def _leibniz_witness(n, g, monomials):
     return None
 
 
-def test_module_algebra_reports_a_wrong_coproduct_term(monkeypatch):
+def _plant_swapped_legs(monkeypatch):
+    """The second term of ``Delta(E1)`` with its legs swapped."""
     def swapped(n, g, _coproduct=uq.coproduct):
         legs = _coproduct(n, g)
         if g == (E, 1):
@@ -257,6 +260,10 @@ def test_module_algebra_reports_a_wrong_coproduct_term(monkeypatch):
         return legs
 
     monkeypatch.setattr(uq, "coproduct", swapped)
+
+
+def test_module_algebra_reports_a_wrong_coproduct_term(monkeypatch):
+    _plant_swapped_legs(monkeypatch)
     monomials = uq.coordinate_monomials(1, 2)
     witness = _leibniz_witness(1, (E, 1), monomials)
     first = f"f1={monomials[0]}, f2={monomials[0]}"
@@ -303,14 +310,45 @@ def _relation_witness(rel, monomials):
     return None
 
 
-def test_a_wrong_e_antipode_fails_only_star_and_antipode(monkeypatch,
-                                                         fresh_action):
+def _plant_e_antipode(monkeypatch):
+    """The E antipode as ``-(E_j K_j^-1)``, the star of the right one."""
     def planted(n, g, _antipode=uq.antipode):
         if g[0] == E:
             return -(hopf(n, E, g[1]) * hopf(n, KINV, g[1]))
         return _antipode(n, g)
 
     monkeypatch.setattr(uq, "antipode", planted)
+
+
+def _plant_f_sandwich(monkeypatch):
+    """``-q`` in place of ``-q^2`` in the second F sandwich term."""
+    def planted(n, g):
+        terms = _SANDWICH(n, g)
+        if g[0] == F:
+            (c, left, right), (_, left2, right2) = terms
+            terms = ((c, left, right), (-q_power(1), left2, right2))
+        return terms
+
+    monkeypatch.setattr(uq, "sandwich", planted)
+
+
+def _plant_serre(monkeypatch, n=2):
+    """Each E Serre relation's middle word at ``-q`` in place of
+    ``-(q + 1/q)``."""
+    planted_relations = []
+    for name, rel in uq.defining_relations(n):
+        if name.startswith("EEserre"):
+            j, l = map(int, name[len("EEserre["):-1].split(","))
+            rel = rel + q_power(-1) * (hopf(n, E, j) * hopf(n, E, l)
+                                       * hopf(n, E, j))
+        planted_relations.append((name, rel))
+    monkeypatch.setattr(uq, "defining_relations",
+                        lambda n, jmax=None: planted_relations)
+
+
+def test_a_wrong_e_antipode_fails_only_star_and_antipode(monkeypatch,
+                                                         fresh_action):
+    _plant_e_antipode(monkeypatch)
     monomials = uq.coordinate_monomials(1, 2)
     g = (E, 1)
     cancel_witness = None
@@ -329,14 +367,7 @@ def test_a_wrong_e_antipode_fails_only_star_and_antipode(monkeypatch,
 
 def test_a_wrong_f_sandwich_fails_every_f_case_and_ef(monkeypatch,
                                                       fresh_action):
-    def planted(n, g):
-        terms = _SANDWICH(n, g)
-        if g[0] == F:
-            (c, left, right), (_, left2, right2) = terms
-            terms = ((c, left, right), (-q_power(1), left2, right2))
-        return terms
-
-    monkeypatch.setattr(uq, "sandwich", planted)
+    _plant_f_sandwich(monkeypatch)
     n = 2
     monomials = uq.coordinate_monomials(n, 2)
     want = {}
@@ -358,22 +389,72 @@ def test_a_wrong_f_sandwich_fails_every_f_case_and_ef(monkeypatch,
 def test_a_wrong_serre_word_fails_only_its_relations(monkeypatch,
                                                      fresh_action):
     n = 2
-    planted_relations = []
-    for name, rel in uq.defining_relations(n):
-        if name.startswith("EEserre"):
-            j, l = map(int, name[len("EEserre["):-1].split(","))
-            # the middle word at -q in place of -(q + 1/q)
-            rel = rel + q_power(-1) * (hopf(n, E, j) * hopf(n, E, l)
-                                       * hopf(n, E, j))
-        planted_relations.append((name, rel))
-    monkeypatch.setattr(uq, "defining_relations",
-                        lambda n, jmax=None: planted_relations)
+    _plant_serre(monkeypatch, n)
     monomials = uq.coordinate_monomials(n, 2)
-    relations = dict(planted_relations)
+    relations = dict(uq.defining_relations(n))
     want = {name: _relation_witness(relations[name], monomials)
             for name in ("EEserre[1,2]", "EEserre[2,1]")}
     assert all(want.values())
     assert _failing(uq.check_defining_relations(n, degree=2)) == want
+
+
+# each planted defect at its rank, with the certificate cases it leaves open
+_DEFECTS = {
+    "e-antipode": (_plant_e_antipode, 1, {
+        "cert-modstar[E1]", "cert-antipode[E1]"}),
+    "f-sandwich": (_plant_f_sandwich, 2, {
+        f"cert-{prop}[F{j}]" for prop in ("modalg", "modstar", "density")
+        for j in (1, 2)} | {"cert-rel[EF[1]]", "cert-rel[EF[2]]"}),
+    "serre": (_plant_serre, 2, {
+        "cert-rel[EEserre[1,2]]", "cert-rel[EEserre[2,1]]"}),
+    "swapped-legs": (_plant_swapped_legs, 1, {
+        "cert-modalg[E1]", "cert-antipode[E1]"}),
+}
+
+
+def _triples(report):
+    return [(c.case, c.passed, c.detail) for c in report.cases]
+
+
+@pytest.mark.parametrize("defect", list(_DEFECTS))
+def test_planted_defects_fail_alike_certified_or_swept(monkeypatch,
+                                                       fresh_action, defect):
+    plant, n, uncertified = _DEFECTS[defect]
+    plant(monkeypatch)
+    swept = uq.check_module_algebra(n, degree=2)
+    first = cli.run_module_algebra(n, argparse.Namespace(degree=2))
+    assert _triples(first) == _triples(swept)
+    certificates = uq.check_certificates(n)
+    assert {c.case for c in certificates.failures()} == uncertified
+    left_open = {f"cert-{prop}[{uq._gen_str(g)}]" for g in uq.generators(n)
+                 for prop in set(uq.CERTIFIED) - uq.certify(n, g)}
+    assert left_open == {case for case in uncertified
+                         if not case.startswith(("cert-rel", "cert-density"))}
+    relations = uq.check_defining_relations(n, degree=2)
+    assert not (swept.ok and relations.ok)
+
+
+def test_certificates_close_at_every_rank():
+    for n in range(1, 7):
+        for g in uq.generators(n):
+            assert uq.certify(n, g) == set(uq.CERTIFIED), (n, g)
+    for n in range(1, 5):
+        report = uq.check_certificates(n)
+        assert report.ok, [c.case for c in report.failures()]
+        assert sum(c.case.startswith("cert-rel[") for c in report.cases) \
+            == len(uq.defining_relations(n))
+
+
+def test_certified_properties_are_not_swept(monkeypatch):
+    def no_sweep(*args):
+        raise AssertionError("a sweep ran")
+
+    monkeypatch.setattr(uq, "act_element", no_sweep)
+    report = SuiteReport("module-algebra")
+    uq.check_generator(report, 2, (E, 1), uq.coordinate_monomials(2, 2),
+                       uq.CERTIFIED)
+    assert _triples(report) == [(f"{prop}[E1]", True, "") for prop in
+                                ("modeins",) + uq.CERTIFIED]
 
 
 def test_defining_relations_through_action():

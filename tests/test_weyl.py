@@ -455,3 +455,26 @@ def test_sign_table():
         for k in range(1, n + 1):
             want = gen_r(n, k, 2).scaled(weyl.sign_of(n, k))
             assert q_elem(n, k) == want
+
+
+
+def test_power_of_a_sum_checks_its_work_before_any_product(monkeypatch):
+    monkeypatch.setattr(weyl, "MAX_POWER_WORK", 64)
+    s = gen_y(1, 1) + gen_x(1, 1)
+    mixed = gen_y(2, 1) * gen_x(2, 2) + gen_r(2, 1, -3)
+    # 2^4 words of 4 atoms is at the bound; 2^2 words of 2 * 3 atoms below it
+    assert s ** 4 == s * s * s * s
+    assert mixed ** 2 == mixed * mixed
+    assert len((gen_y(1, 1) ** 200).terms) == 1  # one term keeps its path
+    assert s ** 1 == s and s ** 0 == AlgebraElement.unit(1)
+
+    def no_product(self, other):
+        raise AssertionError("a product was formed")
+
+    monkeypatch.setattr(AlgebraElement, "__mul__", no_product)
+    for base, m, atoms in ((s, 5, 5), (s, 10 ** 12, 10 ** 12), (mixed, 4, 12)):
+        with pytest.raises(ValueError) as err:
+            base ** m
+        assert str(err.value) == (
+            f"power {m} of a 2-term element expands to 2^{m} words of "
+            f"{atoms} atoms, over the bound 64")
