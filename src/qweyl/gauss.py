@@ -104,16 +104,35 @@ def inner(u, v):
     return total
 
 
-def norm(u):
+def norm(u, table=None):
     """``sqrt(inner(u, u))`` over unordered term pairs: as ``(j, i)`` is the
-    conjugate of ``(i, j)``, an off-diagonal pair adds twice its real part."""
-    items = tuple(u.terms.items())
+    conjugate of ``(i, j)``, an off-diagonal pair adds twice its real part.
+
+    ``table`` numbers each distinct ``(eps, gamma)`` leg and keeps each
+    ordered leg-pair overlap once, so the norms that share it share their
+    overlaps; the products and the sum are the same either way.
+    """
+    ids, legs, rows = table or ({}, [], [])
+    items = []
+    for key, amp in u.terms.items():
+        nums = []
+        for leg in key:
+            a = ids.setdefault(leg, len(legs))
+            if a == len(legs):
+                legs.append(leg)
+                rows.append({})
+            nums.append(a)
+        items.append((nums, amp))
     total = 0.0
     for i, (ku, au) in enumerate(items):
         for j, (kv, av) in enumerate(items[i:]):
             prod = au * av.conjugate()
-            for (e1, g1), (e2, g2) in zip(ku, kv):
-                prod *= _leg_overlap(e1, g1, e2, g2)
+            for a, b in zip(ku, kv):
+                row = rows[a]
+                ov = row.get(b)
+                if ov is None:
+                    ov = row[b] = _leg_overlap(*legs[a], *legs[b])
+                prod *= ov
             total += 2.0 * prod.real if j else prod.real
     return math.sqrt(abs(total))
 
@@ -249,13 +268,18 @@ def represent(element, ctx):
 
 
 def _pieces_residual(pieces, state, scale):
-    """Relative size of the summed images; ``scale`` is the state's norm."""
-    image = GaussianState.zero(state.n)
+    """Relative size of the summed images; ``scale`` is the state's norm.
+
+    The norms of the pieces and of their sum share one overlap table, which
+    lives for this call only.
+    """
+    table = ({}, [], [])
+    image = {}
     for ops in pieces:
         piece = apply_ops(ops, state)
-        scale = max(scale, norm(piece))
-        image = image + piece
-    return norm(image) / scale
+        scale = max(scale, norm(piece, table))
+        accumulate(image, piece.terms.items())
+    return norm(GaussianState(state.n, image), table) / scale
 
 
 def relation_residual(n, relation, state, ctx):
@@ -284,14 +308,14 @@ def check_relations_pointwise(n, relations, states, ctx, suite="pointwise"):
 def check_hermiticity_pointwise(n, states, ctx):
     """Symmetry ``<Op u, v> == <u, Op v>`` for the hermitian element list."""
     rep = SuiteReport("pointwise")
-    pairs = [(states[i], states[(i + 1) % len(states)])
-             for i in range(len(states))]
     for name, element in hermitian_generators(n):
         ops = represent(element, ctx)
+        images = [apply_ops(ops, u) for u in states]
         worst = 0.0
-        for u, v in pairs:
-            lhs = inner(apply_ops(ops, u), v)
-            rhs = inner(u, apply_ops(ops, v))
+        for i, u in enumerate(states):
+            j = (i + 1) % len(states)
+            lhs = inner(images[i], states[j])
+            rhs = inner(u, images[j])
             worst = max(worst, abs(lhs - rhs) / (1.0 + abs(lhs)))
         rep.record(f"hermitian[{name}]", worst <= ctx.tolerance, residual=worst)
     return rep

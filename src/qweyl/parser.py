@@ -106,6 +106,9 @@ class _Parser:
             return a ** k
         # symmetry words: negative powers only for K words
         if k >= 0:
+            # a sum of T words expands to up to T^k words: refuse first
+            weyl._check_power_work(len(a.terms), k,
+                                   max(map(len, a.terms), default=0))
             out = HopfElement.unit(self.n)
             for _ in range(k):
                 out = out * a

@@ -1,8 +1,10 @@
 import contextlib
 import io
 import pathlib
+import os
 import random
 import runpy
+import subprocess
 import sys
 
 import pytest
@@ -616,3 +618,16 @@ def test_cli_refuses_powers_over_the_work_bound(capsys, monkeypatch):
     assert capsys.readouterr().err == (
         "error: power 5 of a 2-term element expands to 2^5 words of 5 atoms, "
         "over the bound 64\n")
+
+
+def test_cli_import_loads_no_numpy_or_scipy():
+    # the CLI's start-up time has no room for either import
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import sys, qweyl.cli; print(sorted(m for m in sys.modules "
+            "if m.partition('.')[0] in ('numpy', 'scipy')))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout == "[]\n"

@@ -1,9 +1,10 @@
 import cmath
+import collections
 import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import quad
 
 from qweyl import gauss, weyl
@@ -12,6 +13,7 @@ from qweyl.errors import ShapeMismatch
 from qweyl.gauss import (ElementaryOperator, GaussianState, _apply_leg,
                          _compose_legs, apply_ops, inner, norm, represent,
                          represent_word)
+from qweyl.report import SuiteReport
 
 CTX = NumericContext()
 NEG = NumericContext(phi=-math.pi / 5)
@@ -367,6 +369,152 @@ def test_pointwise_check_equals_per_state_residuals(n):
                 assert gauss.relation_residual(n, rel, state, CTX) == want
                 worst = max(worst, want)
             assert case.residual == worst
+
+
+def _norm_pairs_reference(u):
+    """``norm`` as a loop over unordered term pairs, one overlap per leg."""
+    items = tuple(u.terms.items())
+    total = 0.0
+    for i, (ku, au) in enumerate(items):
+        for j, (kv, av) in enumerate(items[i:]):
+            prod = au * av.conjugate()
+            for (e1, g1), (e2, g2) in zip(ku, kv):
+                prod *= gauss._leg_overlap(e1, g1, e2, g2)
+            total += 2.0 * prod.real if j else prod.real
+    return math.sqrt(abs(total))
+
+
+def _pieces_residual_reference(pieces, state, scale):
+    """``_pieces_residual`` with a fresh norm per image and ``image + piece``."""
+    image = GaussianState.zero(state.n)
+    for ops in pieces:
+        piece = apply_ops(ops, state)
+        scale = max(scale, _norm_pairs_reference(piece))
+        image = image + piece
+    return _norm_pairs_reference(image) / scale
+
+
+def _flip_zero(x):
+    return -x if x == 0 else x
+
+
+_part = st.one_of(st.sampled_from([0.0, -0.0, 0.5, -1.0]), st.floats(-1.4, 1.4))
+_pool = st.lists(st.tuples(st.sampled_from([0.5, 1.0, 1.5]), _part, _part),
+                 min_size=1, max_size=4)
+# amplitude parts stay clear of the underflow that zeroes a norm
+_amp_part = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(0.01, 1.0),
+                      st.floats(-1.0, -0.01))
+_shift = st.sampled_from([(0.0, 0.0), (0.0, -0.0), (1.0, 0.0), (-1.0, 0.0),
+                          (0.0, 0.25), (-1.0, 0.25)])
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_shared_overlap_table_is_bit_identical(data):
+    # legs come from a small pool, some with the signs of their zero parts
+    # flipped, so terms, pieces and the summed image share legs
+    n = data.draw(st.integers(1, 3))
+    pool = data.draw(_pool)
+    state = GaussianState.zero(n)
+    for _ in range(data.draw(st.integers(1, 3))):
+        legs = []
+        for _ in range(n):
+            eps, gr, gi = data.draw(st.sampled_from(pool))
+            if data.draw(st.booleans()):
+                gr, gi = _flip_zero(gr), _flip_zero(gi)
+            legs.append((eps, complex(gr, gi)))
+        amp = complex(data.draw(_amp_part), data.draw(_amp_part))
+        state = state + GaussianState.from_legs(amp, legs)
+    assume(not state.is_zero)
+    pieces = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        ops = [ElementaryOperator(complex(data.draw(_amp_part),
+                                          data.draw(_amp_part)),
+                                  tuple(data.draw(st.lists(_shift, min_size=n,
+                                                           max_size=n))))
+               for _ in range(data.draw(st.integers(1, 3)))]
+        pieces.append(ops)
+        if data.draw(st.booleans()):  # a piece that cancels the last one
+            pieces.append([ElementaryOperator(-op.scalar, op.legs)
+                           for op in ops])
+    scale = norm(state)
+    assert scale == _norm_pairs_reference(state)
+    assert gauss._pieces_residual(pieces, state, scale) == \
+        _pieces_residual_reference(pieces, state, scale)
+
+
+def _ordered_leg_pairs(u):
+    """The ordered leg pairs whose overlaps ``norm(u)`` multiplies in."""
+    keys = tuple(u.terms)
+    return {pair for i, ku in enumerate(keys) for kv in keys[i:]
+            for pair in zip(ku, kv)}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_residual_evaluates_each_ordered_leg_pair_once(n, monkeypatch):
+    rng = random.Random(90 + n)
+    state = gauss.random_state(n, rng, max_terms=1) + \
+        gauss.random_state(n, rng, max_terms=1)
+    overlap = gauss._leg_overlap
+    calls = []
+
+    def counted(e1, g1, e2, g2):
+        calls.append(((e1, g1), (e2, g2)))
+        return overlap(e1, g1, e2, g2)
+
+    monkeypatch.setattr(gauss, "_leg_overlap", counted)
+    evaluated = visited = 0
+    for rel in weyl.ab_rho_relations(n):
+        pieces = [gauss.represent_terms(n, (term,), CTX) for term in rel.terms]
+        images = [apply_ops(ops, state) for ops in pieces]
+        images.append(sum(images, GaussianState.zero(n)))
+        want = set().union(*map(_ordered_leg_pairs, images))
+        calls.clear()
+        gauss._pieces_residual(pieces, state, 1.0)
+        assert len(calls) == len(want)
+        assert set(calls) == want
+        evaluated += len(calls)
+        visited += sum(n * len(u.terms) * (len(u.terms) + 1) // 2
+                       for u in images)
+    assert evaluated < visited  # the pieces and their image share legs
+
+
+def _hermiticity_reference(n, states, ctx):
+    """Each pair forms both of its images afresh, as ``lhs`` and ``rhs``."""
+    rep = SuiteReport("pointwise")
+    for name, element in weyl.hermitian_generators(n):
+        ops = represent(element, ctx)
+        worst = 0.0
+        for i, u in enumerate(states):
+            v = states[(i + 1) % len(states)]
+            lhs = inner(apply_ops(ops, u), v)
+            rhs = inner(u, apply_ops(ops, v))
+            worst = max(worst, abs(lhs - rhs) / (1.0 + abs(lhs)))
+        rep.record(f"hermitian[{name}]", worst <= ctx.tolerance, residual=worst)
+    return rep
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_hermiticity_forms_each_image_once(n, monkeypatch):
+    rng = random.Random(60 + n)
+    elements = weyl.hermitian_generators(n)
+    apply = gauss.apply_ops
+    calls = []
+
+    def counted(ops, state):
+        calls.append(id(state))
+        return apply(ops, state)
+
+    monkeypatch.setattr(gauss, "apply_ops", counted)
+    for count in (1, 2, 4):
+        states = gauss.sample_states(n, rng, count)
+        for ctx in (CTX, NEG):
+            want = _hermiticity_reference(n, states, ctx).lines()
+            calls.clear()
+            assert gauss.check_hermiticity_pointwise(n, states, ctx).lines() \
+                == want
+            assert collections.Counter(calls) == \
+                {id(state): len(elements) for state in states}
 
 
 def test_represent_memo_matches_fresh_build(monkeypatch):

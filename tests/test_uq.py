@@ -499,3 +499,34 @@ def test_star_compatibility_examples():
 def test_cartan_matrix():
     cart = weyl.cartan_matrix(3)
     assert cart == ((2, -1, 0), (-1, 2, -1), (0, -1, 2))
+
+
+def test_symmetry_power_checks_its_work_before_any_product(capsys,
+                                                           monkeypatch):
+    monkeypatch.setattr(weyl, "MAX_POWER_WORK", 64)
+    # 2^4 words of 4 atoms and one word of 64 atoms are at the bound
+    assert parse_hopf("(E1+F1)^4", 1) == \
+        parse_hopf("(E1+F1)*(E1+F1)*(E1+F1)*(E1+F1)", 1)
+    assert len(parse_hopf("(E1+F1)^4", 1).terms) == 16
+    assert parse_hopf("E1^64", 1) == HopfElement(1, {((E, 1),) * 64: ONE})
+    assert parse_hopf("(E1+F1)^0", 1) == HopfElement.unit(1)
+    assert parse_hopf("K1^-3", 1) == parse_hopf("K1^-1*K1^-1*K1^-1", 1)
+
+    def no_product(self, other):
+        raise AssertionError("a product was formed")
+
+    monkeypatch.setattr(HopfElement, "__mul__", no_product)
+    for text, terms, m, atoms in (("(E1+F1)^5", 2, 5, 5),
+                                  ("(E1+F1+K1)^3", 3, 3, 3),
+                                  ("E1^65", 1, 65, 65),
+                                  ("(E1+F1)^1000000000000", 2, 10 ** 12,
+                                   10 ** 12)):
+        with pytest.raises(ValueError) as err:
+            parse_hopf(text, 1)
+        assert str(err.value) == (
+            f"power {m} of a {terms}-term element expands to {terms}^{m} "
+            f"words of {atoms} atoms, over the bound 64")
+    assert cli.main(["normalize", "--n", "1", "(E1+F1)^5"]) == 2
+    assert capsys.readouterr().err == (
+        "error: power 5 of a 2-term element expands to 2^5 words of 5 atoms, "
+        "over the bound 64\n")
