@@ -177,6 +177,8 @@ def random_finite_rank(n, rng, max_rank=3, gentle=False):
 
 def check_invariance(n, ictx, count=20, seed=7, max_rank=3):
     """Counit-twisted trace invariance for every generator on random dyads."""
+    if count < 1:
+        raise ValueError("an invariance check needs at least one sample")
     rng = random.Random(seed)
     rep = SuiteReport("invariance")
     samples = [random_finite_rank(n, rng, max_rank) for _ in range(count)]
@@ -199,6 +201,8 @@ def check_invariance(n, ictx, count=20, seed=7, max_rank=3):
 
 def check_cyclicity(n, ictx, count=20, seed=7):
     """tr(a g b) == tr(g b a) == tr(b a g) for represented factor pairs."""
+    if count < 1:
+        raise ValueError("a cyclicity check needs at least one sample")
     rng = random.Random(seed)
     rep = SuiteReport("cyclicity")
     pool = []

@@ -109,10 +109,7 @@ class _Parser:
             # a sum of T words expands to up to T^k words: refuse first
             weyl._check_power_work(len(a.terms), k,
                                    max(map(len, a.terms), default=0))
-            out = HopfElement.unit(self.n)
-            for _ in range(k):
-                out = out * a
-            return out
+            return a ** k
         if len(a.terms) == 1:
             ((word, cv),) = a.terms.items()
             if cv.is_one and all(kind in (uq.K, uq.KINV) for kind, _ in word):

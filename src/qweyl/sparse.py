@@ -104,6 +104,20 @@ class Combination:
             return self.scaled(other)
         return NotImplemented
 
+    def __pow__(self, m):
+        """The ``m``-th power, ``m >= 0``, of a subclass with a product, by
+        repeated squaring: about ``log2(m)`` products."""
+        if not isinstance(m, int) or m < 0:
+            return NotImplemented
+        out = self.unit(self.n)
+        base = self
+        while m:
+            if m & 1:
+                out = out * base
+            m >>= 1
+            base = base * base if m else base
+        return out
+
     @property
     def is_zero(self):
         return not self.terms

@@ -150,6 +150,8 @@ def _check_power_work(terms, m, atoms):
             raise ValueError(
                 f"power {m} of a {terms}-term element expands to {terms}^{m} "
                 f"words of {m * atoms} atoms, over the bound {MAX_POWER_WORK}")
+        if terms < 2:  # the work no longer grows
+            return
 
 
 class AlgebraElement(Combination):
@@ -184,14 +186,7 @@ class AlgebraElement(Combination):
             _check_power_work(len(self.terms), m,
                               max(sum(map(abs, r)) + sum(b) + sum(c)
                                   for r, b, c in self.terms))
-        out = AlgebraElement.unit(self.n)
-        base = self
-        while m:
-            if m & 1:
-                out = out * base
-            m >>= 1
-            base = base * base if m else base
-        return out
+        return super().__pow__(m)
 
     def monomial_inverse(self):
         """Inverse, defined only for a single scale monomial (pure R part)."""

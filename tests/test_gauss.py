@@ -1,7 +1,12 @@
 import cmath
 import collections
 import math
+import os
+import pathlib
 import random
+import signal
+import subprocess
+import sys
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -515,6 +520,157 @@ def test_hermiticity_forms_each_image_once(n, monkeypatch):
                 == want
             assert collections.Counter(calls) == \
                 {id(state): len(elements) for state in states}
+
+
+def test_pointwise_checks_refuse_zero_states():
+    with pytest.raises(ValueError, match="at least one state"):
+        gauss.check_relations_pointwise(1, weyl.coordinate_relations(1), [], CTX)
+    with pytest.raises(ValueError, match="at least one state"):
+        gauss.check_hermiticity_pointwise(1, [], CTX)
+
+
+# -- sweeps split across processes ---------------------------------------------
+
+
+@pytest.fixture
+def no_child_left():
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _processes(monkeypatch, count):
+    """Make every sweep of this test take ``count`` processes if it has the
+    states; return the pids that ``os.fork`` gives the parent."""
+    monkeypatch.setattr(gauss, "WORK_PER_PROCESS", 1 if count > 1 else 10 ** 12)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
+                        raising=False)
+    fork = os.fork
+    pids = []
+
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return pids
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_split_sweep_reports_what_one_process_reports(n, monkeypatch,
+                                                      no_child_left):
+    rng = random.Random(40 + n)
+    states = gauss.sample_states(n, rng, 7)
+    rels = weyl.coordinate_relations(n) + weyl.localized_relations(n) + \
+        weyl.ab_rho_relations(n)
+    _processes(monkeypatch, 1)
+    want = gauss.check_relations_pointwise(n, rels, states, CTX)
+    for count in (2, 3):
+        pids = _processes(monkeypatch, count)
+        got = gauss.check_relations_pointwise(n, rels, states, CTX)
+        assert len(pids) == count - 1
+        assert got.lines() == want.lines()
+        assert [c.residual.hex() for c in got.cases] == \
+            [c.residual.hex() for c in want.cases]
+
+
+def _failing_residual(monkeypatch, n, relation, fail):
+    """Patch ``_pieces_residual`` to call ``fail(state)`` first on each state
+    of ``relation``'s sweep."""
+    target = [gauss.represent_terms(n, (term,), CTX) for term in relation.terms]
+    residual = gauss._pieces_residual
+
+    def patched(pieces, state, scale):
+        if pieces == target:
+            fail(state)
+        return residual(pieces, state, scale)
+
+    monkeypatch.setattr(gauss, "_pieces_residual", patched)
+
+
+# the chunks of three processes are states 0-1, 2-3 and 4-5
+@pytest.mark.parametrize("failing", [(3, 5), (0, 5), (5,)])
+def test_split_sweep_raises_what_one_process_raises(failing, monkeypatch,
+                                                    no_child_left):
+    n = 2
+    states = gauss.sample_states(n, random.Random(3), 6)
+    rels = weyl.coordinate_relations(n)
+
+    def fail(state):
+        for i in failing:
+            if state is states[i]:
+                raise ArithmeticError(f"state {i}")
+
+    _failing_residual(monkeypatch, n, rels[2], fail)
+    for count in (1, 3):
+        pids = _processes(monkeypatch, count)
+        with pytest.raises(ArithmeticError) as err:
+            gauss.check_relations_pointwise(n, rels, states, CTX)
+        assert len(pids) == count - 1
+        assert str(err.value) == f"state {failing[0]}"
+
+
+def test_split_sweep_outlives_a_killed_child(monkeypatch, no_child_left):
+    n = 2
+    states = gauss.sample_states(n, random.Random(4), 6)
+    rels = weyl.coordinate_relations(n)
+    _processes(monkeypatch, 1)
+    want = gauss.check_relations_pointwise(n, rels, states, CTX).lines()
+    parent = os.getpid()
+
+    def die(state):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+
+    _failing_residual(monkeypatch, n, rels[1], die)
+    pids = _processes(monkeypatch, 3)
+    assert gauss.check_relations_pointwise(n, rels, states, CTX).lines() == want
+    assert len(pids) == 2
+
+
+_CLI_WITH_PROCESSES = """\
+import os, sys
+os.sched_getaffinity = lambda pid: set(range(int(sys.argv[1])))
+from qweyl import cli, gauss
+gauss.WORK_PER_PROCESS = 1 if sys.argv[1] != "1" else 10 ** 12
+fork = os.fork
+def counted():
+    pid = fork()
+    if pid:
+        sys.stderr.write("forked\\n")
+    return pid
+os.fork = counted
+print("printed before the sweep")
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
+def test_split_cli_run_prints_each_line_once(tmp_path):
+    src = str(pathlib.Path(gauss.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    env.pop("PYTHONUNBUFFERED", None)  # the child holds a copy of the buffer
+    runs = []
+    for count in ("1", "2"):
+        out = tmp_path / f"report{count}.txt"
+        proc = subprocess.run(
+            [sys.executable, "-c", _CLI_WITH_PROCESSES, count, "verify",
+             "--suite", "pointwise", "--n", "3", "--samples", "60",
+             "--out", str(out)],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True, timeout=300)
+        assert proc.stderr == ("forked\n" if count == "2" else "")
+        head, report = proc.stdout.split("\n", 1)
+        assert head == "printed before the sweep"
+        assert out.read_text() == report
+        runs.append((proc.returncode, proc.stdout))
+    assert runs[0] == runs[1]
+    assert len(runs[0][1].splitlines()) == 1 + len(
+        weyl.coordinate_relations(3) + weyl.localized_relations(3)
+        + weyl.hermitian_generators(3))
 
 
 def test_represent_memo_matches_fresh_build(monkeypatch):

@@ -244,6 +244,16 @@ def test_trace_cyclicity():
         assert rep.ok, [(c.case, c.residual) for c in rep.failures()]
 
 
+def test_invariance_refuses_zero_samples():
+    with pytest.raises(ValueError, match="at least one sample"):
+        haar.check_invariance(1, IntegralContext(ctx=CTX), count=0)
+
+
+def test_cyclicity_refuses_zero_samples():
+    with pytest.raises(ValueError, match="at least one sample"):
+        haar.check_cyclicity(1, IntegralContext(ctx=CTX), count=0)
+
+
 def test_cyclicity_identity_factors_exact():
     rng = random.Random(13)
     G = haar.random_finite_rank(1, rng, 2)

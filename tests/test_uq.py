@@ -1,5 +1,9 @@
 import argparse
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -530,3 +534,34 @@ def test_symmetry_power_checks_its_work_before_any_product(capsys,
     assert capsys.readouterr().err == (
         "error: power 5 of a 2-term element expands to 2^5 words of 5 atoms, "
         "over the bound 64\n")
+
+
+def test_symmetry_powers_take_logarithmically_many_products(monkeypatch):
+    mul = HopfElement.__mul__
+    products = []
+
+    def counted(self, other):
+        products.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(HopfElement, "__mul__", counted)
+    for k in (0, 1, 2, 3, 7, 8, 1000, 4097):
+        products.clear()
+        assert parse_hopf(f"E1^{k}", 1) == HopfElement(1, {((E, 1),) * k: ONE})
+        assert len(products) <= 2 * k.bit_length()
+    monkeypatch.setattr(HopfElement, "__mul__", mul)
+    power = parse_hopf("(E1+F1)^5", 1)
+    assert power == parse_hopf("(E1+F1)*(E1+F1)*(E1+F1)*(E1+F1)*(E1+F1)", 1)
+    assert len(power.terms) == 32
+
+
+def test_power_of_the_zero_symmetry_element_prints_zero_at_once():
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qweyl", "normalize", "--n", "1",
+         "(0*E1)^1000000000000"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n", "")
