@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import functools
 import math
 import random
@@ -98,8 +99,7 @@ def run_invariance(n, args):
     ictx = haar.IntegralContext(c=args.c, ctx=_numeric_ctx(args))
     rep = haar.check_invariance(n, ictx, count=args.samples, seed=args.seed)
     if n == 1:
-        alt = haar.IntegralContext(c=args.c, ctx=_numeric_ctx(args),
-                                   density="qinv")
+        alt = dataclasses.replace(ictx, density="qinv")
         sub = haar.check_invariance(1, alt, count=args.samples, seed=args.seed)
         for case in sub.cases:
             rep.record(f"qinv:{case.case}", case.passed, residual=case.residual)
@@ -130,9 +130,7 @@ _RUNNERS = {
 SUITES = tuple(_RUNNERS)
 # what a bare ``verify`` runs; ``certificate`` is opt-in, so the default
 # report keeps its lines
-DEFAULT_SUITES = ("weyl-relations", "ab-rho", "action-table", "module-algebra",
-                  "pointwise", "model2-n1", "invariance", "cyclicity",
-                  "obstruction")
+DEFAULT_SUITES = tuple(suite for suite in _RUNNERS if suite != "certificate")
 
 
 def _out_file(path):
@@ -150,24 +148,26 @@ def _emit(report_lines, out_file):
         out_file.write(text + ("\n" if text else ""))
 
 
-def _cmd_verify(args):
+def _run_suites(args, runs, prefixed=False):
+    """Print one report of every ``(suite, n)`` run, naming each case
+    ``n<k>:<case>`` when ``prefixed``; exit 1 if any case fails."""
     with _out_file(args.out) as out_file:
         merged = SuiteReport("verify")
-        if args.suite:
-            runner = _RUNNERS[args.suite]
-            rep = runner(args.n, args)
-            merged.cases.extend(rep.cases)
-        else:
-            for suite in DEFAULT_SUITES:
-                ranks = (1,) if suite in ("model2-n1", "obstruction") else (1, 2)
-                for n in ranks:
-                    rep = _RUNNERS[suite](n, args)
-                    for case in rep.cases:
-                        merged.cases.append(type(case)(
-                            case.suite, f"n{n}:{case.case}", case.passed,
-                            case.residual, case.detail))
+        for suite, n in runs:
+            for case in _RUNNERS[suite](n, args).cases:
+                merged.cases.append(dataclasses.replace(
+                    case, case=f"n{n}:{case.case}") if prefixed else case)
         _emit(merged.lines(), out_file)
     return 0 if merged.ok else 1
+
+
+def _cmd_verify(args):
+    if args.suite:
+        return _run_suites(args, [(args.suite, args.n)])
+    return _run_suites(args, [
+        (suite, n) for suite in DEFAULT_SUITES
+        for n in ((1,) if suite in ("model2-n1", "obstruction") else (1, 2))],
+        prefixed=True)
 
 
 def _cmd_normalize(args):
@@ -214,12 +214,8 @@ def _cmd_integrate(args):
 
 
 def _cmd_repr_check(args):
-    with _out_file(args.out) as out_file:
-        rep = run_pointwise(args.n, args)
-        if args.n == 1:
-            rep.extend(run_model2(1, args))
-        _emit(rep.lines(), out_file)
-    return 0 if rep.ok else 1
+    return _run_suites(args, [("pointwise", args.n)]
+                       + [("model2-n1", 1)] * (args.n == 1))
 
 
 def build_arg_parser():

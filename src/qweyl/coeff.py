@@ -126,6 +126,18 @@ def _check_degree(d):
         raise ValueError(f"q0 degree {d} exceeds the bound {MAX_DEGREE}")
 
 
+def _power(base, k, one):
+    """``base**k``, ``k >= 0``, from the unit ``one`` by repeated squaring
+    (about ``log2(k)`` products), for scalars and combinations alike."""
+    out = one
+    while k:
+        if k & 1:
+            out = out * base
+        k >>= 1
+        base = base * base if k else base
+    return out
+
+
 def _trim(cs):
     n = len(cs)
     while n and not cs[n - 1]:
@@ -306,14 +318,7 @@ class ScalarValue:
             _check_degree(abs(k) * (max(len(self.num), len(self.den)) - 1))
         if k < 0:
             return self.inv() ** (-k)
-        out = ONE
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            k >>= 1
-            base = base * base if k else base
-        return out
+        return _power(self, k, ONE)
 
     def inv(self):
         if not self.num:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import cmath
 import contextlib
+import functools
 import math
 import os
 import struct
@@ -180,10 +181,6 @@ def _composed(scalar, leg_pairs):
     return ElementaryOperator(scalar, tuple(legs))
 
 
-def op_identity(n):
-    return ElementaryOperator(1.0 + 0j, ((0.0, 0.0),) * n)
-
-
 def adjoint_ops(ops):
     """Adjoint of a sum of elementary operators.
 
@@ -254,17 +251,15 @@ def represent_terms(n, terms, ctx):
     return ops
 
 
-# (element, ctx) -> its operators as a tuple, which callers never see
-_REPRESENT_MEMO = {}
+@functools.cache
+def _represented(element, ctx):
+    # a tuple, which callers never see
+    return tuple(represent_terms(element.n, element.as_terms(), ctx))
 
 
 def represent(element, ctx):
     """Represent a canonical algebra element, once per ``(element, ctx)``."""
-    ops = _REPRESENT_MEMO.get((element, ctx))
-    if ops is None:
-        ops = _REPRESENT_MEMO[(element, ctx)] = tuple(
-            represent_terms(element.n, element.as_terms(), ctx))
-    return list(ops)
+    return list(_represented(element, ctx))
 
 
 # -- pointwise verification -----------------------------------------------------
@@ -273,8 +268,11 @@ def represent(element, ctx):
 def _pieces_residual(pieces, state, scale):
     """Relative size of the summed images; ``scale`` is the state's norm.
 
-    The norms of the pieces and of their sum share one overlap table, which
-    lives for this call only.
+    The represented generators are unbounded, so individual term images can
+    dwarf the input state; the residual is therefore measured against the
+    largest contribution rather than the state norm alone.  The norms of the
+    pieces and of their sum share one overlap table, which lives for this
+    call only.
     """
     table = ({}, [], [])
     image = {}
@@ -283,17 +281,6 @@ def _pieces_residual(pieces, state, scale):
         scale = max(scale, norm(piece, table))
         accumulate(image, piece.terms.items())
     return norm(GaussianState(state.n, image), table) / scale
-
-
-def relation_residual(n, relation, state, ctx):
-    """Relative size of the relation image on a state.
-
-    The represented generators are unbounded, so individual term images can
-    dwarf the input state; the residual is therefore measured against the
-    largest contribution rather than the state norm alone.
-    """
-    pieces = [represent_terms(n, (term,), ctx) for term in relation.terms]
-    return _pieces_residual(pieces, state, norm(state))
 
 
 # Work, in operator terms times state terms, that pays for one more process
@@ -409,6 +396,18 @@ def check_relations_pointwise(n, relations, states, ctx, suite="pointwise"):
     return rep
 
 
+def _hermitian_residual(states, images, inner_product):
+    """Worst ``|<Op u, v> - <u, Op v>| / (1 + |<Op u, v>|)`` over each state
+    ``u`` and the next ``v`` (cyclically); ``images[i]`` is ``Op states[i]``."""
+    worst = 0.0
+    for i, u in enumerate(states):
+        j = (i + 1) % len(states)
+        lhs = inner_product(images[i], states[j])
+        rhs = inner_product(u, images[j])
+        worst = max(worst, abs(lhs - rhs) / (1.0 + abs(lhs)))
+    return worst
+
+
 def check_hermiticity_pointwise(n, states, ctx):
     """Symmetry ``<Op u, v> == <u, Op v>`` for the hermitian element list."""
     if not states:
@@ -416,13 +415,8 @@ def check_hermiticity_pointwise(n, states, ctx):
     rep = SuiteReport("pointwise")
     for name, element in hermitian_generators(n):
         ops = represent(element, ctx)
-        images = [apply_ops(ops, u) for u in states]
-        worst = 0.0
-        for i, u in enumerate(states):
-            j = (i + 1) % len(states)
-            lhs = inner(images[i], states[j])
-            rhs = inner(u, images[j])
-            worst = max(worst, abs(lhs - rhs) / (1.0 + abs(lhs)))
+        worst = _hermitian_residual(
+            states, [apply_ops(ops, u) for u in states], inner)
         rep.record(f"hermitian[{name}]", worst <= ctx.tolerance, residual=worst)
     return rep
 
@@ -525,10 +519,6 @@ def model2_apply(ops, state):
     return accumulate({}, images())
 
 
-def model2_add(u, v, cv=1.0):
-    return accumulate(dict(u), ((key, cv * amp) for key, amp in v.items()))
-
-
 def model2_inner(u, v):
     total = 0j
     for (e1, g1, c1), a1 in u.items():
@@ -552,13 +542,15 @@ def _m2_relation_residual(op_terms, states):
         for ops in op_terms:
             piece = model2_apply(ops, u)
             scale = max(scale, model2_norm(piece))
-            total = model2_add(total, piece)
+            accumulate(total, piece.items())
         worst = max(worst, model2_norm(total) / scale)
     return worst
 
 
 def check_model2(states, ctx):
     """Pointwise defining relations and hermiticity in the two-component model."""
+    if not states:
+        raise ValueError("a pointwise check needs at least one state")
     rep = SuiteReport("model2-n1")
     ops = model2_operators(ctx)
     qv = ctx.q_value
@@ -584,12 +576,8 @@ def check_model2(states, ctx):
     rep.record("Qdef", r <= ctx.tolerance, residual=r)
 
     for name in ("y", "x", "Q"):
-        worst = 0.0
-        for i, u in enumerate(states):
-            v = states[(i + 1) % len(states)]
-            lhs = model2_inner(model2_apply(ops[name], u), v)
-            rhs = model2_inner(u, model2_apply(ops[name], v))
-            worst = max(worst, abs(lhs - rhs) / (1.0 + abs(lhs)))
+        worst = _hermitian_residual(
+            states, [model2_apply(ops[name], u) for u in states], model2_inner)
         rep.record(f"hermitian[{name}]", worst <= ctx.tolerance, residual=worst)
 
     anti = mat_add(mat_mul(SIGMA0, SIGMA1), mat_mul(SIGMA1, SIGMA0))

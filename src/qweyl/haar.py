@@ -34,10 +34,6 @@ class FiniteRankOperator:
     def zero(n):
         return FiniteRankOperator(n, ())
 
-    @property
-    def rank_bound(self):
-        return len(self.terms)
-
     def _match(self, other):
         if self.n != other.n:
             raise ShapeMismatch(f"{self.n} legs vs {other.n}")
@@ -252,6 +248,8 @@ def check_obstruction():
 
 def check_operator_star_compat(n, ctx, count=8, seed=13):
     """(g > F)* == S(g)* > F* on random low-rank operators."""
+    if count < 1:
+        raise ValueError("a star-compatibility check needs at least one sample")
     rng = random.Random(seed)
     rep = SuiteReport("op-star")
     samples = [random_finite_rank(n, rng, max_rank=2, gentle=True)

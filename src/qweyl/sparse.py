@@ -1,6 +1,6 @@
 """Sparse linear combinations: the add-and-prune step and the shared base."""
 
-from .coeff import ONE, ScalarValue, integer
+from .coeff import ONE, ScalarValue, _power, integer
 from .errors import DescriptorMismatch
 
 
@@ -105,18 +105,10 @@ class Combination:
         return NotImplemented
 
     def __pow__(self, m):
-        """The ``m``-th power, ``m >= 0``, of a subclass with a product, by
-        repeated squaring: about ``log2(m)`` products."""
+        """The ``m``-th power, ``m >= 0``, of a subclass with a product."""
         if not isinstance(m, int) or m < 0:
             return NotImplemented
-        out = self.unit(self.n)
-        base = self
-        while m:
-            if m & 1:
-                out = out * base
-            m >>= 1
-            base = base * base if m else base
-        return out
+        return _power(self, m, self.unit(self.n))
 
     @property
     def is_zero(self):

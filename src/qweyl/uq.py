@@ -30,9 +30,17 @@ def hopf_gen(n, kind, j):
     return (kind, j)
 
 
-def generators(n, jmax=None):
+def _jmax(n, jmax):
+    """The highest generator index, ``n`` by default; below 1, a check over
+    the generators would pass vacuously."""
     jmax = n if jmax is None else jmax
-    return [(kind, j) for j in range(1, jmax + 1) for kind in _KINDS]
+    if jmax < 1:
+        raise ValueError("a check needs at least one generator index")
+    return jmax
+
+
+def generators(n, jmax=None):
+    return [(kind, j) for j in range(1, _jmax(n, jmax) + 1) for kind in _KINDS]
 
 
 class HopfElement(Combination):
@@ -152,23 +160,18 @@ def sandwich(n, g):
     raise ValueError(f"unknown generator kind {kind!r}")
 
 
-# (n, generator, monomial key) -> canonical term map of the generator's image
-# of that unit monomial; the maps are shared and must never be mutated
-_ACT_MEMO = {}
-
-
+@lru_cache(maxsize=None)
 def _act_monomial(n, g, key):
-    image = _ACT_MEMO.get((n, g, key))
-    if image is None:
-        m = AlgebraElement(n, {key: ONE})
-        total = AlgebraElement.zero(n)
-        for c, left, right in sandwich(n, g):
-            term = m if left is None else left * m
-            if right is not None:
-                term = term * right
-            total = total + term.scaled(c)
-        image = _ACT_MEMO[(n, g, key)] = total.terms
-    return image
+    """Canonical term map of ``g``'s image of the unit monomial ``key``;
+    the maps are shared and must never be mutated."""
+    m = AlgebraElement(n, {key: ONE})
+    total = AlgebraElement.zero(n)
+    for c, left, right in sandwich(n, g):
+        term = m if left is None else left * m
+        if right is not None:
+            term = term * right
+        total = total + term.scaled(c)
+    return total.terms
 
 
 def act(g, f):
@@ -198,7 +201,7 @@ def act_element(h, f):
 
 def action_table(n, jmax=None):
     """Expected generator-on-coordinate values as (gen, input, output, name)."""
-    jmax = n if jmax is None else jmax
+    jmax = _jmax(n, jmax)
     rows = []
     i_unit = coeff.I
     for j in range(1, jmax + 1):
@@ -326,12 +329,9 @@ def check_module_algebra(n, degree=3, jmax=None):
 
 def defining_relations(n, jmax=None):
     """Words that must annihilate every element through the action."""
-    jmax = n if jmax is None else jmax
+    jmax = _jmax(n, jmax)
     cart = cartan_matrix(n)
-    gens = {}
-    for j in range(1, jmax + 1):
-        for kind in _KINDS:
-            gens[(kind, j)] = HopfElement.generator(n, kind, j)
+    gens = {g: HopfElement.generator(n, *g) for g in generators(n, jmax)}
     rels = []
     lam_inv = coeff.LAMBDA_INV
     for i in range(1, jmax + 1):
@@ -451,11 +451,9 @@ def certify(n, g):
                                 _mono(n, kl).star()))
     if not star:
         closed.add("modstar")
-    # antipode: sum(S(h1) * h2) against eps(g) * 1 (x) 1
-    cancel = accumulate({}, (((unit, unit), -counit(hg)),))
-    for h1, h2 in cop:
-        accumulate(cancel, _tensor(n, antipode_element(h1) * h2).items())
-    if not cancel:
+    # antipode: sum(S(h1) * h2) - eps(g), one element whose tensor is zero
+    cancel = sum((antipode_element(h1) * h2 for h1, h2 in cop), -counit(hg))
+    if not _tensor(n, cancel):
         closed.add("antipode")
     return closed
 

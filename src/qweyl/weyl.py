@@ -31,10 +31,6 @@ def sign_of(n, k):
     return -1 if (n - k + 1) % 2 else 1
 
 
-def sign_table(n):
-    return tuple(sign_of(n, k) for k in range(1, n + 2))
-
-
 # -- the rewriting core -----------------------------------------------------
 #
 # Keys are (r, b, c): three n-tuples of exponents, b and c nonnegative with
@@ -519,14 +515,11 @@ def localized_relations(n):
                                     tl((1, _t_x(k) + _t_y(k))))),
                    qk)))
     if n == 1:
-        rels.append(Relation(
-            "xy",
-            tl_add(_q_commutator(tl((1, _t_x(1))), tl((1, _t_y(1))), q_power(2)),
-                   tl((-(coeff.ONE - q_power(2)), ())))))
-        rels.append(Relation(
-            "Qxy[y]", _q_commutator(tl_q(1, 1), tl((1, _t_y(1))), q_power(2))))
-        rels.append(Relation(
-            "Qxy[x]", _q_commutator(tl_q(1, 1), tl((1, _t_x(1))), q_power(-2))))
+        # the rank-one names of three relations above, equal term for term
+        terms = {rel.name: rel.terms for rel in rels}
+        for name, same in (("xy", "xyQ[k=1]"), ("Qxy[y]", "Qy[k=1,j=1]"),
+                           ("Qxy[x]", "Qx[k=1,j=1]")):
+            rels.append(Relation(name, terms[same]))
     return rels
 
 

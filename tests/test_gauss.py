@@ -7,6 +7,7 @@ import random
 import signal
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -19,6 +20,7 @@ from qweyl.gauss import (ElementaryOperator, GaussianState, _apply_leg,
                          _compose_legs, apply_ops, inner, norm, represent,
                          represent_word)
 from qweyl.report import SuiteReport
+from qweyl.sparse import accumulate
 
 CTX = NumericContext()
 NEG = NumericContext(phi=-math.pi / 5)
@@ -282,11 +284,15 @@ def test_apply_shift_through_representation():
     assert moved.terms == {((1.0, 1.0 + 0j),): 1.0 + 0j}
 
 
+def _identity_op(n):
+    return ElementaryOperator(1.0 + 0j, ((0.0, 0.0),) * n)
+
+
 def test_apply_identity_operator():
     rng = random.Random(44)
     for n in (1, 2):
         s = gauss.random_state(n, rng)
-        out = apply_ops([gauss.op_identity(n)], s)
+        out = apply_ops([_identity_op(n)], s)
         assert out.terms == s.terms
 
 
@@ -344,7 +350,8 @@ def test_pointwise_relation_suite():
 def test_trivial_relation_residual_zero():
     rel = weyl.Relation("one-minus-one", weyl.tl((1, ()), (-1, ())))
     state = GaussianState.from_legs(1.0, [(1.0, 0j)])
-    assert gauss.relation_residual(1, rel, state, CTX) == 0.0
+    rep = gauss.check_relations_pointwise(1, [rel], [state], CTX)
+    assert rep.cases[0].residual == 0.0
 
 
 def _residual_reference(n, relation, state, ctx):
@@ -371,7 +378,8 @@ def test_pointwise_check_equals_per_state_residuals(n):
             worst = 0.0
             for state in states:
                 want = _residual_reference(n, rel, state, CTX)
-                assert gauss.relation_residual(n, rel, state, CTX) == want
+                one = gauss.check_relations_pointwise(n, [rel], [state], CTX)
+                assert one.cases[0].residual == want
                 worst = max(worst, want)
             assert case.residual == worst
 
@@ -520,6 +528,29 @@ def test_hermiticity_forms_each_image_once(n, monkeypatch):
                 == want
             assert collections.Counter(calls) == \
                 {id(state): len(elements) for state in states}
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_hermiticity_residuals_are_bit_identical_to_the_per_pair_loop(data):
+    n = data.draw(st.integers(1, 2))
+    states = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        state = GaussianState.zero(n)
+        for _ in range(data.draw(st.integers(1, 2))):
+            legs = [(data.draw(st.floats(0.5, 2.0)),
+                     complex(data.draw(_part), data.draw(_part)))
+                    for _ in range(n)]
+            amp = complex(data.draw(_amp_part), data.draw(_amp_part))
+            state = state + GaussianState.from_legs(amp, legs)
+        assume(not state.is_zero)
+        states.append(state)
+    for ctx in (CTX, NEG):
+        want = _hermiticity_reference(n, states, ctx).cases
+        got = gauss.check_hermiticity_pointwise(n, states, ctx).cases
+        assert [c.case for c in got] == [c.case for c in want]
+        assert [c.residual.hex() for c in got] == \
+            [c.residual.hex() for c in want]
 
 
 def test_pointwise_checks_refuse_zero_states():
@@ -673,8 +704,8 @@ def test_split_cli_run_prints_each_line_once(tmp_path):
         + weyl.hermitian_generators(3))
 
 
-def test_represent_memo_matches_fresh_build(monkeypatch):
-    monkeypatch.setattr(gauss, "_REPRESENT_MEMO", {})
+def test_represent_memo_matches_fresh_build():
+    gauss._represented.cache_clear()
     rng = random.Random(23)
     for ctx in (CTX, NEG):
         for n in (1, 2, 3):
@@ -693,8 +724,8 @@ def test_represent_result_can_be_mutated_safely():
     element = weyl.gen_x(2, 1)
     first = represent(element, CTX)
     want = list(first)
-    first.append(gauss.op_identity(2))
-    first[0] = gauss.op_identity(2)
+    first.append(_identity_op(2))
+    first[0] = _identity_op(2)
     assert represent(element, CTX) == want
     first.clear()
     assert represent(element, CTX) == want
@@ -722,6 +753,72 @@ def test_model2_suite_both_signs():
         states = [gauss.model2_random_state(rng) for _ in range(10)]
         rep = gauss.check_model2(states, ctx)
         assert rep.ok, [(c.case, c.residual) for c in rep.failures()]
+
+
+def test_model2_refuses_zero_states():
+    with pytest.raises(ValueError, match="at least one state"):
+        gauss.check_model2([], CTX)
+
+
+def _model2_hermitian_reference(ops, states):
+    """Each pair forms both of its images afresh, as ``lhs`` and ``rhs``."""
+    worst = 0.0
+    for i, u in enumerate(states):
+        v = states[(i + 1) % len(states)]
+        lhs = gauss.model2_inner(gauss.model2_apply(ops, u), v)
+        rhs = gauss.model2_inner(u, gauss.model2_apply(ops, v))
+        worst = max(worst, abs(lhs - rhs) / (1.0 + abs(lhs)))
+    return worst
+
+
+def _model2_relation_reference(op_terms, states):
+    """Each partial sum a fresh dict of ``1.0 * amp`` added in, term by term."""
+    worst = 0.0
+    for u in states:
+        scale = gauss.model2_norm(u)
+        total = {}
+        for ops in op_terms:
+            piece = gauss.model2_apply(ops, u)
+            scale = max(scale, gauss.model2_norm(piece))
+            total = accumulate(dict(total),
+                               ((key, 1.0 * amp) for key, amp in piece.items()))
+        worst = max(worst, gauss.model2_norm(total) / scale)
+    return worst
+
+
+_model2_states = st.lists(
+    st.dictionaries(st.tuples(st.floats(0.5, 2.0), _part, _part,
+                              st.integers(0, 1)),
+                    st.tuples(_amp_part, _amp_part), min_size=1, max_size=2),
+    min_size=1, max_size=4)
+
+
+@given(drawn=_model2_states)
+@settings(max_examples=100, deadline=None)
+def test_model2_residuals_are_bit_identical_to_the_reference_loops(drawn):
+    states = [{(eps, complex(gr, gi), comp): complex(ar, ai)
+               for (eps, gr, gi, comp), (ar, ai) in terms.items()}
+              for terms in drawn]
+    assume(all(any(state.values()) for state in states))
+    residual = gauss._m2_relation_residual
+    for ctx in (CTX, NEG):
+        relations = []
+
+        def recorded(op_terms, states):
+            relations.append(op_terms)
+            return residual(op_terms, states)
+
+        with mock.patch.object(gauss, "_m2_relation_residual", recorded):
+            cases = gauss.check_model2(states, ctx).cases
+        ops = gauss.model2_operators(ctx)
+        want = [_model2_relation_reference(op_terms, states)
+                for op_terms in relations]
+        want += [_model2_hermitian_reference(ops[name], states)
+                 for name in ("y", "x", "Q")]
+        assert [c.case for c in cases[:7]] == [
+            "xy", "Qxy[y]", "Qxy[x]", "Qdef",
+            "hermitian[y]", "hermitian[x]", "hermitian[Q]"]
+        assert [c.residual.hex() for c in cases[:7]] == [r.hex() for r in want]
 
 
 def test_model2_sigma_anticommutation_exact():

@@ -99,6 +99,16 @@ def test_action_table_subalgebra_restriction():
         assert report.ok
 
 
+@pytest.mark.parametrize("check", [uq.check_action_table,
+                                   uq.check_module_algebra,
+                                   uq.check_defining_relations])
+def test_checks_refuse_no_generator_index(check):
+    # no index would make an empty report whose ``ok`` is true
+    for n, jmax in ((2, 0), (1, -1), (0, None)):
+        with pytest.raises(ValueError, match="at least one generator index"):
+            check(n, jmax=jmax)
+
+
 def test_single_pair_action_matches_signed_conjugator():
     # at one coordinate pair the signed square conjugates identically
     q_el = weyl.q_elem(1, 1)
@@ -181,7 +191,7 @@ def test_memoized_action_matches_direct_sandwich():
         elements = [_random_element(n, rng) for _ in range(3)]
         assert any(len(f.terms) > 1 for f in elements)
         for g in uq.generators(n):
-            uq._ACT_MEMO.clear()
+            uq._act_monomial.cache_clear()
             for f in elements:
                 want = _direct_action(g, f)
                 cold = act(g, f)
@@ -199,7 +209,7 @@ def test_memoized_action_element_matches_direct_words():
     for n, text in words.items():
         h = parse_hopf(text, n)
         f = _random_element(n, rng)
-        uq._ACT_MEMO.clear()
+        uq._act_monomial.cache_clear()
         want = _direct_action_element(h, f)
         assert act_element(h, f) == want
         assert act_element(h, f) == want
@@ -286,10 +296,10 @@ _SANDWICH = uq.sandwich
 @pytest.fixture
 def fresh_action():
     """No memoized action images before or after the test."""
-    uq._ACT_MEMO.clear()
+    uq._act_monomial.cache_clear()
     _SANDWICH.cache_clear()
     yield
-    uq._ACT_MEMO.clear()
+    uq._act_monomial.cache_clear()
     _SANDWICH.cache_clear()
 
 

@@ -441,6 +441,27 @@ def test_full_relation_suite_symbolically():
             assert element.is_zero, (n, rel.name, str(element))
 
 
+def _rank_one_reference():
+    """The rank-one ``xy``, ``Qxy[y]`` and ``Qxy[x]`` written out by hand."""
+    y, x = weyl.tl((1, (("y", 1),))), weyl.tl((1, (("x", 1),)))
+    qc = weyl._q_commutator
+    return {
+        "xy": weyl.tl_add(qc(x, y, q_power(2)),
+                          weyl.tl((-(coeff.ONE - q_power(2)), ()))),
+        "Qxy[y]": qc(weyl.tl_q(1, 1), y, q_power(2)),
+        "Qxy[x]": qc(weyl.tl_q(1, 1), x, q_power(-2)),
+    }
+
+
+def test_rank_one_relations_equal_their_hand_written_term_lists():
+    rels = weyl.localized_relations(1)
+    assert [rel.name for rel in rels[-3:]] == ["xy", "Qxy[y]", "Qxy[x]"]
+    got = {rel.name: rel.terms for rel in rels}
+    for name, want in _rank_one_reference().items():
+        assert got[name] == want, name
+        assert str(normal_form(1, got[name])) == str(normal_form(1, want))
+
+
 def test_hermitian_element_list():
     for n in (1, 2, 3):
         for name, element in weyl.hermitian_generators(n):
@@ -448,9 +469,12 @@ def test_hermitian_element_list():
 
 
 def test_sign_table():
-    assert weyl.sign_table(1) == (-1, 1)
-    assert weyl.sign_table(2) == (1, -1, 1)
-    assert weyl.sign_table(3) == (-1, 1, -1, 1)
+    def table(n):
+        return tuple(weyl.sign_of(n, k) for k in range(1, n + 2))
+
+    assert table(1) == (-1, 1)
+    assert table(2) == (1, -1, 1)
+    assert table(3) == (-1, 1, -1, 1)
     for n in (1, 2, 3):
         for k in range(1, n + 1):
             want = gen_r(n, k, 2).scaled(weyl.sign_of(n, k))
