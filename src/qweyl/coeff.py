@@ -162,6 +162,10 @@ def _pmul(a, b):
     if not a or not b:
         return ()
     _check_degree(len(a) + len(b) - 2)
+    if not any(b[:-1]):  # b is one term c*q0^k: shift and scale a
+        return (0,) * (len(b) - 1) + tuple(ca * b[-1] if ca else 0 for ca in a)
+    if not any(a[:-1]):
+        return (0,) * (len(a) - 1) + tuple(a[-1] * cb if cb else 0 for cb in b)
     out = [0] * (len(a) + len(b) - 1)
     for ka, ca in enumerate(a):
         if not ca:

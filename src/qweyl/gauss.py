@@ -3,16 +3,18 @@
 States live on ``n`` tensor legs, each a finite combination of packets
 ``exp(-eps*s**2 + gamma*s)`` with ``eps > 0``.  Every generator of the
 algebra becomes a finite sum of elementary operators: a complex scalar
-times one shift leg ``(t, p)`` per tensor leg, which applies ``e^{t T}``
-and then ``e^{p P}``:
+times one integer shift leg ``(t, m)`` per tensor leg, which applies
+``e^{t T}`` and then ``e^{p P}`` with ``p = m*phi``; the operator carries
+its P-shift unit ``phi``:
 
     e^{t T}: gamma -> gamma + t
     e^{p P}: prefactor *= exp(eps*p**2 + 1j*gamma*p), gamma -> gamma - 2j*eps*p
 
 Composing two legs moves the second ``T`` shift past the first ``P`` shift
-at the exact phase ``exp(-1j*p0*t1)``, so every leg stays one ``(t, p)``
-pair.  Applying any represented element to a state stays inside the
-family, and all inner products reduce to the closed-form Gaussian integral
+at the Weyl phase ``exp(-1j*phi*m0*t1)`` of integer exponent, so every leg
+stays one integer pair and operators with equal legs merge exactly.
+Applying any represented element to a state stays inside the family, and
+all inner products reduce to the closed-form Gaussian integral
 ``sqrt(pi/a) * exp(b**2/(4a))``.  The inner product is linear in its first
 argument.
 """
@@ -33,16 +35,18 @@ from .sparse import Combination, accumulate
 from .weyl import hermitian_generators
 
 
-def _apply_leg(eps, gamma, leg):
-    """Apply the shift leg ``(t, p)`` to ``exp(-eps*s**2 + gamma*s)``.
+def _apply_leg(eps, gamma, leg, phi):
+    """Apply the shift leg ``(t, m)`` to ``exp(-eps*s**2 + gamma*s)``.
 
-    Returns ``(gamma', prefactor)``; ``eps`` is unchanged.
+    Returns ``(gamma', prefactor)``; ``eps`` is unchanged.  This is the one
+    place that forms a P-shift, ``p = m*phi``.
     """
-    t, p = leg
+    t, m = leg
     if t:
         gamma = gamma + t
-    if not p:
+    if not m:
         return gamma, 1.0 + 0j
+    p = m * phi
     # not a no-op: the product by one turns a -0.0 part into +0.0
     pre = (1.0 + 0j) * cmath.exp(eps * p * p + 1j * gamma * p)
     return gamma - 2j * eps * p, pre
@@ -144,51 +148,53 @@ def norm(u, table=None):
 # -- elementary operators ------------------------------------------------------
 
 
-def _compose_legs(first, then):
+def _compose_legs(first, then, phi):
     """The leg ``first`` followed by ``then``, as ``(phase, leg)``.
 
     Moving the ``T`` shift of ``then`` past the ``P`` shift of ``first``
-    picks up ``exp(-1j*p0*t1)``.  Keeping legs composed avoids the huge
-    intermediate prefactors that uncomposed conjugation words would produce
-    on sharply peaked packets.
+    picks up ``exp(-1j*phi*k)`` with the integer exponent ``k = m0*t1``.
+    Keeping legs composed avoids the huge intermediate prefactors that
+    uncomposed conjugation words would produce on sharply peaked packets.
     """
-    t0, p0 = first
-    t1, p1 = then
-    arg = -p0 * t1
-    phase = cmath.exp(1j * arg) if arg else 1.0 + 0j
-    return phase, (t0 + t1, p0 + p1)
+    t0, m0 = first
+    t1, m1 = then
+    k = m0 * t1
+    phase = cmath.exp(1j * (-k * phi)) if k else 1.0 + 0j
+    return phase, (t0 + t1, m0 + m1)
 
 
 @dataclass(frozen=True)
 class ElementaryOperator:
-    """Complex scalar times one shift leg ``(t, p)`` per tensor leg."""
+    """Complex scalar times one integer shift leg ``(t, m)`` per tensor leg."""
 
     scalar: complex
-    legs: tuple  # per tensor leg: e^{t T}, then e^{p P}
+    legs: tuple  # per tensor leg: e^{t T}, then e^{m phi P}
+    phi: float  # the P-shift unit
 
     def applied_after(self, other):
         """Composite acting as ``other`` first, then ``self``."""
-        return _composed(self.scalar * other.scalar, zip(other.legs, self.legs))
+        return _composed(self.scalar * other.scalar, zip(other.legs, self.legs),
+                         self.phi)
 
 
-def _composed(scalar, leg_pairs):
+def _composed(scalar, leg_pairs, phi):
     """``scalar`` times the composite of each ``(first, then)`` leg pair."""
     legs = []
     for first, then in leg_pairs:
-        phase, leg = _compose_legs(first, then)
+        phase, leg = _compose_legs(first, then, phi)
         scalar *= phase
         legs.append(leg)
-    return ElementaryOperator(scalar, tuple(legs))
+    return ElementaryOperator(scalar, tuple(legs), phi)
 
 
 def adjoint_ops(ops):
     """Adjoint of a sum of elementary operators.
 
     Each shift is its own adjoint, so a leg's shifts act in reverse order
-    (``e^{p P}`` first, then ``e^{t T}``); scalars are conjugated.
+    (``e^{m phi P}`` first, then ``e^{t T}``); scalars are conjugated.
     """
     return [_composed(op.scalar.conjugate(),
-                      (((0.0, p), (t, 0.0)) for t, p in op.legs))
+                      (((0, m), (t, 0)) for t, m in op.legs), op.phi)
             for op in ops]
 
 
@@ -201,9 +207,10 @@ def apply_ops(ops, state):
                     raise ShapeMismatch(f"operator has {len(op.legs)} legs, "
                                         f"state has {state.n}")
                 val = amp * op.scalar
+                phi = op.phi
                 newkey = []
                 for (eps, gam), leg in zip(key, op.legs):
-                    gam, pre = _apply_leg(eps, gam, leg)
+                    gam, pre = _apply_leg(eps, gam, leg, phi)
                     val *= pre
                     newkey.append((eps, gam))
                 yield tuple(newkey), val
@@ -219,24 +226,24 @@ def _atom_variants(atom, n, ctx):
     phi = ctx.phi
     kind, k = atom[0], atom[1]
     main = n - k
-    before = ((0.0, phi),) * main
-    after = ((0.0, 0.0),) * (k - 1)
+    before = ((0, 1),) * main
+    after = ((0, 0),) * (k - 1)
     if kind == "R":
-        return [ElementaryOperator(1.0 + 0j,
-                                   ((0.0, atom[2] * phi),) * (main + 1) + after)]
+        return [ElementaryOperator(
+            1.0 + 0j, ((0, atom[2]),) * (main + 1) + after, phi)]
     if kind == "y":
-        return [ElementaryOperator(1.0 + 0j, before + ((1.0, 0.0),) + after)]
+        return [ElementaryOperator(1.0 + 0j, before + ((1, 0),) + after, phi)]
     if kind == "x":
         sign = -1.0 if main % 2 else 1.0
         return [ElementaryOperator(sign * ctx.q_value,
-                                   before + ((-1.0, 2.0 * phi),) + after),
-                ElementaryOperator(sign + 0j, before + ((-1.0, 0.0),) + after)]
+                                   before + ((-1, 2),) + after, phi),
+                ElementaryOperator(sign + 0j, before + ((-1, 0),) + after, phi)]
     raise ValueError(f"unknown atom kind {kind!r}")
 
 
 def represent_word(n, atoms, ctx, scalar=1.0 + 0j):
     """Represent a free product of generator atoms as elementary operators."""
-    ops = [ElementaryOperator(complex(scalar), ((0.0, 0.0),) * n)]
+    ops = [ElementaryOperator(complex(scalar), ((0, 0),) * n, ctx.phi)]
     for atom in reversed(tuple(atoms)):
         variants = _atom_variants(atom, n, ctx)
         ops = [v.applied_after(op) for op in ops for v in variants]
@@ -244,11 +251,12 @@ def represent_word(n, atoms, ctx, scalar=1.0 + 0j):
 
 
 def represent_terms(n, terms, ctx):
-    """Represent a weighted word list ``((scalar, atoms), ...)``."""
-    ops = []
-    for cv, atoms in terms:
-        ops.extend(represent_word(n, atoms, ctx, scalar=cv.evaluate(ctx)))
-    return ops
+    """Represent a weighted word list ``((scalar, atoms), ...)``; operators
+    with equal legs merge into one, in the order they first appear."""
+    merged = accumulate({}, ((op.legs, op.scalar) for cv, atoms in terms
+                             for op in represent_word(n, atoms, ctx,
+                                                      scalar=cv.evaluate(ctx))))
+    return [ElementaryOperator(s, legs, ctx.phi) for legs, s in merged.items()]
 
 
 @functools.cache
@@ -260,6 +268,12 @@ def _represented(element, ctx):
 def represent(element, ctx):
     """Represent a canonical algebra element, once per ``(element, ctx)``."""
     return list(_represented(element, ctx))
+
+
+@functools.cache
+def represent_adjoint(element, ctx):
+    """The adjoint of ``represent(element, ctx)``, built once, as a tuple."""
+    return tuple(adjoint_ops(_represented(element, ctx)))
 
 
 # -- pointwise verification -----------------------------------------------------
@@ -284,26 +298,24 @@ def _pieces_residual(pieces, state, scale):
 
 
 # Work, in operator terms times state terms, that pays for one more process
-# in a pointwise sweep: a fork costs about 8 ms of copy-on-write page faults,
-# which the rank-1 and rank-2 sweeps of ``verify`` (work below 2,000) do not
-# win back and the rank-3 sweeps (work above 20,000) do.
+# in a sweep: a fork costs about 8 ms of copy-on-write page faults, which the
+# rank-1 and rank-2 sweeps of ``verify`` (work below 2,500) do not win back
+# and the rank-3 sweeps at 60 samples (work above 18,000) do.
 WORK_PER_PROCESS = 5000
 
 
-def _process_count(cases, jobs):
-    """How many processes share a sweep: one unless it is large."""
+def _process_count(work, jobs):
+    """How many processes share a sweep of ``work``: one unless it is large."""
     if not hasattr(os, "fork"):
         return 1
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
-    work = sum(len(ops) for _, pieces in cases for ops in pieces) \
-        * sum(len(state.terms) for state, _ in jobs)
     return max(1, min(cpus, work // WORK_PER_PROCESS, len(jobs)))
 
 
-def _sweep(cases, jobs):
-    """Yield each ``(name, pieces)`` case's name and the residual of every
-    ``(state, scale)`` job, in order.
+def _sweep(cases, jobs, residual, work):
+    """Yield each ``(name, case)`` case's name and ``residual(case, *job)``
+    for every job, in order; ``work`` sizes the sweep for ``_process_count``.
 
     A large sweep cuts the jobs into contiguous chunks and forks a child for
     each chunk after the first, which writes its residuals case by case as
@@ -312,7 +324,7 @@ def _sweep(cases, jobs):
     this case and every later one, and so raises what the sequential loop
     raises.
     """
-    procs = _process_count(cases, jobs)
+    procs = _process_count(work, jobs)
     cut = [len(jobs) * k // procs for k in range(procs + 1)]
     chunks = [jobs[a:b] for a, b in zip(cut, cut[1:])]
     packs = [struct.Struct(f"{len(chunk)}d") for chunk in chunks]
@@ -332,11 +344,11 @@ def _sweep(cases, jobs):
                 break
             if not pid:
                 _child(cases, chunks[c], packs[c], w,
-                       [r] + [f.fileno() for f in reads[1:c]])
+                       [r] + [f.fileno() for f in reads[1:c]], residual)
             os.close(w)
             reads[c] = os.fdopen(r, "rb")
             pids.append(pid)
-        for name, pieces in cases:
+        for name, case in cases:
             residuals = []
             for c, (chunk, pack) in enumerate(zip(chunks, packs)):
                 data = reads[c].read(pack.size) if reads[c] else b""
@@ -346,8 +358,7 @@ def _sweep(cases, jobs):
                 if reads[c]:
                     reads[c].close()
                     reads[c] = None
-                residuals.extend(_pieces_residual(pieces, state, scale)
-                                 for state, scale in chunk)
+                residuals.extend(residual(case, *job) for job in chunk)
             yield name, residuals
     finally:
         for f in reads:
@@ -358,7 +369,7 @@ def _sweep(cases, jobs):
             os.waitpid(pid, 0)
 
 
-def _child(cases, chunk, pack, w, inherited):
+def _child(cases, chunk, pack, w, inherited, residual):
     """Write the chunk's residuals case by case to ``w`` and exit.
 
     The child closes the read ends it inherited, so that it stops on a
@@ -371,9 +382,8 @@ def _child(cases, chunk, pack, w, inherited):
         for r in inherited:
             os.close(r)
         with os.fdopen(w, "wb") as out:
-            for _, pieces in cases:
-                out.write(pack.pack(*(_pieces_residual(pieces, state, scale)
-                                      for state, scale in chunk)))
+            for _, case in cases:
+                out.write(pack.pack(*(residual(case, *job) for job in chunk)))
                 out.flush()
         code = 0
     finally:
@@ -387,11 +397,12 @@ def check_relations_pointwise(n, relations, states, ctx, suite="pointwise"):
     jobs = [(state, norm(state)) for state in states]
     cases = [(rel.name, [represent_terms(n, (term,), ctx) for term in rel.terms])
              for rel in relations]
-    with contextlib.closing(_sweep(cases, jobs)) as sweep:
+    work = sum(len(ops) for _, pieces in cases for ops in pieces) \
+        * sum(len(state.terms) for state in states)
+    sweep = _sweep(cases, jobs, _pieces_residual, work)
+    with contextlib.closing(sweep):
         for name, residuals in sweep:
-            worst = 0.0
-            for r in residuals:
-                worst = max(worst, r)
+            worst = max(0.0, *residuals)
             rep.record(name, worst <= ctx.tolerance, residual=worst)
     return rep
 
@@ -443,7 +454,7 @@ def sample_states(n, rng, count):
 # -- the rank-one two-component model (single coordinate pair only) -----------
 #
 # States carry an internal two-component leg; operators are sums of
-# (scalar, shift leg, 2x2 matrix).
+# (one-leg ElementaryOperator, 2x2 matrix) pairs.
 
 SIGMA0 = ((1.0 + 0j, 0j), (0j, -1.0 + 0j))
 SIGMA1 = ((0j, 1.0 + 0j), (1.0 + 0j, 0j))
@@ -460,19 +471,23 @@ def mat_add(a, b):
 
 
 def model2_operators(ctx):
-    """Two-component realization of the single-pair coordinate algebra."""
+    """Two-component realization of the single-pair coordinate algebra;
+    its one-leg operators shift P in units of ``beta = 2*phi -+ pi``."""
     phi = ctx.phi
     s = 1.0 if phi > 0 else -1.0
     beta = 2.0 * phi - s * math.pi
     qv = ctx.q_value
     s01 = mat_mul(SIGMA0, SIGMA1)
+
+    def op(scalar, leg, mat):
+        return ElementaryOperator(scalar, (leg,), beta), mat
+
     return {
-        "y": [(1.0 + 0j, (1.0, 0.0), SIGMA1)],
-        "x": [(qv, (-1.0, beta), s01),
-              (1.0 + 0j, (-1.0, 0.0), SIGMA1)],
-        "Q": [(-1.0 + 0j, (0.0, beta), SIGMA0)],
-        "Qinv": [(-1.0 + 0j, (0.0, -beta), SIGMA0)],
-        "one": [(1.0 + 0j, (0.0, 0.0), ID2)],
+        "y": [op(1.0 + 0j, (1, 0), SIGMA1)],
+        "x": [op(qv, (-1, 1), s01), op(1.0 + 0j, (-1, 0), SIGMA1)],
+        "Q": [op(-1.0 + 0j, (0, 1), SIGMA0)],
+        "Qinv": [op(-1.0 + 0j, (0, -1), SIGMA0)],
+        "one": [op(1.0 + 0j, (0, 0), ID2)],
     }
 
 
@@ -493,24 +508,21 @@ def model2_random_state(rng):
 
 def m2_compose(after, before):
     """Compose two-component operators (``before`` acts first)."""
-    out = []
-    for sa, la, ma in after:
-        for sb, lb, mb in before:
-            phase, leg = _compose_legs(lb, la)
-            out.append((sa * sb * phase, leg, mat_mul(ma, mb)))
-    return out
+    return [(a.applied_after(b), mat_mul(ma, mb))
+            for a, ma in after for b, mb in before]
 
 
 def m2_scaled(c, ops):
-    return [(c * s, w, m) for s, w, m in ops]
+    return [(ElementaryOperator(c * op.scalar, op.legs, op.phi), m)
+            for op, m in ops]
 
 
 def model2_apply(ops, state):
     def images():
         for (eps, gam, comp), amp in state.items():
-            for scalar, leg, mat in ops:
-                shifted, pre = _apply_leg(eps, gam, leg)
-                base = amp * scalar * pre
+            for op, mat in ops:
+                shifted, pre = _apply_leg(eps, gam, op.legs[0], op.phi)
+                base = amp * op.scalar * pre
                 for row in range(2):
                     entry = mat[row][comp]
                     if entry != 0:

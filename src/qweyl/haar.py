@@ -9,6 +9,7 @@ against the scale density, ``h(F) = c * sum(amp * <ket, density bra>)``.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import random
@@ -17,7 +18,8 @@ from dataclasses import dataclass, field
 from . import coeff, gauss, uq, weyl
 from .coeff import NumericContext
 from .errors import ShapeMismatch
-from .gauss import GaussianState, adjoint_ops, apply_ops, inner, norm, represent
+from .gauss import (GaussianState, apply_ops, inner, norm, represent,
+                    represent_adjoint)
 from .report import SuiteReport
 
 
@@ -69,12 +71,12 @@ class FiniteRankOperator:
             tuple((amp, apply_ops(ops, ket), bra)
                   for amp, ket, bra in self.terms))
 
-    def right_composed(self, ops):
-        """Compose with an operator sum on the right (adjoint acts on bras)."""
-        adj = adjoint_ops(ops)
+    def bras_applied(self, ops):
+        """Apply an operator sum to every bra, which composes on the right
+        with the sum's adjoint."""
         return FiniteRankOperator(
             self.n,
-            tuple((amp, ket, apply_ops(adj, bra))
+            tuple((amp, ket, apply_ops(ops, bra))
                   for amp, ket, bra in self.terms))
 
 
@@ -141,7 +143,7 @@ def act_on_operator(g, F, ctx):
     for c, left, right in uq.sandwich(F.n, g):
         term = F if left is None else F.left_composed(represent(left, ctx))
         if right is not None:
-            term = term.right_composed(represent(right, ctx))
+            term = term.bras_applied(represent_adjoint(right, ctx))
         out = out + term.scaled(c.evaluate(ctx))
     return out
 
@@ -178,20 +180,32 @@ def check_invariance(n, ictx, count=20, seed=7, max_rank=3):
     rng = random.Random(seed)
     rep = SuiteReport("invariance")
     samples = [random_finite_rank(n, rng, max_rank) for _ in range(count)]
-    bases = [quantum_trace(F, ictx) for F in samples]
-    tol = ictx.ctx.tolerance
-    for g in uq.generators(n):
-        gname = uq._gen_str(g)
-        worst = 0.0
-        for F, base in zip(samples, bases):
-            moved = quantum_trace(act_on_operator(g, F, ictx.ctx), ictx)
-            eps = 1.0 if g[0] in (uq.K, uq.KINV) else 0.0
-            # relative to |c|, so the residual does not scale with c
-            err = abs(moved - eps * base) / (abs(ictx.c) + abs(base))
-            if not math.isfinite(err):
-                raise OverflowError(f"the {gname} invariance residual is {err}")
-            worst = max(worst, err)
-        rep.record(f"{gname}", worst <= tol, residual=worst)
+    jobs = [(F, quantum_trace(F, ictx)) for F in samples]
+
+    def residual(g, F, base):
+        moved = quantum_trace(act_on_operator(g, F, ictx.ctx), ictx)
+        eps = 1.0 if g[0] in (uq.K, uq.KINV) else 0.0
+        # relative to |c|, so the residual does not scale with c
+        err = abs(moved - eps * base) / (abs(ictx.c) + abs(base))
+        if not math.isfinite(err):
+            raise OverflowError(f"the {uq._gen_str(g)} invariance residual "
+                                f"is {err}")
+        return err
+
+    # operator terms times state terms, the units of a pointwise sweep; the
+    # operators are built here, before any fork
+    gens = uq.generators(n)
+    dens = len(density_ops(n, ictx))
+    ops = sum(dens + (len(represent(left, ictx.ctx)) if left else 0)
+              + (len(represent_adjoint(right, ictx.ctx)) if right else 0)
+              for g in gens for _, left, right in uq.sandwich(n, g))
+    work = ops * sum(len(ket.terms) + len(bra.terms)
+                     for F in samples for _, ket, bra in F.terms)
+    cases = [(uq._gen_str(g), g) for g in gens]
+    with contextlib.closing(gauss._sweep(cases, jobs, residual, work)) as sweep:
+        for gname, residuals in sweep:
+            worst = max(0.0, *residuals)
+            rep.record(gname, worst <= ictx.ctx.tolerance, residual=worst)
     return rep
 
 
@@ -216,8 +230,10 @@ def check_cyclicity(n, ictx, count=20, seed=7):
         G = random_finite_rank(n, rng, max_rank=2)
         a_ops = represent(a_el, ictx.ctx)
         b_ops = represent(b_el, ictx.ctx)
-        t1 = plain_trace(G.left_composed(a_ops).right_composed(b_ops))
-        t2 = plain_trace(G.right_composed(b_ops).right_composed(a_ops))
+        a_adj = represent_adjoint(a_el, ictx.ctx)
+        b_adj = represent_adjoint(b_el, ictx.ctx)
+        t1 = plain_trace(G.left_composed(a_ops).bras_applied(b_adj))
+        t2 = plain_trace(G.bras_applied(b_adj).bras_applied(a_adj))
         t3 = plain_trace(G.left_composed(a_ops).left_composed(b_ops))
         scale = 1.0 + max(abs(t1), abs(t2), abs(t3))
         worst = max(abs(t1 - t2), abs(t2 - t3), abs(t1 - t3)) / scale

@@ -512,3 +512,40 @@ def test_dense_power_checks_its_degree_before_any_product(monkeypatch):
         with pytest.raises(ValueError) as err:
             base ** k
         assert str(err.value) == f"q0 degree {degree} exceeds the bound 64"
+
+
+# -- products by a one-term factor ---------------------------------------------
+
+
+def _dense_pmul(a, b):
+    """The product through the double loop over every coefficient pair."""
+    out = [0] * (len(a) + len(b) - 1)
+    for ka, ca in enumerate(a):
+        for kb, cb in enumerate(b):
+            if ca and cb:
+                out[ka + kb] = out[ka + kb] + ca * cb
+    return coeff._trim(out)
+
+
+# canonical coefficients: an int, a non-integral Fraction, or a QI with a
+# nonzero imaginary part
+_coefficient = st.one_of(
+    st.integers(-5, 5), _fracs.filter(lambda f: f.denominator != 1),
+    st.builds(lambda re, im: QI(coeff._digit(re), coeff._digit(im)),
+              _fracs, _fracs.filter(bool)))
+_nonzero_coefficient = _coefficient.filter(bool)
+_one_term = st.builds(lambda k, c: (0,) * k + (c,),
+                      st.integers(0, 6), _nonzero_coefficient)
+_dense = st.builds(lambda cs, top: tuple(cs) + (top,),
+                   st.lists(_coefficient, max_size=6), _nonzero_coefficient)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_one_term, _dense, st.booleans())
+def test_one_term_factor_shifts_and_scales_as_the_dense_product(
+        one, other, one_first):
+    a, b = (one, other) if one_first else (other, one)
+    got = coeff._pmul(a, b)
+    want = _dense_pmul(a, b)
+    assert got == want
+    assert [type(c) for c in got] == [type(c) for c in want]

@@ -1,5 +1,6 @@
 import cmath
 import collections
+import dataclasses
 import math
 import os
 import pathlib
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import quad
 
-from qweyl import gauss, weyl
+from qweyl import cli, gauss, haar, uq, weyl
 from qweyl.coeff import NumericContext
 from qweyl.errors import ShapeMismatch
 from qweyl.gauss import (ElementaryOperator, GaussianState, _apply_leg,
@@ -46,62 +47,182 @@ def _random_leg(rng):
 
 
 def test_shift_t_examples():
-    assert _apply_leg(1.0, 0j, (0.0, 0.0)) == (0j, 1.0 + 0j)
-    assert _apply_leg(1.0, 0j, (2.0, 0.0)) == (2.0 + 0j, 1.0 + 0j)
-    first, _ = _apply_leg(1.0, 0j, (-0.5, 0.0))
-    assert _apply_leg(1.0, first, (1.5, 0.0)) == _apply_leg(1.0, 0j, (1.0, 0.0))
+    phi = CTX.phi
+    assert _apply_leg(1.0, 0j, (0, 0), phi) == (0j, 1.0 + 0j)
+    assert _apply_leg(1.0, 0j, (2, 0), phi) == (2.0 + 0j, 1.0 + 0j)
+    first, _ = _apply_leg(1.0, 0j, (-1, 0), phi)
+    assert _apply_leg(1.0, first, (3, 0), phi) == \
+        _apply_leg(1.0, 0j, (2, 0), phi)
 
 
 def test_shift_p_single_step_values():
-    gamma, pre = _apply_leg(1.0, 0j, (0.0, 1.0))
+    gamma, pre = _apply_leg(1.0, 0j, (0, 1), 1.0)
     assert gamma == -2j
     assert pre == pytest.approx(math.e)
+    # the P-shift is m units of phi
+    assert _apply_leg(1.0, 0j, (0, 2), 0.5) == _apply_leg(1.0, 0j, (0, 1), 1.0)
 
 
 def test_shift_p_matches_imaginary_translation():
     rng = random.Random(12)
     for _ in range(6):
         eps, gamma = _random_leg(rng)
-        beta = rng.uniform(-1.5, 1.5)
-        shifted, pre = _apply_leg(eps, gamma, (0.0, beta))
+        phi = rng.uniform(-0.75, 0.75)
+        m = rng.choice((-2, -1, 1, 2))
+        shifted, pre = _apply_leg(eps, gamma, (0, m), phi)
         for t in (-1.3, 0.0, 0.7, 2.1):
-            direct = packet_value(eps, gamma, t + 1j * beta)
+            direct = packet_value(eps, gamma, t + 1j * m * phi)
             got = pre * packet_value(eps, shifted, t)
             assert got == pytest.approx(direct, rel=1e-12)
 
 
 def test_weyl_exchange_relation_exact_fields():
-    # e^{bP} e^{aT} == e^{iba} e^{aT} e^{bP} inside the family
+    # e^{bP} e^{aT} == e^{iba} e^{aT} e^{bP} inside the family, b = m*phi
     rng = random.Random(3)
     for _ in range(8):
         eps, gamma = _random_leg(rng)
-        alpha = rng.uniform(-2, 2)
-        beta = rng.uniform(-2, 2)
-        lhs, lhs_pre = _apply_leg(eps, gamma, (alpha, beta))
-        mid, pre_p = _apply_leg(eps, gamma, (0.0, beta))
-        rhs, pre_t = _apply_leg(eps, mid, (alpha, 0.0))
+        phi = rng.uniform(-1, 1)
+        alpha = rng.randint(-2, 2)
+        m = rng.randint(-2, 2)
+        lhs, lhs_pre = _apply_leg(eps, gamma, (alpha, m), phi)
+        mid, pre_p = _apply_leg(eps, gamma, (0, m), phi)
+        rhs, pre_t = _apply_leg(eps, mid, (alpha, 0), phi)
         assert lhs == rhs
-        rhs_pre = cmath.exp(1j * beta * alpha) * pre_p * pre_t
+        rhs_pre = cmath.exp(1j * m * phi * alpha) * pre_p * pre_t
         assert lhs_pre == pytest.approx(rhs_pre, rel=1e-13)
 
 
 def test_leg_composition_phase():
-    phase, leg = _compose_legs((0.0, 2.0), (1.5, 0.0))
-    assert leg == (1.5, 2.0)
-    assert phase == pytest.approx(cmath.exp(-3j))
-    phase, leg = _compose_legs((0.0, 1.0), (0.0, -1.0))
+    phi = 0.75
+    phase, leg = _compose_legs((0, 2), (3, 0), phi)
+    assert leg == (3, 2)
+    assert phase == pytest.approx(cmath.exp(-6j * phi))
+    phase, leg = _compose_legs((0, 1), (0, -1), phi)
     assert phase == 1.0
-    assert leg == (0.0, 0.0)
+    assert leg == (0, 0)
 
 
 def test_operator_word_exchange_collapses_identically():
     # the exchange relation holds at the level of composed operator data
-    lhs = ElementaryOperator(1.0 + 0j, ((0.75, -1.25),))
-    p_first = ElementaryOperator(1.0 + 0j, ((0.0, -1.25),))
-    rhs = ElementaryOperator(cmath.exp(1j * (-1.25) * 0.75),
-                             ((0.75, 0.0),)).applied_after(p_first)
+    phi = -0.625
+    lhs = ElementaryOperator(1.0 + 0j, ((3, 2),), phi)
+    p_first = ElementaryOperator(1.0 + 0j, ((0, 2),), phi)
+    rhs = ElementaryOperator(cmath.exp(1j * 2 * phi * 3),
+                             ((3, 0),), phi).applied_after(p_first)
     assert lhs.legs == rhs.legs
     assert lhs.scalar == pytest.approx(rhs.scalar, rel=1e-15)
+
+
+# -- the float-leg oracle ------------------------------------------------------
+#
+# Legs as float pairs ``(t, p)``, applying ``e^{tT}`` then ``e^{pP}``, composed
+# at the phase ``exp(-1j*p0*t1)`` of their float shifts.
+
+
+def _float_compose(first, then):
+    t0, p0 = first
+    t1, p1 = then
+    arg = -p0 * t1
+    phase = cmath.exp(1j * arg) if arg else 1.0 + 0j
+    return phase, (t0 + t1, p0 + p1)
+
+
+def _float_variants(atom, n, ctx):
+    phi = ctx.phi
+    kind, k = atom[0], atom[1]
+    main = n - k
+    before = ((0.0, phi),) * main
+    after = ((0.0, 0.0),) * (k - 1)
+    if kind == "R":
+        return [(1.0 + 0j, ((0.0, atom[2] * phi),) * (main + 1) + after)]
+    if kind == "y":
+        return [(1.0 + 0j, before + ((1.0, 0.0),) + after)]
+    sign = -1.0 if main % 2 else 1.0
+    return [(sign * ctx.q_value, before + ((-1.0, 2.0 * phi),) + after),
+            (sign + 0j, before + ((-1.0, 0.0),) + after)]
+
+
+def _float_represent_word(n, atoms, ctx, scalar=1.0 + 0j):
+    """``(scalar, float legs)`` per term, in ``represent_word``'s order."""
+    ops = [(complex(scalar), ((0.0, 0.0),) * n)]
+    for atom in reversed(atoms):
+        out = []
+        for s0, legs0 in ops:
+            for s1, legs1 in _float_variants(atom, n, ctx):
+                value, legs = s1 * s0, []
+                for first, then in zip(legs0, legs1):
+                    phase, leg = _float_compose(first, then)
+                    value *= phase
+                    legs.append(leg)
+                out.append((value, tuple(legs)))
+        ops = out
+    return ops
+
+
+def _float_apply(float_ops, state):
+    """Apply float-leg operators: a leg ``(t, p)`` is ``(t, 1)`` in units
+    of ``p``."""
+    def images():
+        for key, amp in state.terms.items():
+            for scalar, legs in float_ops:
+                val = amp * scalar
+                newkey = []
+                for (eps, gam), (t, p) in zip(key, legs):
+                    gam, pre = _apply_leg(eps, gam, (t, 1), p)
+                    val *= pre
+                    newkey.append((eps, gam))
+                yield tuple(newkey), val
+
+    return GaussianState(state.n, accumulate({}, images()))
+
+
+_atom = st.one_of(
+    st.tuples(st.just("R"), st.integers(1, 3), st.sampled_from([-2, -1, 1, 2])),
+    st.tuples(st.sampled_from(["x", "y"]), st.integers(1, 3)))
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_integer_legs_match_the_float_oracle(data):
+    n = data.draw(st.integers(1, 3))
+    atoms = tuple(data.draw(st.lists(_atom.filter(lambda a: a[1] <= n),
+                                     max_size=5)))
+    phi = data.draw(st.floats(0.05, 3.1))
+    assume(abs(phi - math.pi / 2) > 1e-6)
+    ctx = NumericContext(phi=phi if data.draw(st.booleans()) else -phi)
+    scalar = complex(data.draw(_unit), data.draw(_unit))
+    got = represent_word(n, atoms, ctx, scalar)
+    want = _float_represent_word(n, atoms, ctx, scalar)
+    assert len(got) == len(want)
+    for op, (value, legs) in zip(got, want):
+        assert op.phi == ctx.phi
+        assert all(type(t) is int and type(m) is int for t, m in op.legs)
+        assert [t for t, _ in op.legs] == [t for t, _ in legs]
+        for (_, m), (_, p) in zip(op.legs, legs):
+            assert abs(m * ctx.phi - p) <= 1e-12
+        assert abs(op.scalar - value) <= 1e-12
+
+
+def test_one_element_represented_at_two_phis_in_one_process():
+    n = 2
+    x1 = weyl.gen_x(n, 1)
+    element = x1 * x1 * weyl.gen_y(n, 2)
+    rng = random.Random(5)
+    u = gauss.random_state(n, rng, eps_range=(0.6, 1.2), gamma_bound=1.0)
+    v = gauss.random_state(n, rng, eps_range=(0.6, 1.2), gamma_bound=1.0)
+    seen = {}
+    for ctx in (CTX, NEG, CTX, NEG):
+        ops = represent(element, ctx)
+        assert {op.phi for op in ops} == {ctx.phi}
+        oracle = [op for cv, atoms in element.as_terms()
+                  for op in _float_represent_word(n, atoms, ctx,
+                                                  cv.evaluate(ctx))]
+        assert len(ops) < len(oracle)  # equal legs merged
+        image = apply_ops(ops, u)
+        got, want = inner(image, v), inner(_float_apply(oracle, u), v)
+        assert abs(got - want) <= 1e-12 * max(1.0, norm(image) * norm(v))
+        assert seen.setdefault(ctx.phi, got) == got
+    assert abs(seen[CTX.phi] - seen[NEG.phi]) > 1e-3
 
 
 # -- inner products -----------------------------------------------------------
@@ -126,7 +247,7 @@ def test_inner_matches_quadrature():
         byquad = complex_quad(lambda t: packet_value(eu, gu, t)
                               * packet_value(ev, gv, t).conjugate())
         assert direct == pytest.approx(byquad, rel=1e-9)
-        shift = [ElementaryOperator(1.0 + 0j, ((0.0, beta),))]
+        shift = [ElementaryOperator(1.0 + 0j, ((0, 1),), beta)]
         direct = inner(apply_ops(shift, u), v)
         byquad = complex_quad(lambda t: packet_value(eu, gu, t + 1j * beta)
                               * packet_value(ev, gv, t).conjugate())
@@ -269,13 +390,14 @@ def test_shape_mismatch():
 
 def test_represent_single_pair_generators():
     ops = represent(weyl.gen_y(1, 1), CTX)
-    assert ops == [ElementaryOperator(1.0 + 0j, ((1.0, 0.0),))]
+    assert ops == [ElementaryOperator(1.0 + 0j, ((1, 0),), CTX.phi)]
     ops = represent(weyl.gen_r(1, 1), CTX)
-    assert ops == [ElementaryOperator(1.0 + 0j, ((0.0, CTX.phi),))]
+    assert ops == [ElementaryOperator(1.0 + 0j, ((0, 1),), CTX.phi)]
     ops = represent(weyl.q_elem(1, 1), CTX)
     assert len(ops) == 1
     assert ops[0].scalar == pytest.approx(-1.0)
-    assert ops[0].legs == ((0.0, 2 * CTX.phi),)
+    assert ops[0].legs == ((0, 2),)
+    assert ops[0].phi == CTX.phi
 
 
 def test_apply_shift_through_representation():
@@ -285,7 +407,7 @@ def test_apply_shift_through_representation():
 
 
 def _identity_op(n):
-    return ElementaryOperator(1.0 + 0j, ((0.0, 0.0),) * n)
+    return ElementaryOperator(1.0 + 0j, ((0, 0),) * n, CTX.phi)
 
 
 def test_apply_identity_operator():
@@ -358,9 +480,8 @@ def _residual_reference(n, relation, state, ctx):
     """Per-state loop: represent every term again for this one state."""
     scale = norm(state)
     image = GaussianState.zero(state.n)
-    for cv, atoms in relation.terms:
-        piece = apply_ops(represent_word(n, atoms, ctx, scalar=cv.evaluate(ctx)),
-                          state)
+    for term in relation.terms:
+        piece = apply_ops(gauss.represent_terms(n, (term,), ctx), state)
         scale = max(scale, norm(piece))
         image = image + piece
     return norm(image) / scale
@@ -382,6 +503,37 @@ def test_pointwise_check_equals_per_state_residuals(n):
                 assert one.cases[0].residual == want
                 worst = max(worst, want)
             assert case.residual == worst
+
+
+def _planted(defect):
+    """``_atom_variants`` with one defect in its atom table."""
+    variants = gauss._atom_variants
+
+    def planted(atom, n, ctx):
+        ops = variants(atom, n, ctx)
+        if atom[0] == "x" and defect == "x-q-squared":
+            ops[0] = dataclasses.replace(ops[0],
+                                         scalar=ops[0].scalar * ctx.q_value)
+        elif atom[0] == "x" and defect == "x-second-sign":
+            ops[1] = dataclasses.replace(ops[1], scalar=-ops[1].scalar)
+        elif atom[0] == "R" and defect == "R-first-leg-doubled":
+            (t, m), *rest = ops[0].legs
+            ops[0] = dataclasses.replace(ops[0], legs=((t, 2 * m), *rest))
+        return ops
+
+    return planted
+
+
+@pytest.mark.parametrize("defect", ["x-q-squared", "x-second-sign",
+                                    "R-first-leg-doubled"])
+def test_planted_defects_fail_the_pointwise_check(defect, monkeypatch):
+    n = 3
+    states = gauss.sample_states(n, random.Random(8), 3)
+    rels = weyl.coordinate_relations(n) + weyl.localized_relations(n) + \
+        weyl.ab_rho_relations(n)
+    assert gauss.check_relations_pointwise(n, rels, states, CTX).ok
+    monkeypatch.setattr(gauss, "_atom_variants", _planted(defect))
+    assert not gauss.check_relations_pointwise(n, rels, states, CTX).ok
 
 
 def _norm_pairs_reference(u):
@@ -417,8 +569,7 @@ _pool = st.lists(st.tuples(st.sampled_from([0.5, 1.0, 1.5]), _part, _part),
 # amplitude parts stay clear of the underflow that zeroes a norm
 _amp_part = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(0.01, 1.0),
                       st.floats(-1.0, -0.01))
-_shift = st.sampled_from([(0.0, 0.0), (0.0, -0.0), (1.0, 0.0), (-1.0, 0.0),
-                          (0.0, 0.25), (-1.0, 0.25)])
+_shift = st.sampled_from([(0, 0), (1, 0), (-1, 0), (0, 1), (-1, 1)])
 
 
 @given(data=st.data())
@@ -444,11 +595,12 @@ def test_shared_overlap_table_is_bit_identical(data):
         ops = [ElementaryOperator(complex(data.draw(_amp_part),
                                           data.draw(_amp_part)),
                                   tuple(data.draw(st.lists(_shift, min_size=n,
-                                                           max_size=n))))
+                                                           max_size=n))),
+                                  0.25)
                for _ in range(data.draw(st.integers(1, 3)))]
         pieces.append(ops)
         if data.draw(st.booleans()):  # a piece that cancels the last one
-            pieces.append([ElementaryOperator(-op.scalar, op.legs)
+            pieces.append([ElementaryOperator(-op.scalar, op.legs, op.phi)
                            for op in ops])
     scale = norm(state)
     assert scale == _norm_pairs_reference(state)
@@ -659,6 +811,117 @@ def test_split_sweep_outlives_a_killed_child(monkeypatch, no_child_left):
     pids = _processes(monkeypatch, 3)
     assert gauss.check_relations_pointwise(n, rels, states, CTX).lines() == want
     assert len(pids) == 2
+
+
+def _invariance(seed=5):
+    """The invariance suite at n=3 on six sampled operators."""
+    return haar.check_invariance(3, haar.IntegralContext(ctx=CTX), count=6,
+                                 seed=seed)
+
+
+def test_split_invariance_reports_what_one_process_reports(monkeypatch,
+                                                           no_child_left):
+    for seed in (5, 7):
+        _processes(monkeypatch, 1)
+        want = _invariance(seed)
+        for count in (2, 3):
+            pids = _processes(monkeypatch, count)
+            got = _invariance(seed)
+            assert len(pids) == count - 1
+            assert got.lines() == want.lines()
+            assert [c.residual.hex() for c in got.cases] == \
+                [c.residual.hex() for c in want.cases]
+
+
+def _failing_action(monkeypatch, fail):
+    """Patch ``haar.act_on_operator`` to call ``fail(name, index)`` first,
+    with the generator's name and the index of the sampled operator, and
+    to scale its image by what ``fail`` returns if that is not None.
+
+    Returns the list of sampled operators, which a test empties before
+    each run."""
+    samples = []
+    draw, act = haar.random_finite_rank, haar.act_on_operator
+
+    def drawn(*args, **kwargs):
+        samples.append(draw(*args, **kwargs))
+        return samples[-1]
+
+    def patched(g, F, ctx):
+        index = next(i for i, s in enumerate(samples) if s is F)
+        factor = fail(uq._gen_str(g), index)
+        out = act(g, F, ctx)
+        return out if factor is None else out.scaled(factor)
+
+    monkeypatch.setattr(haar, "random_finite_rank", drawn)
+    monkeypatch.setattr(haar, "act_on_operator", patched)
+    return samples
+
+
+# the chunks of three processes are samples 0-1, 2-3 and 4-5
+@pytest.mark.parametrize("failing", [
+    (("E1", 3), ("E1", 5)), (("E2", 5), ("F1", 0)), (("K3^-1", 0),)])
+@pytest.mark.parametrize("nan", [False, True])
+def test_split_invariance_raises_what_one_process_raises(failing, nan,
+                                                         monkeypatch,
+                                                         no_child_left):
+    order = [uq._gen_str(g) for g in uq.generators(3)]
+    first = min(failing, key=lambda f: (order.index(f[0]), f[1]))
+
+    def fail(name, index):
+        if (name, index) in failing:
+            if nan:  # a residual that is not finite
+                return math.nan
+            raise ArithmeticError(f"{name} sample {index}")
+        return None
+
+    samples = _failing_action(monkeypatch, fail)
+    for count in (1, 3):
+        pids = _processes(monkeypatch, count)
+        samples.clear()
+        with pytest.raises(OverflowError if nan else ArithmeticError) as err:
+            _invariance()
+        assert len(pids) == count - 1
+        assert str(err.value) == (
+            f"the {first[0]} invariance residual is nan" if nan
+            else f"{first[0]} sample {first[1]}")
+
+
+def test_split_invariance_outlives_a_killed_child(monkeypatch, no_child_left):
+    _processes(monkeypatch, 1)
+    want = _invariance().lines()
+    parent = os.getpid()
+
+    def die(name, index):
+        if name == "F2" and os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+
+    _failing_action(monkeypatch, die)
+    pids = _processes(monkeypatch, 3)
+    assert _invariance().lines() == want
+    assert len(pids) == 2
+
+
+def test_only_rank_three_sweeps_fork(monkeypatch, capsys, no_child_left):
+    # at the module's own WORK_PER_PROCESS, on two CPUs
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    fork = os.fork
+    pids = []
+
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    assert cli.main(["verify", "--seed", "7"]) == 0
+    assert pids == []
+    assert cli.main(["verify", "--suite", "invariance", "--n", "3",
+                     "--samples", "60"]) == 0
+    assert len(pids) == 1
+    capsys.readouterr()
 
 
 _CLI_WITH_PROCESSES = """\

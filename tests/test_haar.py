@@ -257,8 +257,9 @@ def test_cyclicity_refuses_zero_samples():
 def test_cyclicity_identity_factors_exact():
     rng = random.Random(13)
     G = haar.random_finite_rank(1, rng, 2)
-    ident = [gauss.ElementaryOperator(1.0 + 0j, ((0.0, 0.0),))]
-    t1 = plain_trace(G.left_composed(ident).right_composed(ident))
+    ident = [gauss.ElementaryOperator(1.0 + 0j, ((0, 0),), CTX.phi)]
+    adj = gauss.adjoint_ops(ident)
+    t1 = plain_trace(G.left_composed(ident).bras_applied(adj))
     t2 = plain_trace(G)
     assert t1 == t2
 
