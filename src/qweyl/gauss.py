@@ -16,7 +16,9 @@ stays one integer pair and operators with equal legs merge exactly.
 Applying any represented element to a state stays inside the family, and
 all inner products reduce to the closed-form Gaussian integral
 ``sqrt(pi/a) * exp(b**2/(4a))``.  The inner product is linear in its first
-argument.
+argument.  A pointwise relation residual is a quadratic form in one Gram
+table per state, ``G[p] = inner(U_a psi, U_b psi)`` over unit operators, so
+a relation's coefficients cancel before they meet any Gaussian prefactor.
 """
 
 from __future__ import annotations
@@ -112,35 +114,16 @@ def inner(u, v):
     return total
 
 
-def norm(u, table=None):
+def norm(u):
     """``sqrt(inner(u, u))`` over unordered term pairs: as ``(j, i)`` is the
-    conjugate of ``(i, j)``, an off-diagonal pair adds twice its real part.
-
-    ``table`` numbers each distinct ``(eps, gamma)`` leg and keeps each
-    ordered leg-pair overlap once, so the norms that share it share their
-    overlaps; the products and the sum are the same either way.
-    """
-    ids, legs, rows = table or ({}, [], [])
-    items = []
-    for key, amp in u.terms.items():
-        nums = []
-        for leg in key:
-            a = ids.setdefault(leg, len(legs))
-            if a == len(legs):
-                legs.append(leg)
-                rows.append({})
-            nums.append(a)
-        items.append((nums, amp))
+    conjugate of ``(i, j)``, an off-diagonal pair adds twice its real part."""
+    items = tuple(u.terms.items())
     total = 0.0
     for i, (ku, au) in enumerate(items):
         for j, (kv, av) in enumerate(items[i:]):
             prod = au * av.conjugate()
-            for a, b in zip(ku, kv):
-                row = rows[a]
-                ov = row.get(b)
-                if ov is None:
-                    ov = row[b] = _leg_overlap(*legs[a], *legs[b])
-                prod *= ov
+            for (e1, g1), (e2, g2) in zip(ku, kv):
+                prod *= _leg_overlap(e1, g1, e2, g2)
             total += 2.0 * prod.real if j else prod.real
     return math.sqrt(abs(total))
 
@@ -279,22 +262,45 @@ def represent_adjoint(element, ctx):
 # -- pointwise verification -----------------------------------------------------
 
 
-def _pieces_residual(pieces, state, scale):
-    """Relative size of the summed images; ``scale`` is the state's norm.
+def _gram_cases(cases):
+    """``(name, pieces)`` cases as quadratic forms over one Gram table.
 
-    The represented generators are unbounded, so individual term images can
-    dwarf the input state; the residual is therefore measured against the
-    largest contribution rather than the state norm alone.  The norms of the
-    pieces and of their sum share one overlap table, which lives for this
-    call only.
+    Each distinct unit operator ``U_a`` of the pieces is numbered, and so is
+    each pair ``a <= b`` that a piece or a relation's merged sum needs, so
+    that ``|| sum c_a U_a psi ||**2 = Re sum w_p G[p]``.  A case's forms are
+    its pieces', then its sum's.  Returns the units, the pairs and the cases.
     """
-    table = ({}, [], [])
-    image = {}
-    for ops in pieces:
-        piece = apply_ops(ops, state)
-        scale = max(scale, norm(piece, table))
-        accumulate(image, piece.terms.items())
-    return norm(GaussianState(state.n, image), table) / scale
+    keys = {(o.legs, o.phi) for _, pieces in cases for ops in pieces for o in ops}
+    # numbered in sorted order, a relation's forms do not depend on the others
+    ids = {key: a for a, key in enumerate(sorted(keys))}
+    pairs = {}
+
+    def form(coeffs):
+        # off the diagonal, the pair (b, a) adds the conjugate of (a, b)
+        return [(pairs.setdefault((a, b), len(pairs)),
+                 ca * cb.conjugate() * (1.0 if a == b else 2.0))
+                for i, (a, ca) in enumerate(coeffs) for b, cb in coeffs[i:]]
+
+    out = []
+    for name, pieces in cases:
+        coeffs = [sorted((ids[o.legs, o.phi], o.scalar) for o in ops)
+                  for ops in pieces]
+        merged = accumulate({}, (c for piece in coeffs for c in piece))
+        coeffs.append(sorted(merged.items()))
+        out.append((name, [form(c) for c in coeffs]))
+    return [ElementaryOperator(1.0 + 0j, *key) for key in ids], list(pairs), out
+
+
+def _gram_residual(units, pairs, forms, state, scale, gram):
+    """The merged sum's norm over the largest of the state's and the pieces'
+    norms, since a piece of an unbounded generator can dwarf the state;
+    ``gram`` is the state's table, filled at its first case."""
+    if not gram:
+        images = [apply_ops((op,), state) for op in units]
+        gram.extend(inner(images[a], images[b]) for a, b in pairs)
+    norms = [math.sqrt(abs(sum(w * gram[p] for p, w in form).real))
+             for form in forms]
+    return norms[-1] / max([scale] + norms[:-1])
 
 
 # Work, in operator terms times state terms, that pays for one more process
@@ -394,12 +400,15 @@ def check_relations_pointwise(n, relations, states, ctx, suite="pointwise"):
     if not states:
         raise ValueError("a pointwise check needs at least one state")
     rep = SuiteReport(suite)
-    jobs = [(state, norm(state)) for state in states]
     cases = [(rel.name, [represent_terms(n, (term,), ctx) for term in rel.terms])
              for rel in relations]
     work = sum(len(ops) for _, pieces in cases for ops in pieces) \
         * sum(len(state.terms) for state in states)
-    sweep = _sweep(cases, jobs, _pieces_residual, work)
+    units, pairs, cases = _gram_cases(cases)
+    # each job keeps its state's Gram table, which goes with the sweep
+    jobs = [(state, norm(state), []) for state in states]
+    sweep = _sweep(cases, jobs, functools.partial(_gram_residual, units, pairs),
+                   work)
     with contextlib.closing(sweep):
         for name, residuals in sweep:
             worst = max(0.0, *residuals)

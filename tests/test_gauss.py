@@ -498,10 +498,12 @@ def test_pointwise_check_equals_per_state_residuals(n):
         for rel, case in zip(rels, rep.cases):
             worst = 0.0
             for state in states:
-                want = _residual_reference(n, rel, state, CTX)
                 one = gauss.check_relations_pointwise(n, [rel], [state], CTX)
-                assert one.cases[0].residual == want
-                worst = max(worst, want)
+                got = one.cases[0].residual
+                # every relation holds: both routes sit at the float floor
+                assert abs(got - _residual_reference(n, rel, state, CTX)) \
+                    <= 1e-14
+                worst = max(worst, got)
             assert case.residual == worst
 
 
@@ -524,6 +526,11 @@ def _planted(defect):
     return planted
 
 
+# how many of the 139 relations at n=3 each defect breaks
+_PLANTED_FAILURES = {"x-q-squared": 13, "x-second-sign": 19,
+                     "R-first-leg-doubled": 63}
+
+
 @pytest.mark.parametrize("defect", ["x-q-squared", "x-second-sign",
                                     "R-first-leg-doubled"])
 def test_planted_defects_fail_the_pointwise_check(defect, monkeypatch):
@@ -531,9 +538,18 @@ def test_planted_defects_fail_the_pointwise_check(defect, monkeypatch):
     states = gauss.sample_states(n, random.Random(8), 3)
     rels = weyl.coordinate_relations(n) + weyl.localized_relations(n) + \
         weyl.ab_rho_relations(n)
+    assert len(rels) == 139
     assert gauss.check_relations_pointwise(n, rels, states, CTX).ok
     monkeypatch.setattr(gauss, "_atom_variants", _planted(defect))
-    assert not gauss.check_relations_pointwise(n, rels, states, CTX).ok
+    rep = gauss.check_relations_pointwise(n, rels, states, CTX)
+    assert len(rep.failures()) == _PLANTED_FAILURES[defect]
+    for rel, case in zip(rels, rep.cases):
+        if not case.passed:
+            pieces = [gauss.represent_terms(n, (term,), CTX)
+                      for term in rel.terms]
+            want = max(_pieces_residual_reference(pieces, state, norm(state))
+                       for state in states)
+            assert case.residual == pytest.approx(want, rel=1e-9)
 
 
 def _norm_pairs_reference(u):
@@ -550,7 +566,9 @@ def _norm_pairs_reference(u):
 
 
 def _pieces_residual_reference(pieces, state, scale):
-    """``_pieces_residual`` with a fresh norm per image and ``image + piece``."""
+    """A relation's residual on one state, term by term: a fresh norm per
+    image and ``image + piece``, over the largest of ``scale`` and the
+    pieces' norms."""
     image = GaussianState.zero(state.n)
     for ops in pieces:
         piece = apply_ops(ops, state)
@@ -572,11 +590,37 @@ _amp_part = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(0.01, 1.0),
 _shift = st.sampled_from([(0, 0), (1, 0), (-1, 0), (0, 1), (-1, 1)])
 
 
+def _draw_pieces(data, n, phi):
+    """One to four pieces of one to three operators at ``phi``, each piece
+    with distinct legs, and some piece the negative of the one before."""
+    pieces = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        merged = accumulate({}, (
+            (tuple(data.draw(st.lists(_shift, min_size=n, max_size=n))),
+             complex(data.draw(_amp_part), data.draw(_amp_part)))
+            for _ in range(data.draw(st.integers(1, 3)))))
+        ops = [ElementaryOperator(c, legs, phi) for legs, c in merged.items()]
+        pieces.append(ops)
+        if data.draw(st.booleans()):  # a piece that cancels the last one
+            pieces.append([ElementaryOperator(-op.scalar, op.legs, op.phi)
+                           for op in ops])
+    return pieces
+
+
+def _gram_norms(pieces, state):
+    """The norms of each piece and of their sum, through the Gram route:
+    a residual against scale 1 is the norm of its last form."""
+    units, pairs, ((_, forms),) = gauss._gram_cases([("r", pieces)])
+    gram = []
+    return [gauss._gram_residual(units, pairs, [form], state, 1.0, gram)
+            for form in forms]
+
+
 @given(data=st.data())
 @settings(max_examples=100, deadline=None)
 def test_shared_overlap_table_is_bit_identical(data):
     # legs come from a small pool, some with the signs of their zero parts
-    # flipped, so terms, pieces and the summed image share legs
+    # flipped, so terms and images share legs; relations share operators
     n = data.draw(st.integers(1, 3))
     pool = data.draw(_pool)
     state = GaussianState.zero(n)
@@ -590,58 +634,87 @@ def test_shared_overlap_table_is_bit_identical(data):
         amp = complex(data.draw(_amp_part), data.draw(_amp_part))
         state = state + GaussianState.from_legs(amp, legs)
     assume(not state.is_zero)
-    pieces = []
-    for _ in range(data.draw(st.integers(1, 4))):
-        ops = [ElementaryOperator(complex(data.draw(_amp_part),
-                                          data.draw(_amp_part)),
-                                  tuple(data.draw(st.lists(_shift, min_size=n,
-                                                           max_size=n))),
-                                  0.25)
-               for _ in range(data.draw(st.integers(1, 3)))]
-        pieces.append(ops)
-        if data.draw(st.booleans()):  # a piece that cancels the last one
-            pieces.append([ElementaryOperator(-op.scalar, op.legs, op.phi)
-                           for op in ops])
+    cases = [(f"r{i}", _draw_pieces(data, n, 0.25))
+             for i in range(data.draw(st.integers(1, 3)))]
     scale = norm(state)
     assert scale == _norm_pairs_reference(state)
-    assert gauss._pieces_residual(pieces, state, scale) == \
-        _pieces_residual_reference(pieces, state, scale)
+    units, pairs, shared_cases = gauss._gram_cases(cases)
+    shared = []
+    for case, (_, forms) in zip(cases, shared_cases):
+        got = gauss._gram_residual(units, pairs, forms, state, scale, shared)
+        # the same relation alone, with a table of its own
+        alone_units, alone_pairs, ((_, alone),) = gauss._gram_cases([case])
+        want = gauss._gram_residual(alone_units, alone_pairs, alone, state,
+                                    scale, [])
+        assert got.hex() == want.hex()
+    images = [apply_ops([op], state) for op in units]
+    assert shared == [inner(images[a], images[b]) for a, b in pairs]
 
 
-def _ordered_leg_pairs(u):
-    """The ordered leg pairs whose overlaps ``norm(u)`` multiplies in."""
-    keys = tuple(u.terms)
-    return {pair for i, ku in enumerate(keys) for kv in keys[i:]
-            for pair in zip(ku, kv)}
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_gram_route_norms_match_the_term_level_norms(data):
+    n = data.draw(st.integers(1, 3))
+    phi = data.draw(st.floats(0.05, 1.5)) * data.draw(st.sampled_from([-1, 1]))
+    state = GaussianState.zero(n)
+    for _ in range(data.draw(st.integers(1, 3))):
+        legs = [(data.draw(st.floats(0.5, 2.0)),
+                 complex(data.draw(st.floats(-1.4, 1.4)),
+                         data.draw(st.floats(-1.4, 1.4)))) for _ in range(n)]
+        amp = complex(data.draw(_amp_part), data.draw(_amp_part))
+        state = state + GaussianState.from_legs(amp, legs)
+    assume(not state.is_zero)
+    pieces = _draw_pieces(data, n, phi)
+    sums = pieces + [[op for ops in pieces for op in ops]]
+    for got, ops in zip(_gram_norms(pieces, state), sums, strict=True):
+        want = norm(apply_ops(ops, state))
+        # relative to the triangle bound, which is the norm unless the
+        # operators' images cancel
+        bound = sum(norm(apply_ops([op], state)) for op in ops)
+        assert abs(got * got - want * want) <= 1e-12 * bound * bound
+
+
+def _unit_pairs(legs):
+    """The unordered pairs, the diagonal included, of a list of legs."""
+    return {frozenset((a, b)) for a in legs for b in legs}
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_residual_evaluates_each_ordered_leg_pair_once(n, monkeypatch):
+def test_sweep_evaluates_each_gram_entry_once(n, monkeypatch):
     rng = random.Random(90 + n)
-    state = gauss.random_state(n, rng, max_terms=1) + \
-        gauss.random_state(n, rng, max_terms=1)
-    overlap = gauss._leg_overlap
-    calls = []
-
-    def counted(e1, g1, e2, g2):
-        calls.append(((e1, g1), (e2, g2)))
-        return overlap(e1, g1, e2, g2)
-
-    monkeypatch.setattr(gauss, "_leg_overlap", counted)
-    evaluated = visited = 0
-    for rel in weyl.ab_rho_relations(n):
+    states = [gauss.random_state(n, rng, max_terms=1)
+              + gauss.random_state(n, rng, max_terms=1) for _ in range(3)]
+    rels = weyl.coordinate_relations(n) + weyl.localized_relations(n) + \
+        weyl.ab_rho_relations(n)
+    want = set()  # the operator pairs a piece or a relation's sum needs
+    for rel in rels:
         pieces = [gauss.represent_terms(n, (term,), CTX) for term in rel.terms]
-        images = [apply_ops(ops, state) for ops in pieces]
-        images.append(sum(images, GaussianState.zero(n)))
-        want = set().union(*map(_ordered_leg_pairs, images))
-        calls.clear()
-        gauss._pieces_residual(pieces, state, 1.0)
-        assert len(calls) == len(want)
-        assert set(calls) == want
-        evaluated += len(calls)
-        visited += sum(n * len(u.terms) * (len(u.terms) + 1) // 2
-                       for u in images)
-    assert evaluated < visited  # the pieces and their image share legs
+        merged = accumulate({}, ((op.legs, op.scalar)
+                                 for ops in pieces for op in ops))
+        for legs in [[op.legs for op in ops] for ops in pieces] + [merged]:
+            want |= _unit_pairs(legs)
+    apply, product = gauss.apply_ops, gauss.inner
+    made, entries = {}, []
+
+    def applied(ops, state):
+        (op,) = ops
+        assert op.scalar == 1
+        image = apply(ops, state)
+        made[id(image)] = (id(state), op.legs)
+        return image
+
+    def inner_counted(u, v):
+        (su, a), (sv, b) = made[id(u)], made[id(v)]
+        assert su == sv
+        entries.append((su, frozenset((a, b))))
+        return product(u, v)
+
+    _processes(monkeypatch, 1)
+    monkeypatch.setattr(gauss, "apply_ops", applied)
+    monkeypatch.setattr(gauss, "inner", inner_counted)
+    gauss.check_relations_pointwise(n, rels, states, CTX)
+    assert len(entries) == len(states) * len(want)
+    assert set(entries) == {(id(s), pair) for s in states for pair in want}
 
 
 def _hermiticity_reference(n, states, ctx):
@@ -759,18 +832,22 @@ def test_split_sweep_reports_what_one_process_reports(n, monkeypatch,
             [c.residual.hex() for c in want.cases]
 
 
-def _failing_residual(monkeypatch, n, relation, fail):
-    """Patch ``_pieces_residual`` to call ``fail(state)`` first on each state
-    of ``relation``'s sweep."""
-    target = [gauss.represent_terms(n, (term,), CTX) for term in relation.terms]
-    residual = gauss._pieces_residual
+def _failing_residual(monkeypatch, n, rels, index, fail):
+    """Patch ``_gram_residual`` to call ``fail(state)`` first on each state
+    of ``rels[index]``'s sweep."""
+    _, _, cases = gauss._gram_cases(
+        [(rel.name, [gauss.represent_terms(n, (term,), CTX)
+                     for term in rel.terms]) for rel in rels])
+    target = cases[index][1]
+    assert [forms for _, forms in cases].count(target) == 1
+    residual = gauss._gram_residual
 
-    def patched(pieces, state, scale):
-        if pieces == target:
+    def patched(units, pairs, forms, state, scale, gram):
+        if forms == target:
             fail(state)
-        return residual(pieces, state, scale)
+        return residual(units, pairs, forms, state, scale, gram)
 
-    monkeypatch.setattr(gauss, "_pieces_residual", patched)
+    monkeypatch.setattr(gauss, "_gram_residual", patched)
 
 
 # the chunks of three processes are states 0-1, 2-3 and 4-5
@@ -786,7 +863,7 @@ def test_split_sweep_raises_what_one_process_raises(failing, monkeypatch,
             if state is states[i]:
                 raise ArithmeticError(f"state {i}")
 
-    _failing_residual(monkeypatch, n, rels[2], fail)
+    _failing_residual(monkeypatch, n, rels, 2, fail)
     for count in (1, 3):
         pids = _processes(monkeypatch, count)
         with pytest.raises(ArithmeticError) as err:
@@ -807,7 +884,7 @@ def test_split_sweep_outlives_a_killed_child(monkeypatch, no_child_left):
         if os.getpid() != parent:
             os.kill(os.getpid(), signal.SIGKILL)
 
-    _failing_residual(monkeypatch, n, rels[1], die)
+    _failing_residual(monkeypatch, n, rels, 1, die)
     pids = _processes(monkeypatch, 3)
     assert gauss.check_relations_pointwise(n, rels, states, CTX).lines() == want
     assert len(pids) == 2
