@@ -14,11 +14,12 @@ Composing two legs moves the second ``T`` shift past the first ``P`` shift
 at the Weyl phase ``exp(-1j*phi*m0*t1)`` of integer exponent, so every leg
 stays one integer pair and operators with equal legs merge exactly.
 Applying any represented element to a state stays inside the family, and
-all inner products reduce to the closed-form Gaussian integral
-``sqrt(pi/a) * exp(b**2/(4a))``.  The inner product is linear in its first
-argument.  A pointwise relation residual is a quadratic form in one Gram
-table per state, ``G[p] = inner(U_a psi, U_b psi)`` over unit operators, so
-a relation's coefficients cancel before they meet any Gaussian prefactor.
+all inner products, linear in the first argument, reduce to the closed-form
+Gaussian integral ``sqrt(pi/a) * exp(b**2/(4a))``.  A pointwise relation
+residual is a quadratic form in one Gram table per state, ``G[p] =
+inner(U_a psi, U_b psi)`` over unit operators, so a relation's coefficients
+cancel before any Gaussian prefactor; per-position tables of shifted
+packets and leg overlaps fill each table in ``inner``'s float order.
 """
 
 from __future__ import annotations
@@ -268,7 +269,7 @@ def _gram_cases(cases):
     Each distinct unit operator ``U_a`` of the pieces is numbered, and so is
     each pair ``a <= b`` that a piece or a relation's merged sum needs, so
     that ``|| sum c_a U_a psi ||**2 = Re sum w_p G[p]``.  A case's forms are
-    its pieces', then its sum's.  Returns the units, the pairs and the cases.
+    its pieces', then its sum's.  Returns ``(legs, units, pairs)`` and cases.
     """
     keys = {(o.legs, o.phi) for _, pieces in cases for ops in pieces for o in ops}
     # numbered in sorted order, a relation's forms do not depend on the others
@@ -288,16 +289,52 @@ def _gram_cases(cases):
         merged = accumulate({}, (c for piece in coeffs for c in piece))
         coeffs.append(sorted(merged.items()))
         out.append((name, [form(c) for c in coeffs]))
-    return [ElementaryOperator(1.0 + 0j, *key) for key in ids], list(pairs), out
+    legs = {}  # each (position, leg, phi); a unit is a tuple of their numbers
+    units = [tuple(legs.setdefault((i, leg, phi), len(legs))
+                   for i, leg in enumerate(key)) for key, phi in ids]
+    return (list(legs), units, list(pairs)), out
 
 
-def _gram_residual(units, pairs, forms, state, scale, gram):
+def _gram_table(legs, units, pairs, state):
+    """Yield ``inner(apply_ops((U_a,), state), apply_ops((U_b,), state))`` per
+    pair in the same float operations, each leg shift and overlap evaluated
+    once; images merge on per-position numbers of equal shifted packets."""
+    seen = [{} for _ in range(state.n)]  # per position: (eps, gamma) -> number
+    shifted = []  # per term: the amplitude, and per leg (number, prefactor)
+    for key, amp in state.terms.items():
+        shifted.append((amp, row := []))
+        for i, leg, phi in legs:
+            gam, pre = _apply_leg(*key[i], leg, phi)
+            row.append((seen[i].setdefault((key[i][0], gam), len(seen[i])), pre))
+
+    def image(unit):
+        for amp, row in shifted:
+            val = amp * (1.0 + 0j)  # a unit's scalar, as in apply_ops
+            for k in unit:
+                val *= row[k][1]
+            yield tuple(row[k][0] for k in unit), val
+
+    images = [list(accumulate({}, image(unit)).items()) for unit in units]
+    tables = [(list(at), [[None] * len(at) for _ in at]) for at in seen]
+    for a, b in pairs:
+        total = 0j
+        for ku, au in images[a]:
+            for kv, av in images[b]:
+                prod = au * av.conjugate()
+                for i, j, (at, table) in zip(ku, kv, tables):
+                    if table[i][j] is None:
+                        table[i][j] = _leg_overlap(*at[i], *at[j])
+                    prod *= table[i][j]
+                total += prod
+        yield total
+
+
+def _gram_residual(table, forms, state, scale, gram):
     """The merged sum's norm over the largest of the state's and the pieces'
     norms, since a piece of an unbounded generator can dwarf the state;
     ``gram`` is the state's table, filled at its first case."""
     if not gram:
-        images = [apply_ops((op,), state) for op in units]
-        gram.extend(inner(images[a], images[b]) for a, b in pairs)
+        gram.extend(_gram_table(*table, state))
     norms = [math.sqrt(abs(sum(w * gram[p] for p, w in form).real))
              for form in forms]
     return norms[-1] / max([scale] + norms[:-1])
@@ -397,18 +434,21 @@ def _child(cases, chunk, pack, w, inherited, residual):
 
 
 def check_relations_pointwise(n, relations, states, ctx, suite="pointwise"):
-    if not states:
-        raise ValueError("a pointwise check needs at least one state")
+    for what, given in (("state", states), ("relation", relations)):
+        if not given:
+            raise ValueError(f"a pointwise check needs at least one {what}")
+    for state in states:
+        if state.n != n:
+            raise ShapeMismatch(f"operator has {n} legs, state has {state.n}")
     rep = SuiteReport(suite)
     cases = [(rel.name, [represent_terms(n, (term,), ctx) for term in rel.terms])
              for rel in relations]
     work = sum(len(ops) for _, pieces in cases for ops in pieces) \
         * sum(len(state.terms) for state in states)
-    units, pairs, cases = _gram_cases(cases)
+    table, cases = _gram_cases(cases)
     # each job keeps its state's Gram table, which goes with the sweep
     jobs = [(state, norm(state), []) for state in states]
-    sweep = _sweep(cases, jobs, functools.partial(_gram_residual, units, pairs),
-                   work)
+    sweep = _sweep(cases, jobs, functools.partial(_gram_residual, table), work)
     with contextlib.closing(sweep):
         for name, residuals in sweep:
             worst = max(0.0, *residuals)

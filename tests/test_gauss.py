@@ -610,10 +610,27 @@ def _draw_pieces(data, n, phi):
 def _gram_norms(pieces, state):
     """The norms of each piece and of their sum, through the Gram route:
     a residual against scale 1 is the norm of its last form."""
-    units, pairs, ((_, forms),) = gauss._gram_cases([("r", pieces)])
+    table, ((_, forms),) = gauss._gram_cases([("r", pieces)])
     gram = []
-    return [gauss._gram_residual(units, pairs, [form], state, 1.0, gram)
+    return [gauss._gram_residual(table, [form], state, 1.0, gram)
             for form in forms]
+
+
+def _unit_ops(legs, units):
+    """The unit operators that ``_gram_cases`` numbers, each a tuple of
+    numbers into its ``(position, leg, phi)`` legs."""
+    return [ElementaryOperator(1.0 + 0j, tuple(legs[k][1] for k in unit),
+                               legs[unit[0]][2]) for unit in units]
+
+
+def _hex(z):
+    return z.real.hex(), z.imag.hex()
+
+
+def _table_reference(legs, units, pairs, state):
+    """The Gram table through ``apply_ops`` and ``inner``."""
+    images = [apply_ops([op], state) for op in _unit_ops(legs, units)]
+    return [inner(images[a], images[b]) for a, b in pairs]
 
 
 @given(data=st.data())
@@ -638,17 +655,49 @@ def test_shared_overlap_table_is_bit_identical(data):
              for i in range(data.draw(st.integers(1, 3)))]
     scale = norm(state)
     assert scale == _norm_pairs_reference(state)
-    units, pairs, shared_cases = gauss._gram_cases(cases)
+    table, shared_cases = gauss._gram_cases(cases)
     shared = []
     for case, (_, forms) in zip(cases, shared_cases):
-        got = gauss._gram_residual(units, pairs, forms, state, scale, shared)
+        got = gauss._gram_residual(table, forms, state, scale, shared)
         # the same relation alone, with a table of its own
-        alone_units, alone_pairs, ((_, alone),) = gauss._gram_cases([case])
-        want = gauss._gram_residual(alone_units, alone_pairs, alone, state,
-                                    scale, [])
+        alone_table, ((_, alone),) = gauss._gram_cases([case])
+        want = gauss._gram_residual(alone_table, alone, state, scale, [])
         assert got.hex() == want.hex()
-    images = [apply_ops([op], state) for op in units]
-    assert shared == [inner(images[a], images[b]) for a, b in pairs]
+    # signed zeros count
+    assert [_hex(z) for z in shared] == \
+        [_hex(z) for z in _table_reference(*table, state)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_gram_tables_of_the_catalogs_are_bit_identical(n):
+    states = gauss.sample_states(n, random.Random(70 + n), 3)
+    catalogs = [weyl.coordinate_relations(n) + weyl.localized_relations(n),
+                weyl.ab_rho_relations(n)]
+    for ctx in (CTX, NEG):
+        for rels in catalogs:
+            table, _ = gauss._gram_cases(
+                [(rel.name, [gauss.represent_terms(n, (term,), ctx)
+                             for term in rel.terms]) for rel in rels])
+            for state in states:
+                assert [_hex(z) for z in gauss._gram_table(*table, state)] == \
+                    [_hex(z) for z in _table_reference(*table, state)]
+
+
+def test_gram_table_merges_and_cancels_as_apply_ops_does():
+    # under the leg (1, 0) the first two terms' images round to one key,
+    # gamma = 1.0, and their amplitudes cancel
+    state = GaussianState.from_legs(1.0, [(1.0, 0j)]) \
+        + GaussianState.from_legs(-1.0, [(1.0, 1e-17)]) \
+        + GaussianState.from_legs(0.5j, [(0.7, 0.3j)])
+    assert len(state.terms) == 3
+    shifts = [(0, 0), (1, 0), (-1, 0), (0, 1), (-1, 2), (1, 1)]
+    ops = [ElementaryOperator(1.0 + 0j, (leg,), CTX.phi) for leg in shifts]
+    assert len(apply_ops([ops[1]], state).terms) == 1
+    # one piece of every operator needs every pair
+    table, _ = gauss._gram_cases([("r", [ops])])
+    assert len(table[2]) == len(ops) * (len(ops) + 1) // 2
+    assert [_hex(z) for z in gauss._gram_table(*table, state)] == \
+        [_hex(z) for z in _table_reference(*table, state)]
 
 
 @given(data=st.data())
@@ -684,37 +733,59 @@ def test_sweep_evaluates_each_gram_entry_once(n, monkeypatch):
     rng = random.Random(90 + n)
     states = [gauss.random_state(n, rng, max_terms=1)
               + gauss.random_state(n, rng, max_terms=1) for _ in range(3)]
+    states += gauss.sample_states(n, rng, 3)
     rels = weyl.coordinate_relations(n) + weyl.localized_relations(n) + \
         weyl.ab_rho_relations(n)
     want = set()  # the operator pairs a piece or a relation's sum needs
+    shifts = [set() for _ in range(n)]  # each position's distinct legs
     for rel in rels:
         pieces = [gauss.represent_terms(n, (term,), CTX) for term in rel.terms]
-        merged = accumulate({}, ((op.legs, op.scalar)
+        merged = accumulate({}, (((op.legs, op.phi), op.scalar)
                                  for ops in pieces for op in ops))
-        for legs in [[op.legs for op in ops] for ops in pieces] + [merged]:
-            want |= _unit_pairs(legs)
-    apply, product = gauss.apply_ops, gauss.inner
-    made, entries = {}, []
+        for keys in [[(op.legs, op.phi) for op in ops] for ops in pieces] \
+                + [merged]:
+            want |= _unit_pairs(keys)
+        for ops in pieces:
+            for op in ops:
+                for i, leg in enumerate(op.legs):
+                    shifts[i].add((leg, op.phi))
+    table, shift, overlap = gauss._gram_table, gauss._apply_leg, \
+        gauss._leg_overlap
+    current, tables, shifted, overlaps = [], [], [], []
 
-    def applied(ops, state):
-        (op,) = ops
-        assert op.scalar == 1
-        image = apply(ops, state)
-        made[id(image)] = (id(state), op.legs)
-        return image
+    def table_counted(legs, units, pairs, state):
+        current[:] = [id(state)]
+        gram = list(table(legs, units, pairs, state))
+        ops = [(op.legs, op.phi) for op in _unit_ops(legs, units)]
+        tables.append((id(state), [frozenset((ops[a], ops[b]))
+                                   for a, b in pairs], len(gram)))
+        return gram
 
-    def inner_counted(u, v):
-        (su, a), (sv, b) = made[id(u)], made[id(v)]
-        assert su == sv
-        entries.append((su, frozenset((a, b))))
-        return product(u, v)
+    def shift_counted(eps, gamma, leg, phi):
+        shifted.append((*current, eps, gamma, leg, phi))
+        return shift(eps, gamma, leg, phi)
+
+    def overlap_counted(e1, g1, e2, g2):
+        overlaps.append((*current, e1, g1, e2, g2))
+        return overlap(e1, g1, e2, g2)
 
     _processes(monkeypatch, 1)
-    monkeypatch.setattr(gauss, "apply_ops", applied)
-    monkeypatch.setattr(gauss, "inner", inner_counted)
+    monkeypatch.setattr(gauss, "_gram_table", table_counted)
+    monkeypatch.setattr(gauss, "_apply_leg", shift_counted)
+    monkeypatch.setattr(gauss, "_leg_overlap", overlap_counted)
     gauss.check_relations_pointwise(n, rels, states, CTX)
-    assert len(entries) == len(states) * len(want)
-    assert set(entries) == {(id(s), pair) for s in states for pair in want}
+    # one table per state, of one entry per needed pair and nothing else
+    assert [s for s, _, _ in tables] == [id(s) for s in states]
+    for _, entries, size in tables:
+        assert size == len(entries) == len(want)
+        assert set(entries) == want
+    # each (position, term, distinct leg) shift once; sampled legs differ
+    # between positions, so equal arguments would be a repeated evaluation
+    assert collections.Counter(shifted) == collections.Counter(
+        (id(s), eps, gam, leg, phi) for s in states for key in s.terms
+        for (eps, gam), legs in zip(key, shifts) for leg, phi in legs)
+    # each overlap of two shifted packets at most once per state
+    assert max(collections.Counter(overlaps).values()) == 1
 
 
 def _hermiticity_reference(n, states, ctx):
@@ -785,6 +856,19 @@ def test_pointwise_checks_refuse_zero_states():
         gauss.check_hermiticity_pointwise(1, [], CTX)
 
 
+def test_pointwise_relation_check_refuses_zero_relations():
+    states = gauss.sample_states(1, random.Random(1), 2)
+    with pytest.raises(ValueError, match="at least one relation"):
+        gauss.check_relations_pointwise(1, [], states, CTX)
+
+
+def test_pointwise_relation_check_refuses_a_state_of_another_rank():
+    states = gauss.sample_states(2, random.Random(2), 2)
+    with pytest.raises(ShapeMismatch, match="operator has 3 legs, state has 2"):
+        gauss.check_relations_pointwise(3, weyl.coordinate_relations(3),
+                                        states, CTX)
+
+
 # -- sweeps split across processes ---------------------------------------------
 
 
@@ -835,17 +919,17 @@ def test_split_sweep_reports_what_one_process_reports(n, monkeypatch,
 def _failing_residual(monkeypatch, n, rels, index, fail):
     """Patch ``_gram_residual`` to call ``fail(state)`` first on each state
     of ``rels[index]``'s sweep."""
-    _, _, cases = gauss._gram_cases(
+    _, cases = gauss._gram_cases(
         [(rel.name, [gauss.represent_terms(n, (term,), CTX)
                      for term in rel.terms]) for rel in rels])
     target = cases[index][1]
     assert [forms for _, forms in cases].count(target) == 1
     residual = gauss._gram_residual
 
-    def patched(units, pairs, forms, state, scale, gram):
+    def patched(table, forms, state, scale, gram):
         if forms == target:
             fail(state)
-        return residual(units, pairs, forms, state, scale, gram)
+        return residual(table, forms, state, scale, gram)
 
     monkeypatch.setattr(gauss, "_gram_residual", patched)
 
