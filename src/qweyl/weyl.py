@@ -10,10 +10,34 @@ zero-testing is decidable.
 
 Atoms passed to :func:`normal_form` are tuples ``('R', k, s)``, ``('y', k)``
 or ``('x', k)`` with 1-based indices.
+
+Two monomials, keys ``(r, b, c)`` for ``R^r y^b x^c``, multiply in closed
+form.  Distinct generators q-commute, so ``a*b`` is ``q^w`` times the
+merged key, ``w`` counting the exchanges that sort ``b``'s atoms into ``a``::
+
+    w = sum_k r_b[k] * sum_{j>=k} (c_a[j] - b_a[j]) + c_b[k] * sum_{j>k} c_a[j]
+              + b_b[k] * (sum_{j!=k} c_a[j] - sum_{j>k} b_a[j])
+
+Where ``a`` has ``y_k^m`` and ``b`` has ``x_k^p`` (or ``x_k^m`` and
+``y_k^p``), ``t = min(m, p)`` pairs contract instead and ``w`` loses ``t``
+per ``x`` below ``k`` and ``y`` above it left by the lower contractions.
+With ``X = Q_{k+1}`` (1 at ``k = n``), ``Y = -q^-1 Q_k`` and ``y_k``
+passing ``R_k^2`` at ``q^-2``, induction on ``y_k x_k = X + Y`` and
+``x_k y_k = X + q^2 Y`` gives::
+
+    y_k^t x_k^t = prod_{0<=j<t} (X + q^(-2j) Y)
+    x_k^t y_k^t = prod_{1<=j<=t} (X + q^(2j) Y)
+
+whose ``t + 1`` terms ``q^(-+j^2) [t, j]_{q^-+2} X^(t-j) (-q Y)^j`` follow
+from Gauss's q-binomial theorem; ``R_k^(2j)`` passes a rest ``y_k^(m-t)``
+or ``x_k^(m-t)`` on their left at ``q^(-+2j(m-t))``.  ``tests/test_weyl.py``
+pins all of this against a naive rewriter.
 """
 
 from __future__ import annotations
 
+from itertools import chain
+from operator import add
 from typing import NamedTuple
 
 from . import coeff
@@ -31,104 +55,124 @@ def sign_of(n, k):
     return -1 if (n - k + 1) % 2 else 1
 
 
-# -- the rewriting core -----------------------------------------------------
+# -- the product core -------------------------------------------------------
 #
 # Keys are (r, b, c): three n-tuples of exponents, b and c nonnegative with
-# min(b[k], c[k]) == 0.  Each rule multiplies a canonical key by a single
-# atom on the right and returns (scalar, key) pairs, again canonical.
+# min(b[k], c[k]) == 0.  A product of keys is ((key, scalar), ...).
 
 
-def _bump(t, i, s):
-    return t[:i] + (t[i] + s,) + t[i + 1:]
+def _gauss_binomials(t):
+    """Coefficient lists in ``u`` of ``[t, j]_u`` for ``j = 0..t``, t >= 1."""
+    rows = [[1]]
+    for j in range(1, t // 2 + 1):
+        # [t, j] = [t, j-1] * (1 - u^(t-j+1)) / (1 - u^j)
+        p = rows[-1] + [0] * (t - j + 1)
+        for d in range(len(p) - 1, t - j, -1):
+            p[d] -= p[d - t + j - 1]
+        for d in range(j, len(p)):
+            p[d] += p[d - j]
+        rows.append(p[:j * (t - j) + 1])
+    return rows + rows[t - len(rows)::-1]  # [t, j] = [t, t - j]
 
 
-def _contract(n, k, r, b, c, ea, eb):
-    """A same-index ``y_k``/``x_k`` pair contracted in place: ``q^ea`` times
-    the ``Q_{k+1}`` term minus ``q^eb`` times the ``Q_k`` term, with the signs
-    of :func:`sign_of`; ``Q_{n+1}`` is 1."""
-    ca = q_power(ea) if sign_of(n, k + 1) > 0 else -q_power(ea)
-    cb = -q_power(eb) if sign_of(n, k) > 0 else q_power(eb)
-    return ((ca, (_bump(r, k, 2) if k < n else r, b, c)),
-            (cb, (_bump(r, k - 1, 2), b, c)))
-
-
-def _times_r(n, key, atom):
-    _, k, s = atom
-    r, b, c = key
-    t = 0
-    for j in range(k - 1, n):
-        t += c[j] - b[j]
-    return ((q_power(s * t), (_bump(r, k - 1, s), b, c)),)
-
-
-def _times_y(n, key, atom):
-    k = atom[1]
-    r, b, c = key
-    i = k - 1
-    bgt = sum(b[k:])
-    if c[i] == 0:
-        # crossing the x block costs q per distinct-index generator,
-        # slotting into the y block costs 1/q per higher-index generator
-        return ((q_power(sum(c) - c[i] - bgt), (r, _bump(b, i, 1), c)),)
-    # contraction with the rightmost x_k; note b[i] == 0 on canonical input
-    e = sum(c[k:]) - 2 * bgt
-    return _contract(n, k, r, b, _bump(c, i, -1), e, e + 2 * c[i] - 1)
-
-
-def _times_x(n, key, atom):
-    k = atom[1]
-    r, b, c = key
-    i = k - 1
-    cgt = sum(c[k:])
-    if b[i] == 0:
-        return ((q_power(cgt), (r, b, _bump(c, i, 1))),)
-    # contraction: walk one y_k rightward onto the freshly inserted x_k
-    e = cgt - sum(b[k:]) - sum(c[:i])
-    return _contract(n, k, r, _bump(b, i, -1), c, e, e + 1 - 2 * b[i])
-
-
-_RULES = {"R": _times_r, "y": _times_y, "x": _times_x}
-
-
-def _sum_words(n, words):
-    """Term map of the sum over ``(terms, atoms)`` of a canonical term map
-    times the atoms, multiplied on the right one at a time."""
-    out = {}
-    for terms, atoms in words:
-        for atom in atoms:
-            rule = _RULES[atom[0]]
-            terms = accumulate({}, ((key2, factor * cv)
-                                    for key, cv in terms.items()
-                                    for factor, key2 in rule(n, key, atom)))
-        accumulate(out, terms.items())
+def _block(n, i, y_first, m, p, e, cv):
+    """``cv q^e y_k^m x_k^p`` (``x_k^m y_k^p`` unless ``y_first``), ``k = i+1``,
+    as ``((r, scalar), ...)``, each ``R^r`` times the rest; refused before
+    it is formed when its ``q0`` degree would pass ``coeff.MAX_DEGREE``."""
+    t = min(m, p)
+    coeff._check_degree(4 * t * m - 2 * t * t)
+    sk, sk1 = -sign_of(n, i + 1), sign_of(n, i + 2)
+    signed = {1: cv, -1: -cv}
+    out = []
+    for j, g in enumerate(_gauss_binomials(t)):
+        s = signed[sk1 ** (t - j) * sk ** j] * q0_power(
+            2 * (e + j * j) + (-4 * j * m if y_first else 4 * j * (m - t)))
+        if len(g) > 1:  # [t, j] in q0^4
+            poly = [0] * (4 * len(g) - 3)
+            poly[::4] = g
+            s = s * ScalarValue(tuple(poly), (1,), True)
+        r = (0,) * i + (2 * j, 2 * (t - j)) + (0,) * n  # R_{n+1} is cut off
+        out.append((r[:n], s))
     return out
+
+
+def _key_product(n, ka, kb, cv):
+    """``cv * ka*kb`` as ``((key, scalar), ...)``."""
+    (ra, ba, ca), (rb, bb, cb) = ka, kb
+    b, c, w, hits = ba, ca, 0, []
+    if any(rb):
+        for i, s in enumerate(rb):
+            if s:
+                w += s * (sum(ca[i:]) - sum(ba[i:]))
+        ra = tuple(map(add, ra, rb))
+    if any(bb):
+        for i, s in enumerate(bb):
+            if s:
+                w += s * (sum(ca) - ca[i] - sum(ba[i + 1:]))
+                if ca[i]:
+                    hits.append(i)
+        b = tuple(map(add, ba, bb))
+    if any(cb):
+        for i, s in enumerate(cb):
+            if s:
+                w += s * sum(ca[i + 1:])
+                if ba[i]:
+                    hits.append(i)
+        c = tuple(map(add, ca, cb))
+    if not hits:
+        return (((ra, b, c), cv * q_power(w) if w else cv),)
+    hits.sort()
+    b, c, terms = list(b), list(c), [(ra, cv)]
+    for i in hits:
+        m, p = (ba[i], cb[i]) if ba[i] else (ca[i], bb[i])
+        t = min(m, p)
+        w -= t * (sum(c[:i]) + sum(b[i + 1:]))
+        b[i] -= t
+        c[i] -= t
+        terms = [(tuple(map(add, r, r2)), s2) for r, s in terms
+                 for r2, s2 in _block(n, i, bool(ba[i]), m, p,
+                                      w if i == hits[-1] else 0, s)]
+    return [((r, tuple(b), tuple(c)), s) for r, s in terms]
 
 
 def _key_atoms(key):
     r, b, c = key
-    for i, s in enumerate(r):
-        if s:
-            yield ("R", i + 1, s)
-    for i, m in enumerate(b):
-        for _ in range(m):
-            yield ("y", i + 1)
-    for i, m in enumerate(c):
-        for _ in range(m):
-            yield ("x", i + 1)
+    return [("R", i + 1, s) for i, s in enumerate(r) if s] + [
+        (h, i + 1) for h, e in zip("yx", (b, c)) for i, m in enumerate(e)
+        for _ in range(m)]
 
 
-def _checked(n, atoms):
-    """``atoms``, once each is known to be a valid atom at rank ``n``."""
+def _index(k, top, what=""):
+    """``k``, once it is known to lie in ``1..top``."""
+    if not 1 <= k <= top:
+        raise IndexOutOfRange(f"{what}index {k} outside 1..{top}")
+    return k
+
+
+def _atom_key(n, k, part, power=1):
+    key = [(0,) * n] * 3
+    key[part] = key[part][:k - 1] + (power,) + key[part][k:]
+    return tuple(key)
+
+
+def _runs(n, atoms):
+    """The keys of the longest runs of ``atoms`` in block order with no
+    same-index ``y``/``x`` pair, once every atom is checked at rank ``n``."""
+    runs, top = [], None
     for atom in atoms:
         kind = atom[0]
-        if kind not in _RULES:
+        if kind not in ("R", "y", "x"):
             raise ValueError(f"unknown atom kind {kind!r}")
-        k = atom[1]
-        if not 1 <= k <= n:
-            raise IndexOutOfRange(f"generator index {k} outside 1..{n}")
+        i = _index(atom[1], n, "generator ") - 1
         if kind == "R" and (len(atom) < 3 or not isinstance(atom[2], int)):
             raise ValueError("R atoms carry an integer exponent")
-    return atoms
+        part = "Ryx".index(kind)
+        rank = (part, i if part else 0)
+        if not runs or rank < top or part == 2 and runs[-1][1][i]:
+            runs.append([[0] * n, [0] * n, [0] * n])
+        top = rank
+        runs[-1][part][i] += atom[2] if part == 0 else 1
+    return [tuple(map(tuple, run)) for run in runs]
 
 
 # A power of a sum of T terms expands into T^m words of m terms each; no
@@ -168,9 +212,9 @@ class AlgebraElement(Combination):
         if not isinstance(other, AlgebraElement):
             return NotImplemented
         self._match(other)
-        return AlgebraElement(self.n, _sum_words(self.n, (
-            ({k: v * cb for k, v in self.terms.items()}, _key_atoms(key_b))
-            for key_b, cb in other.terms.items())))
+        return AlgebraElement(self.n, accumulate({}, chain.from_iterable(
+            _key_product(self.n, ka, kb, ca * cb)
+            for kb, cb in other.terms.items() for ka, ca in self.terms.items())))
 
     def __pow__(self, m):
         if not isinstance(m, int):
@@ -188,8 +232,7 @@ class AlgebraElement(Combination):
         """Inverse, defined only for a single scale monomial (pure R part)."""
         if len(self.terms) != 1:
             raise ValueError("only single scale monomials are invertible")
-        (key, cv), = self.terms.items()
-        r, b, c = key
+        ((r, b, c), cv), = self.terms.items()
         if any(b) or any(c):
             raise ValueError("coordinate generators are not invertible")
         z = (0,) * self.n
@@ -198,11 +241,19 @@ class AlgebraElement(Combination):
     # -- involution ---------------------------------------------------------
 
     def star(self):
-        """Anti-multiplicative involution fixing every generator."""
-        unit = self._unit_key(self.n)
-        return AlgebraElement(self.n, _sum_words(self.n, (
-            ({unit: cv.star()}, reversed(tuple(_key_atoms(key))))
-            for key, cv in self.terms.items())))
+        """Anti-multiplicative involution fixing every generator.  A key's
+        reversed word sorts back at ``q^w``, times ``q`` per ``x`` passing a
+        ``y`` and per ``x_i x_j`` swap, ``1/q`` per ``y_i y_j`` swap."""
+        z = (0,) * self.n
+        out = {}
+        for (r, b, c), cv in self.terms.items():
+            nb, nc = sum(b), sum(c)
+            e = nb * nc + (nc * nc - nb * nb - sum(x * x for x in c)
+                           + sum(x * x for x in b)) // 2
+            ((key, cv),) = _key_product(self.n, (z, b, c), (r, z, z),
+                                        cv.star() * q_power(e))
+            out[key] = cv
+        return AlgebraElement(self.n, out)
 
     # -- inspection -----------------------------------------------------------
 
@@ -213,17 +264,9 @@ class AlgebraElement(Combination):
 
     @staticmethod
     def _key_str(key):
-        r, b, c = key
-        factors = []
-        for i, s in enumerate(r):
-            if s:
-                factors.append(f"R{i + 1}" if s == 1 else f"R{i + 1}^{s}")
-        for head, block in (("y", b), ("x", c)):
-            for i, m in enumerate(block):
-                if m:
-                    factors.append(f"{head}{i + 1}" if m == 1
-                                   else f"{head}{i + 1}^{m}")
-        return "*".join(factors)
+        return "*".join(f"{head}{i + 1}" + (f"^{m}" if m != 1 else "")
+                        for head, part in zip("Ryx", key)
+                        for i, m in enumerate(part) if m)
 
     def __repr__(self):
         return f"<element n={self.n}: {self}>"
@@ -238,29 +281,15 @@ def scalar_element(n, c):
 
 
 def gen_y(n, k):
-    if not 1 <= k <= n:
-        raise IndexOutOfRange(f"y index {k} outside 1..{n}")
-    z = (0,) * n
-    b = z[:k - 1] + (1,) + z[k:]
-    return AlgebraElement(n, {(z, b, z): ONE})
+    return AlgebraElement(n, {_atom_key(n, _index(k, n, "y "), 1): ONE})
 
 
 def gen_x(n, k):
-    if not 1 <= k <= n:
-        raise IndexOutOfRange(f"x index {k} outside 1..{n}")
-    z = (0,) * n
-    c = z[:k - 1] + (1,) + z[k:]
-    return AlgebraElement(n, {(z, z, c): ONE})
+    return AlgebraElement(n, {_atom_key(n, _index(k, n, "x "), 2): ONE})
 
 
 def gen_r(n, k, power=1):
-    if not 1 <= k <= n:
-        raise IndexOutOfRange(f"R index {k} outside 1..{n}")
-    if power == 0:
-        return AlgebraElement.unit(n)
-    z = (0,) * n
-    r = z[:k - 1] + (power,) + z[k:]
-    return AlgebraElement(n, {(r, z, z): ONE})
+    return AlgebraElement(n, {_atom_key(n, _index(k, n, "R "), 0, power): ONE})
 
 
 def normal_form(n, words):
@@ -268,10 +297,15 @@ def normal_form(n, words):
 
     Returns the canonical element of the sum; an empty list gives zero.
     """
-    unit = AlgebraElement._unit_key(n)
-    return AlgebraElement(n, _sum_words(n, (
-        ({unit: AlgebraElement._scalar(cv)}, _checked(n, atoms))
-        for cv, atoms in words)))
+    out = {}
+    for cv, atoms in words:
+        terms = [(AlgebraElement._unit_key(n), AlgebraElement._scalar(cv))]
+        for key in _runs(n, atoms):
+            terms = [t for k, c in terms for t in _key_product(n, k, key, c)]
+            if len(terms) > 1:  # equal keys merge as they arise
+                terms = list(accumulate({}, terms).items())
+        accumulate(out, terms)
+    return AlgebraElement(n, out)
 
 
 # -- derived elements: normal forms of the word lists further down ---------
@@ -279,21 +313,15 @@ def normal_form(n, words):
 
 def q_elem(n, k):
     """The commutator scale element at index ``k``; the unit at ``n + 1``."""
-    if not 1 <= k <= n + 1:
-        raise IndexOutOfRange(f"Q index {k} outside 1..{n + 1}")
-    return normal_form(n, tl_q(n, k))
+    return normal_form(n, tl_q(n, _index(k, n + 1, "Q ")))
 
 
 def q_elem_inv(n, k):
-    if not 1 <= k <= n + 1:
-        raise IndexOutOfRange(f"Q index {k} outside 1..{n + 1}")
-    return normal_form(n, tl_q_inv(n, k))
+    return normal_form(n, tl_q_inv(n, _index(k, n + 1, "Q ")))
 
 
 def rho(n, k):
-    if not 1 <= k <= n:
-        raise IndexOutOfRange(f"rho index {k} outside 1..{n}")
-    return normal_form(n, tl_rho(n, k))
+    return normal_form(n, tl_rho(n, _index(k, n, "rho ")))
 
 
 def rho_inv(n, k):
@@ -301,15 +329,11 @@ def rho_inv(n, k):
 
 
 def a_op(n, k):
-    if not 1 <= k <= n:
-        raise IndexOutOfRange(f"index {k} outside 1..{n}")
-    return normal_form(n, tl_a(n, k))
+    return normal_form(n, tl_a(n, _index(k, n)))
 
 
 def b_op(n, k):
-    if not 1 <= k <= n:
-        raise IndexOutOfRange(f"index {k} outside 1..{n}")
-    return normal_form(n, tl_b(n, k))
+    return normal_form(n, tl_b(n, _index(k, n)))
 
 
 def gamma(n):
@@ -355,10 +379,7 @@ def tl_mul(a, b):
 
 
 def tl_add(*parts):
-    out = []
-    for p in parts:
-        out.extend(p)
-    return tuple(out)
+    return tuple(term for p in parts for term in p)
 
 
 def tl_sub(a, b):
@@ -377,16 +398,12 @@ def _t_r(k, s=1):
     return (("R", k, s),)
 
 
-def tl_q(n, k):
-    if k == n + 1:
-        return tl((1, ()))
-    return tl((sign_of(n, k), _t_r(k, 2)))
+def tl_q(n, k, s=2):
+    return tl((1, ())) if k == n + 1 else tl((sign_of(n, k), _t_r(k, s)))
 
 
 def tl_q_inv(n, k):
-    if k == n + 1:
-        return tl((1, ()))
-    return tl((sign_of(n, k), _t_r(k, -2)))
+    return tl_q(n, k, -2)
 
 
 def tl_rho(n, k):
@@ -442,12 +459,9 @@ def coordinate_relations(n):
     q2 = q_power(2)
     for k in range(1, n + 1):
         for l in range(k + 1, n + 1):
-            rels.append(Relation(
-                f"qhn0[k={k},l={l}]",
-                _q_commutator(tl((1, _t_y(k))), tl((1, _t_y(l))), q_power(1))))
-            rels.append(Relation(
-                f"qhn1[k={k},l={l}]",
-                _q_commutator(tl((1, _t_x(k))), tl((1, _t_x(l))), q_power(-1))))
+            for tag, atom, e in (("qhn0", _t_y, 1), ("qhn1", _t_x, -1)):
+                rels.append(Relation(f"{tag}[k={k},l={l}]", _q_commutator(
+                    tl((1, atom(k))), tl((1, atom(l))), q_power(e))))
     for l in range(1, n + 1):
         for k in range(1, n + 1):
             if k == l:
@@ -476,34 +490,19 @@ def localized_relations(n):
     for k in range(1, n + 1):
         qk = tl_q(n, k)
         for j in range(1, n + 1):
-            fy = q_power(2) if j >= k else ONE
-            fx = q_power(-2) if j >= k else ONE
-            rels.append(Relation(
-                f"Qy[k={k},j={j}]",
-                _q_commutator(qk, tl((1, _t_y(j))), fy)))
-            rels.append(Relation(
-                f"Qx[k={k},j={j}]",
-                _q_commutator(qk, tl((1, _t_x(j))), fx)))
-            fy2 = q_power(1) if j >= k else ONE
-            fx2 = q_power(-1) if j >= k else ONE
-            rels.append(Relation(
-                f"Q12y[k={k},j={j}]",
-                _q_commutator(tl((1, _t_r(k))), tl((1, _t_y(j))), fy2)))
-            rels.append(Relation(
-                f"Q12x[k={k},j={j}]",
-                _q_commutator(tl((1, _t_r(k))), tl((1, _t_x(j))), fx2)))
+            for tag, left, e in (("Q", qk, 2), ("Q12", tl((1, _t_r(k))), 1)):
+                for g, sgn in (("y", 1), ("x", -1)):
+                    rels.append(Relation(f"{tag}{g}[k={k},j={j}]", _q_commutator(
+                        left, tl((1, ((g, j),))),
+                        q_power(sgn * e) if j >= k else ONE)))
         for l in range(k + 1, n + 1):
             rels.append(Relation(
                 f"QQn[k={k},l={l}]",
                 _commutator(qk, tl_q(n, l))))
-        rels.append(Relation(
-            f"QQyx[k={k}]",
-            tl_add(tl((1, _t_y(k) + _t_x(k))),
-                   tl_sub(tl_scaled(q_power(-1), qk), tl_q(n, k + 1)))))
-        rels.append(Relation(
-            f"QQyx*[k={k}]",
-            tl_add(tl((1, _t_x(k) + _t_y(k))),
-                   tl_sub(tl_scaled(q_power(1), qk), tl_q(n, k + 1)))))
+        for tag, e, word in (("QQyx", -1, _t_y(k) + _t_x(k)),
+                             ("QQyx*", 1, _t_x(k) + _t_y(k))):
+            rels.append(Relation(f"{tag}[k={k}]", tl_add(tl((1, word)), tl_sub(
+                tl_scaled(q_power(e), qk), tl_q(n, k + 1)))))
         rels.append(Relation(
             f"xyQ[k={k}]",
             tl_sub(_q_commutator(tl((1, _t_x(k))), tl((1, _t_y(k))), q_power(2)),
@@ -659,12 +658,9 @@ def hermitian_generators(n):
     """Named elements whose involution must fix them."""
     out = []
     for k in range(1, n + 1):
-        out.append((f"y{k}", gen_y(n, k)))
-        out.append((f"x{k}", gen_x(n, k)))
-        out.append((f"R{k}", gen_r(n, k)))
-        out.append((f"Q{k}", q_elem(n, k)))
-        out.append((f"rho{k}", rho(n, k)))
-        out.append((f"A{k}", a_op(n, k)))
-        out.append((f"B{k}", b_op(n, k)))
+        for name, build in (("y", gen_y), ("x", gen_x), ("R", gen_r),
+                            ("Q", q_elem), ("rho", rho), ("A", a_op),
+                            ("B", b_op)):
+            out.append((f"{name}{k}", build(n, k)))
     out.append(("Gamma", gamma(n)))
     return out

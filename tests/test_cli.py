@@ -1,5 +1,7 @@
 import contextlib
+import importlib
 import io
+import json
 import pathlib
 import os
 import random
@@ -259,6 +261,30 @@ def test_cli_verify_numeric_suites_match_golden(capsys):
     assert lines == golden.read_text(encoding="utf-8").splitlines()
 
 
+def _bench_workloads():
+    bench = pathlib.Path(__file__).resolve().parents[1] / "bench"
+    sys.path.insert(0, str(bench))
+    try:
+        return importlib.import_module("workloads")
+    finally:
+        sys.path.remove(str(bench))
+
+
+def test_cli_queries_match_golden(capsys):
+    # the 1,200 queries of the benchmark at seed 7, answered before the
+    # products were formed in closed form; bench/workloads.py checks its
+    # answers through the same products, so only this pins them
+    golden = pathlib.Path(__file__).with_name("golden_queries_seed7.jsonl")
+    want = [json.loads(line)
+            for line in golden.read_text(encoding="utf-8").splitlines()]
+    queries = _bench_workloads().make_queries(7, 1200)
+    assert [list(q.argv) for q in queries] == [argv for argv, _ in want]
+    for query, (_, text) in zip(queries, want):
+        assert cli.main(list(query.argv)) == 0
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (text + "\n", ""), query.argv
+
+
 @pytest.mark.parametrize("argv, printed", [
     (["normalize", "--n", "1", "-x1"], "(-1)*x1"),
     (["normalize", "-x2", "--n", "2"], "(-1)*x2"),
@@ -498,6 +524,20 @@ def test_cli_powers_up_to_the_bound(capsys):
     assert capsys.readouterr().out == "q0^100000\n"
     assert cli.main(["normalize", "(q0^40000*R1)^2"]) == 0
     assert capsys.readouterr().out == "(q0^80000)*R1^2\n"
+
+
+def test_cli_powers_of_one_term_cost_no_time_per_factor(capsys):
+    assert cli.main(["normalize", "--n", "1", "x1^99999999"]) == 0
+    assert capsys.readouterr().out == "x1^99999999\n"
+
+
+def test_cli_refuses_a_same_index_block_over_the_bound(capsys):
+    # the R1^460 coefficient of y1^230*x1^230 has degree 2 * 230^2
+    assert cli.main(["normalize", "--n", "1", "y1^230*x1^230"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: q0 degree 105800 exceeds the bound "
+                            f"{coeff.MAX_DEGREE}\n")
 
 
 # -- fuzzing the command line -------------------------------------------------------

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from qweyl import coeff, weyl
 from qweyl.coeff import LAMBDA_INV, ONE, q_power
@@ -397,6 +398,162 @@ def test_termination_on_degree_eight_words():
             for key in element.terms:
                 _, b, c = key
                 assert all(min(bi, ci) == 0 for bi, ci in zip(b, c))
+
+
+# -- the closed-form product against the oracle ---------------------------------
+
+
+def _mono(n, key):
+    return AlgebraElement(n, {key: ONE})
+
+
+def _key_word(key):
+    """The atoms of the monomial ``key``, written out independently."""
+    r, b, c = key
+    return (tuple(("R", i + 1, s) for i, s in enumerate(r) if s)
+            + tuple(("y", i + 1) for i, m in enumerate(b) for _ in range(m))
+            + tuple(("x", i + 1) for i, m in enumerate(c) for _ in range(m)))
+
+
+def _oracle_product(n, ka, kb, seed=0):
+    return naive_normal_form(n, [(ONE, _key_word(ka) + _key_word(kb))],
+                             random.Random(seed))
+
+
+@st.composite
+def _keys(draw, n, top=3):
+    r = tuple(draw(st.integers(-2, 2)) for _ in range(n))
+    parts = [draw(st.tuples(st.booleans(), st.integers(0, top)))
+             for _ in range(n)]
+    return (r, tuple(0 if is_x else m for is_x, m in parts),
+            tuple(m if is_x else 0 for is_x, m in parts))
+
+
+@st.composite
+def _key_pairs(draw):
+    n = draw(st.integers(1, 5))
+    ka, kb = draw(_keys(n, 2)), draw(_keys(n, 2))
+    if not draw(st.booleans()):  # keep only the indices that do not contract
+        (_, ba, ca), (rb, bb, cb) = ka, kb
+        kb = (rb, tuple(0 if c else m for m, c in zip(bb, ca)),
+              tuple(0 if b else m for m, b in zip(cb, ba)))
+    return n, ka, kb
+
+
+@settings(max_examples=60, deadline=None)
+@given(_key_pairs())
+def test_key_products_match_oracle(case):
+    n, ka, kb = case
+    assert _mono(n, ka) * _mono(n, kb) == _oracle_product(n, ka, kb)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(st.just(n), _keys(n))))
+def test_star_of_a_key_matches_oracle(case):
+    # the involution reverses the word, which the oracle sorts back
+    n, key = case
+    word = _key_word(key)[::-1]
+    assert _mono(n, key).star() == naive_normal_form(
+        n, [(ONE, word)], random.Random(0))
+
+
+@st.composite
+def _blocks(draw):
+    n = draw(st.integers(1, 3))
+    return (n, draw(st.integers(1, n)), draw(st.integers(1, 12)),
+            draw(st.integers(1, 12)))
+
+
+@settings(max_examples=15, deadline=None)
+@given(_blocks())
+@example((1, 1, 2, 2)).via("t = 2")
+@example((2, 1, 3, 4)).via("t = 3")
+@example((3, 2, 5, 4)).via("t = 4")
+@example((1, 1, 12, 12)).via("t = 12")
+def test_same_index_blocks_match_oracle(case):
+    # y_k^a x_k^b and x_k^b y_k^a, with t = min(a, b) contracted pairs
+    n, k, a, b = case
+    y, x = gen_y(n, k) ** a, gen_x(n, k) ** b
+    for got, word in ((y * x, (("y", k),) * a + (("x", k),) * b),
+                      (x * y, (("x", k),) * b + (("y", k),) * a)):
+        assert got == naive_normal_form(n, [(ONE, word)], random.Random(0))
+
+
+@st.composite
+def _double_contractions(draw):
+    n = draw(st.integers(2, 4))
+    i, j = sorted(draw(st.lists(st.integers(0, n - 1), min_size=2,
+                                max_size=2, unique=True)))
+    ka, kb = draw(_keys(n, 2)), draw(_keys(n, 2))
+    keys = [[list(part) for part in key] for key in (ka, kb)]
+    for at in (i, j):
+        y_first = draw(st.booleans())
+        m, p = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        for key, e, y in ((keys[0], m, y_first), (keys[1], p, not y_first)):
+            key[1][at], key[2][at] = (e, 0) if y else (0, e)
+    ka, kb = (tuple(map(tuple, key)) for key in keys)
+    return n, ka, kb
+
+
+@settings(max_examples=30, deadline=None)
+@given(_double_contractions())
+def test_products_contracting_at_two_indices_match_oracle(case):
+    n, ka, kb = case
+    assert _mono(n, ka) * _mono(n, kb) == _oracle_product(n, ka, kb)
+
+
+def test_powers_of_one_term_form_few_key_products(monkeypatch):
+    calls = []
+    product = weyl._key_product
+
+    def counted(*args):
+        calls.append(args)
+        return product(*args)
+
+    monkeypatch.setattr(weyl, "_key_product", counted)
+    for m in (1, 2, 3, 1000, 10 ** 6, 99999999):
+        calls.clear()
+        z = (0,)
+        assert (gen_x(1, 1) ** m).terms == {(z, z, (m,)): ONE}
+        assert len(calls) <= 2 * m.bit_length()
+
+
+def test_free_words_merge_equal_keys_as_they_arise(monkeypatch):
+    # (y1 x1)^k has k + 1 terms, but 2^k contraction paths
+    k = 12
+    want = (gen_y(1, 1) * gen_x(1, 1)) ** k
+    calls = []
+    product = weyl._key_product
+
+    def counted(*args):
+        calls.append(args)
+        return product(*args)
+
+    monkeypatch.setattr(weyl, "_key_product", counted)
+    assert normal_form(1, [(ONE, (("y", 1), ("x", 1)) * k)]) == want
+    assert len(want.terms) == k + 1
+    assert len(calls) <= 2 * k * (k + 1)
+
+
+def test_same_index_blocks_refuse_degrees_over_the_bound(monkeypatch):
+    # a block's q0 degree is 4*t*m - 2*t^2 for t = min(m, p) contracted pairs
+    # and m atoms on its left; it is refused before any polynomial is formed
+    y5, x5 = gen_y(1, 1) ** 5, gen_x(1, 1) ** 5
+    at_bound = y5 * x5
+    y6, x6 = gen_y(2, 1) ** 6, gen_x(2, 1) ** 6
+
+    def no_product(a, b):
+        raise AssertionError("a polynomial product was formed")
+
+    monkeypatch.setattr(coeff, "MAX_DEGREE", 50)
+    monkeypatch.setattr(coeff, "_pmul", no_product)
+    assert y5 * x5 == at_bound
+    for lhs, rhs, degree in ((y6, x6, 72), (x6, y6, 72),
+                             (y6 * gen_y(2, 1), x6, 96),
+                             (x6, y6 * gen_y(2, 1), 72)):
+        with pytest.raises(ValueError) as err:
+            lhs * rhs
+        assert str(err.value) == f"q0 degree {degree} exceeds the bound 50"
 
 
 # -- structural properties --------------------------------------------------------
