@@ -8,7 +8,11 @@ substitutes ``q0 = exp(1j*phi/2)``.
 
 Values are immutable and canonical: numerator and denominator share no
 factor, no common power of ``q0``, and the denominator is monic, so
-equality and hashing are structural.
+equality and hashing are structural.  A new value drops the common power
+of ``q0``, then common factors of ``q0^4 - 1`` by exact division (every
+denominator the sweeps form is ``q0^k*(q0^4 - 1)^m``, since ``lam =
+(q0^4 - 1)/q0^2``), and runs Euclid's gcd only when both sides still have
+more than one term.
 
 Polynomials are coefficient tuples indexed by degree.  A real coefficient
 is an ``int``, or a :class:`Fraction` when not integral; only one with a
@@ -35,6 +39,10 @@ POLE_TOLERANCE = 1e-9
 
 # nested powers multiply degrees, so the bound is checked where tuples grow
 MAX_DEGREE = 100_000
+
+# a dense power's coefficients grow with |k|, so |k| times its q0 degree
+# bounds its work: (q0+1)^2000 is formed, (q0+1)^2049 is refused
+MAX_POWER_WORK = 1 << 22
 
 
 def _digit(x):
@@ -203,6 +211,17 @@ def _pmonic(a):
     return _exact(tuple(c * inv for c in a))
 
 
+def _cdiv(p):
+    """``p / (q0^4 - 1)`` when exact, else None: synthetic division by a
+    monic divisor adds coefficients only, so no inverse is formed."""
+    rem = list(p)
+    for i in range(len(rem) - 1, 3, -1):
+        rem[i - 4] = rem[i - 4] + rem[i]
+    if any(rem[:4]):
+        return None
+    return tuple(rem[4:])
+
+
 def _pgcd(a, b):
     while b:
         _, r = _pdivmod(a, b)
@@ -319,7 +338,12 @@ class ScalarValue:
             return NotImplemented
         if any(self.num[:-1]) or any(self.den[:-1]):
             # a dense base squares its way up: refuse before the first product
-            _check_degree(abs(k) * (max(len(self.num), len(self.den)) - 1))
+            degree = abs(k) * (max(len(self.num), len(self.den)) - 1)
+            _check_degree(degree)
+            if abs(k) * degree > MAX_POWER_WORK:
+                raise ValueError(f"power {k} of a dense scalar of q0 degree "
+                                 f"{degree} passes the work bound "
+                                 f"{MAX_POWER_WORK}")
         if k < 0:
             return self.inv() ** (-k)
         return _power(self, k, ONE)
@@ -398,12 +422,18 @@ def _canonicalize(num, den):
         num = num[v:]
         den = den[v:]
     # with the common q0 power gone, a one-term side c*q0^k is coprime to the
-    # other side (whose constant term is then nonzero): skip the gcd
-    if any(num[:-1]) and any(den[:-1]):
-        g = _pgcd(num, den)
-        if len(g) > 1:
-            num, _ = _pdivmod(num, g)
-            den, _ = _pdivmod(den, g)
+    # other side (whose constant term is then nonzero); else common factors
+    # of q0^4 - 1 go by exact division, and Euclid's gcd takes what is left
+    while any(num[:-1]) and any(den[:-1]):
+        qn = _cdiv(num)
+        qd = qn and _cdiv(den)
+        if not qd:
+            g = _pgcd(num, den)
+            if len(g) > 1:
+                num, _ = _pdivmod(num, g)
+                den, _ = _pdivmod(den, g)
+            break
+        num, den = qn, qd
     if den[-1] != 1:
         inv = _inv(den[-1])
         num = tuple(c * inv for c in num)

@@ -31,6 +31,10 @@ _TOKEN_RE = re.compile(r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z][A-Za-z0-9]*)"
 _SCALARS = {"i", "q0", "q", "lambda"}
 _GEN_RE = re.compile(r"^([yxRQKEF])(\d+)$")
 
+# parentheses, ``eps(`` and ``S(`` nest at most this deep; each level takes
+# several Python frames, so a fixed bound refuses before the stack runs out
+MAX_NESTING = 100
+
 
 def _tokenize(text):
     tokens = []
@@ -59,6 +63,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.n = n
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -73,6 +78,17 @@ class _Parser:
         if kind != "op" or value != symbol:
             raise ParseError(f"expected {symbol!r}", at, expected=(symbol,))
         return self.advance()
+
+    def nested(self, at):
+        """``expr ')'`` after the opening parenthesis at ``at``."""
+        if self.depth >= MAX_NESTING:
+            raise ParseError(f"parentheses nest deeper than {MAX_NESTING} "
+                             "levels", at)
+        self.depth += 1
+        value = self.expr()
+        self.expect_op(")")
+        self.depth -= 1
+        return value
 
     # -- value model ----------------------------------------------------
 
@@ -201,9 +217,7 @@ class _Parser:
         if kind == "int":
             return coeff.integer(val)
         if kind == "op" and val == "(":
-            inner = self.expr()
-            self.expect_op(")")
-            return inner
+            return self.nested(at)
         if kind == "name":
             return self.name_value(val, at)
         raise ParseError("expected a value", at,
@@ -219,9 +233,7 @@ class _Parser:
         if name == "lambda":
             return coeff.LAMBDA
         if name in ("eps", "S"):
-            self.expect_op("(")
-            arg = self.expr()
-            self.expect_op(")")
+            arg = self.nested(self.expect_op("(")[2])
             if isinstance(arg, ScalarValue):
                 arg = HopfElement.unit(self.n).scaled(arg)
             if not isinstance(arg, HopfElement):

@@ -73,6 +73,39 @@ def test_parse_errors_carry_positions():
         parse_algebra("q0 ^ x", 1)
 
 
+def test_parse_refuses_nesting_deeper_than_the_bound():
+    assert str(parse_expression("(" * 100 + "x1" + ")" * 100, 1)) == "x1"
+    for text, position in (("(" * 200 + "x1" + ")" * 200, 100),
+                           ("-(" * 300 + "x1" + ")" * 300, 201),
+                           ("S(" * 300 + "E1" + ")" * 300, 201),
+                           ("eps(" * 101 + "E1" + ")" * 101, 403)):
+        with pytest.raises(ParseError) as err:
+            parse_expression(text, 1)
+        assert err.value.position == position
+        assert "nest deeper than 100 levels" in str(err.value)
+
+
+def test_cli_refuses_deep_nesting_without_a_traceback(capsys):
+    assert cli.main(["normalize", "--n", "1",
+                     "(" * 100 + "x1" + ")" * 100]) == 0
+    assert capsys.readouterr().out == "x1\n"
+    for argv in (["normalize", "--n", "1", "(" * 200 + "x1" + ")" * 200],
+                 ["act", "--n", "1", "(" * 200 + "E1" + ")" * 200, "y1"]):
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: parentheses nest deeper than 100 levels "
+            "(at position 100)\n")
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qweyl", "normalize", "--n", "1",
+         "(" * 200 + "x1" + ")" * 200], env=env, capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("text, position", [
     ("x1 - E1", 3), ("E1 - x1", 3), ("x1 + E1", 3), ("E1 + x1", 3),
     ("x1 * E1", 3), ("E1*x1", 2), ("2*E1 - x1", 5), ("(x1 - 2) * (3*E1)", 9),

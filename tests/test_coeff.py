@@ -1,12 +1,14 @@
 import cmath
+import json
 import math
+import pathlib
 from fractions import Fraction
 from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from qweyl import coeff
+from qweyl import cli, coeff, uq
 from qweyl.coeff import (LAMBDA, LAMBDA_INV, NumericContext, ONE, Q, Q0, ZERO,
                          QI, ScalarValue, gaussian, integer, q0_power, q_power,
                          rational)
@@ -181,6 +183,58 @@ def test_canonicalize_matches_gcd_route(num, den):
     assert coeff._canonicalize(num, den) == _canonicalize_via_gcd(num, den)
 
 
+# common factors of C = q0^4 - 1 cancel by exact division before Euclid
+
+
+_C = (-1, 0, 0, 0, 1)
+# 1 and factors of C over Q(i), so that a partial cancellation reaches Euclid
+_C_FACTORS = ((1,), (-1, 1), (1, 1), (1, 0, 1), (QI(0, -1), 1), (QI(0, 1), 1))
+_int_poly = st.lists(st.integers(-3, 3), max_size=3).map(tuple)
+
+
+@st.composite
+def planted_pairs(draw):
+    """``q0^a·C^i·F·P`` over ``q0^b·C^j·G·Q``."""
+    def side(rest):
+        p = (0,) * draw(st.integers(0, 3)) + (1,)
+        for _ in range(draw(st.integers(0, 3))):
+            p = coeff._pmul(p, _C)
+        p = coeff._pmul(p, draw(st.sampled_from(_C_FACTORS)))
+        return coeff._pmul(p, rest)
+
+    num = side(draw(st.one_of(_poly, _int_poly)))
+    den = side(draw(st.one_of(_nonzero_poly, _int_poly.filter(any))))
+    return num, den
+
+
+@settings(max_examples=150, deadline=None)
+@given(planted_pairs())
+def test_planted_factors_cancel_as_by_the_gcd(pair):
+    num, den = pair
+    got = ScalarValue(*coeff._canonicalize(num, den), _canonical=True)
+    want = ScalarValue(*map(coeff._exact, _canonicalize_via_gcd(num, den)),
+                       _canonical=True)
+    assert _structure(got) == _structure(want)
+
+
+def test_act_path_and_module_sweep_reach_no_euclid(monkeypatch, capsys):
+    # every denominator they form is q0^k·C^m, which exact division cancels
+    def no_gcd(a, b):
+        raise AssertionError("Euclid's gcd was reached")
+
+    monkeypatch.setattr(coeff, "_pgcd", no_gcd)
+    uq._act_monomial.cache_clear()
+    golden = pathlib.Path(__file__).with_name("golden_queries_seed7.jsonl")
+    acts = [(argv, text) for argv, text in map(
+        json.loads, golden.read_text(encoding="utf-8").splitlines())
+        if argv[0] == "act"]
+    assert len(acts) == 600
+    for argv, text in acts:
+        assert cli.main(argv) == 0
+        assert capsys.readouterr() == (text + "\n", ""), argv
+    assert uq.check_module_algebra(2, degree=2).ok
+
+
 def _to_sympy(value, z):
     import sympy
 
@@ -202,7 +256,9 @@ def test_products_and_quotients_match_sympy_cancel():
     rng = random.Random(2024)
     pool = [LAMBDA, LAMBDA_INV, Q0, q0_power(-3), coeff.I, q_power(2) + ONE,
             ONE / (Q0 + ONE), gaussian(Fraction(2, 3), -1),
-            (Q0 - coeff.I) / (q0_power(2) + integer(3))]
+            (Q0 - coeff.I) / (q0_power(2) + integer(3)),
+            LAMBDA_INV ** 2, LAMBDA_INV ** 3, LAMBDA_INV ** 2 + LAMBDA_INV,
+            LAMBDA_INV ** 3 - q_power(1) * LAMBDA_INV ** 2 + coeff.I]
     for _ in range(40):
         a, b = rng.choice(pool), rng.choice(pool)
         a = a * q0_power(rng.randint(-2, 2)) + rng.choice(pool)
@@ -512,6 +568,33 @@ def test_dense_power_checks_its_degree_before_any_product(monkeypatch):
         with pytest.raises(ValueError) as err:
             base ** k
         assert str(err.value) == f"q0 degree {degree} exceeds the bound 64"
+
+
+def test_dense_power_checks_its_work_before_any_product(monkeypatch):
+    monkeypatch.setattr(coeff, "MAX_POWER_WORK", 100)
+    dense = Q0 + ONE
+    assert (dense ** 10).num == tuple(math.comb(10, j) for j in range(11))
+    assert (dense ** -10).den == (dense ** 10).num
+    assert (Q0 ** 1000).num[-1] == 1  # one term: no work bound
+    over = Q0 / (Q0 * Q0 + ONE)
+
+    def no_product(a, b):
+        raise AssertionError("a product was formed")
+
+    monkeypatch.setattr(coeff, "_pmul", no_product)
+    for base, k, degree in ((dense, 11, 11), (dense, -11, 11), (over, 8, 16)):
+        with pytest.raises(ValueError) as err:
+            base ** k
+        assert str(err.value) == (
+            f"power {k} of a dense scalar of q0 degree {degree} passes the "
+            "work bound 100")
+
+
+def test_dense_power_bound_keeps_degree_2048(monkeypatch):
+    monkeypatch.setattr(coeff, "_power", lambda base, k, one: "built")
+    assert (Q0 + ONE) ** 2048 == (Q0 + ONE) ** -2048 == "built"
+    with pytest.raises(ValueError, match="passes the work bound 4194304"):
+        (Q0 + ONE) ** 2049
 
 
 # -- products by a one-term factor ---------------------------------------------
