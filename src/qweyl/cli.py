@@ -5,7 +5,8 @@ Report records are line-oriented ``key=value`` fields::
     suite=<name>, case=<id>, residual=<float>, pass=<true|false>
 
 Exit codes: 0 all checks passed, 1 failures present, 2 usage, parse or
-output-file error.
+output-file error.  An argv that starts with a verb is parsed by that
+verb's parser alone; any other goes to the top-level parser.
 """
 
 from __future__ import annotations
@@ -290,9 +291,22 @@ def _arg_parser():
     return build_arg_parser()
 
 
+def _parse(argv):
+    """``argv`` parsed as the top-level parser would, but by the verb's own
+    parser when ``argv[0]`` names one: the top level hands it nothing else."""
+    top = _arg_parser()
+    verbs = top._subparsers._group_actions[0].choices
+    if not argv or argv[0] not in verbs:
+        return top.parse_args(argv)
+    args, extra = verbs[argv[0]].parse_known_args(argv[1:])
+    if extra:
+        top.error("unrecognized arguments: " + " ".join(extra))
+    return args
+
+
 def main(argv=None):
     try:
-        args = _arg_parser().parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -146,6 +146,27 @@ def _power(base, k, one):
     return out
 
 
+def _shifted_power(s, m, e):
+    """``s**m * q0**e``, ``m >= 0``, refused by the q0 degree of the result
+    before anything is formed: ``s``'s own q0 power joins ``e``, and what is
+    left of ``s`` is raised in closed form when it is one coefficient, else
+    by squaring.  That rest has nonzero constant terms and coprime sides, so
+    its ``m``-th power has degrees ``m`` times its own."""
+    vn, vd = _pval(s.num), _pval(s.den)
+    num, den = s.num[vn:], s.den[vd:]
+    e += (vn - vd) * m
+    _check_degree(max(max(e, 0) + m * (len(num) - 1),
+                      max(-e, 0) + m * (len(den) - 1)))
+    if len(num) == len(den) == 1:
+        num = (_exact_coeff(_power(num[0], m, 1)),)
+    else:
+        p = _power(ScalarValue(num, den, _canonical=True), m, ONE)
+        num, den = p.num, p.den
+    if e >= 0:
+        return ScalarValue(_pshift(num, e), den, _canonical=True)
+    return ScalarValue(num, _pshift(den, -e), _canonical=True)
+
+
 def _trim(cs):
     n = len(cs)
     while n and not cs[n - 1]:
@@ -336,14 +357,16 @@ class ScalarValue:
     def __pow__(self, k):
         if not isinstance(k, int):
             return NotImplemented
-        if any(self.num[:-1]) or any(self.den[:-1]):
-            # a dense base squares its way up: refuse before the first product
-            degree = abs(k) * (max(len(self.num), len(self.den)) - 1)
-            _check_degree(degree)
-            if abs(k) * degree > MAX_POWER_WORK:
-                raise ValueError(f"power {k} of a dense scalar of q0 degree "
-                                 f"{degree} passes the work bound "
-                                 f"{MAX_POWER_WORK}")
+        if not (any(self.num[:-1]) or any(self.den[:-1])):
+            # zero or c*q0^d: refused by its degree |d*k| before anything is
+            # formed
+            return _shifted_power(self.inv() if k < 0 else self, abs(k), 0)
+        # a dense base squares its way up: refuse before the first product
+        degree = abs(k) * (max(len(self.num), len(self.den)) - 1)
+        _check_degree(degree)
+        if abs(k) * degree > MAX_POWER_WORK:
+            raise ValueError(f"power {k} of a dense scalar of q0 degree "
+                             f"{degree} passes the work bound {MAX_POWER_WORK}")
         if k < 0:
             return self.inv() ** (-k)
         return _power(self, k, ONE)

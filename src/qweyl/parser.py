@@ -28,7 +28,6 @@ from .weyl import AlgebraElement
 _TOKEN_RE = re.compile(r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z][A-Za-z0-9]*)"
                        r"|(?P<op>[-+*/^()'()]))")
 
-_SCALARS = {"i", "q0", "q", "lambda"}
 _GEN_RE = re.compile(r"^([yxRQKEF])(\d+)$")
 
 # parentheses, ``eps(`` and ``S(`` nest at most this deep; each level takes

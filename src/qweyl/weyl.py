@@ -221,6 +221,15 @@ class AlgebraElement(Combination):
             return NotImplemented
         if m < 0:
             return self.monomial_inverse() ** (-m)
+        if len(self.terms) == 1 and m >= 2:
+            # k*k never contracts, so (c*k)^m = c^m q^(w*m(m-1)/2) (m*k) for
+            # k*k = q^w (2k): its q0 degree is checked once, on the result
+            ((key, cv),) = self.terms.items()
+            ((_, qw),) = _key_product(self.n, key, key, ONE)
+            e = (len(qw.num) - len(qw.den)) * (m * (m - 1) // 2)
+            return AlgebraElement(self.n, {
+                tuple(tuple(m * s for s in part) for part in key):
+                    coeff._shifted_power(cv, m, e)})
         if len(self.terms) > 1:
             # a sum squares its way up: refuse before the first product
             _check_power_work(len(self.terms), m,

@@ -442,10 +442,8 @@ def _run_sequence(argvs, out_path):
     return results
 
 
-def test_cli_shared_parser_matches_a_fresh_parser_per_call(tmp_path,
-                                                           monkeypatch):
-    out_path = tmp_path / "r.txt"
-    argvs = [
+def _shared_parser_argvs(out_path):
+    return [
         ["normalize", "--n", "2", "x2*y2"], ["normalize", "x1*y1"],
         ["verify", "--suite", "nope"], ["verify", "--suite", "obstruction"],
         ["normalize", "--n", "1"], ["act", "--n", "2", "E1", "x1"],
@@ -461,6 +459,12 @@ def test_cli_shared_parser_matches_a_fresh_parser_per_call(tmp_path,
          "--density", "qinv", "--c", "2"],
         ["normalize", "x1"],
     ]
+
+
+def test_cli_shared_parser_matches_a_fresh_parser_per_call(tmp_path,
+                                                           monkeypatch):
+    out_path = tmp_path / "r.txt"
+    argvs = _shared_parser_argvs(out_path)
     cli._arg_parser.cache_clear()
     shared = _run_sequence(argvs, out_path)
     out_path.unlink()
@@ -469,6 +473,51 @@ def test_cli_shared_parser_matches_a_fresh_parser_per_call(tmp_path,
     assert shared == fresh
     assert [r[1] for r in shared[:4]] == [0, 0, 2, 0]
     assert shared[6][1] == 0 and shared[6][2].startswith("usage: qweyl ")
+
+
+def _exit_and_output(call, argv):
+    """Exit code, stdout and stderr of ``call(argv)``, a SystemExit read as
+    :func:`cli.main` reads it."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = call(list(argv))
+        except SystemExit as exc:
+            rc = 2 if exc.code not in (0, None) else 0
+    return rc, out.getvalue(), err.getvalue()
+
+
+def test_cli_verb_dispatch_matches_the_top_level_parser(tmp_path, monkeypatch):
+    # a fresh top-level parser is the oracle: where it exits, main gives the
+    # same exit code and output; where it parses, main runs the same namespace
+    battery = [
+        ["normalize", "x1", "extra"], ["act", "E1", "x1", "y1"],
+        ["normalize"], ["act", "E1"],
+        ["normalize", "--n=2", "x2"], ["normalize", "--", "-x1"],
+        ["normalize", "x1", "-h"],
+        ["bogus", "x1"], [], ["-h"],
+    ] + [argv for argv in _shared_parser_argvs(tmp_path / "r.txt")
+         if argv and argv[0] in ("verify", "integrate", "repr-check")]
+    ran = []
+    check_bounds = cli._check_bounds
+
+    def recorded(args):
+        ran.append(args)
+        check_bounds(args)
+
+    monkeypatch.setattr(cli, "_check_bounds", recorded)
+    for argv in battery:
+        ran.clear()
+        got = _exit_and_output(cli.main, argv)
+        parsed = []
+        want = _exit_and_output(
+            lambda a: parsed.append(cli.build_arg_parser().parse_args(a)), argv)
+        if parsed:
+            del parsed[0].verb
+            assert ran == parsed, argv
+        else:
+            assert ran == [] and got == want, argv
+            assert got[0] == (0 if "-h" in argv else 2), argv
 
 
 def test_cli_builds_its_parser_once_per_process(capsys, monkeypatch):
@@ -531,9 +580,11 @@ def test_cli_rejects_vacuous_and_unrepresentable_inputs(capsys, tmp_path, argv):
 
 @pytest.mark.parametrize("text, degree", [
     ("q0^100001", 100001),
-    ("((q0^999)^999)^999", 102897),
+    ("((q0^999)^999)^999", 998001),
     ("q^-50001", 100002),
     ("(q0^40000*R1)^3", 120000),
+    ("q^99999999", 199999998),
+    ("(2*q)^-99999999", 199999998),
 ])
 def test_cli_refuses_q0_degrees_over_the_bound(capsys, text, degree):
     import tracemalloc
@@ -557,11 +608,33 @@ def test_cli_powers_up_to_the_bound(capsys):
     assert capsys.readouterr().out == "q0^100000\n"
     assert cli.main(["normalize", "(q0^40000*R1)^2"]) == 0
     assert capsys.readouterr().out == "(q0^80000)*R1^2\n"
+    # the coefficient's q0^-160000 cancels all but q0^-400 of the q power
+    assert cli.main(["normalize", "--n", "2", "(q0^-400*y1*x2)^400"]) == 0
+    assert capsys.readouterr().out == "((1)/(q0^400))*y1^400*x2^400\n"
+    # the first and zeroth powers form no square, so q^(250*250) is not met
+    assert cli.main(["normalize", "--n", "2", "(y1^250*x2^250)^1"]) == 0
+    assert capsys.readouterr().out == "y1^250*x2^250\n"
+    assert cli.main(["normalize", "--n", "2", "(y1^250*x2^250)^0"]) == 0
+    assert capsys.readouterr().out == "(1)\n"
 
 
 def test_cli_powers_of_one_term_cost_no_time_per_factor(capsys):
     assert cli.main(["normalize", "--n", "1", "x1^99999999"]) == 0
     assert capsys.readouterr().out == "x1^99999999\n"
+
+
+@pytest.mark.parametrize("text, degree", [
+    # y1*x2 squares to q (y1*x2)^2, so its m-th power has q0 degree m(m-1)
+    ("(y1*x2)^400", 159600),
+    ("(y1*x2)^511", 260610),
+    ("((q0+1)*y1*x2)^317", 317 * 316 + 317),
+])
+def test_cli_one_term_powers_are_refused_by_their_own_degree(capsys, text,
+                                                             degree):
+    assert cli.main(["normalize", "--n", "2", text]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", f"error: q0 degree {degree} exceeds the bound {coeff.MAX_DEGREE}\n")
 
 
 def test_cli_refuses_a_same_index_block_over_the_bound(capsys):

@@ -632,3 +632,29 @@ def test_one_term_factor_shifts_and_scales_as_the_dense_product(
     want = _dense_pmul(a, b)
     assert got == want
     assert [type(c) for c in got] == [type(c) for c in want]
+
+
+def test_one_term_power_is_formed_in_closed_form(monkeypatch):
+    bases = [c * q0_power(d) for c in (ONE, -ONE, coeff.I, gaussian(1, -2),
+                                       rational(-3, 2)) for d in (-3, 0, 2)]
+    want = {}
+    for base in bases:
+        up, down = ONE, ONE
+        for k in range(7):
+            want[base, k], want[base, -k] = up, down
+            up, down = up * base, down / base
+    refused = ((q_power(1), 99999999), (gaussian(2, 1) * Q0, -100001))
+
+    def no_product(a, b):
+        raise AssertionError("a product was formed")
+
+    monkeypatch.setattr(ScalarValue, "__mul__", no_product)
+    for (base, k), value in want.items():
+        got = base ** k
+        assert (got.num, got.den) == (value.num, value.den), (base, k)
+    # the degree refused is the power's own, before anything is formed
+    for base, k in refused:
+        with pytest.raises(ValueError) as err:
+            base ** k
+        assert str(err.value) == (f"q0 degree {abs(k * (len(base.num) - 1))} "
+                                  f"exceeds the bound {coeff.MAX_DEGREE}")

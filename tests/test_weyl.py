@@ -515,7 +515,40 @@ def test_powers_of_one_term_form_few_key_products(monkeypatch):
         calls.clear()
         z = (0,)
         assert (gen_x(1, 1) ** m).terms == {(z, z, (m,)): ONE}
-        assert len(calls) <= 2 * m.bit_length()
+        assert len(calls) <= 1
+
+
+_POWER_COEFFS = (ONE, q_power(1), coeff.I, coeff.Q0 + ONE, LAMBDA_INV)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.just(n), _keys(n), st.sampled_from(_POWER_COEFFS),
+    st.integers(0, 12))))
+def test_powers_of_one_term_match_repeated_products(case):
+    n, key, cv, m = case
+    x = AlgebraElement(n, {key: cv})
+    want = AlgebraElement.unit(n)
+    if m:
+        want = x
+        for _ in range(m - 1):
+            want = want * x
+    assert x ** m == want
+
+
+def test_dense_coefficient_power_is_refused_before_any_product(monkeypatch):
+    # y1*x2 squares to q (y1*x2)^2: the 20000th power has q0 degree
+    # 20000*19999 from q and 20000 from (q0+1)^20000
+    x = AlgebraElement(2, {((0, 0), (1, 0), (0, 1)): coeff.Q0 + ONE})
+
+    def no_product(a, b):
+        raise AssertionError("a dense product was formed")
+
+    monkeypatch.setattr(coeff, "_pmul", no_product)
+    with pytest.raises(ValueError) as err:
+        x ** 20000
+    assert str(err.value) == (f"q0 degree {20000 * 19999 + 20000} exceeds "
+                              f"the bound {coeff.MAX_DEGREE}")
 
 
 def test_free_words_merge_equal_keys_as_they_arise(monkeypatch):
