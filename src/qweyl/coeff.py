@@ -7,12 +7,12 @@ rationals and sends ``i -> -i``, ``q0 -> 1/q0``; numeric evaluation
 substitutes ``q0 = exp(1j*phi/2)``.
 
 Values are immutable and canonical: numerator and denominator share no
-factor, no common power of ``q0``, and the denominator is monic, so
-equality and hashing are structural.  A new value drops the common power
-of ``q0``, then common factors of ``q0^4 - 1`` by exact division (every
-denominator the sweeps form is ``q0^k*(q0^4 - 1)^m``, since ``lam =
-(q0^4 - 1)/q0^2``), and runs Euclid's gcd only when both sides still have
-more than one term.
+factor, no common power of ``q0``, and the denominator is monic, so equality
+and hashing are structural.  A new value drops the common power of ``q0``,
+then common factors of ``q0^4 - 1`` by exact division (every denominator the
+sweeps form is ``q0^k*(q0^4 - 1)^m``, since ``lam = (q0^4 - 1)/q0^2``), and
+runs Euclid's gcd only when both sides still have more than one term.  A
+power or an inverse forms no gcd: its sides are powers of coprime sides.
 
 Polynomials are coefficient tuples indexed by degree.  A real coefficient
 is an ``int``, or a :class:`Fraction` when not integral; only one with a
@@ -28,6 +28,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -40,8 +41,8 @@ POLE_TOLERANCE = 1e-9
 # nested powers multiply degrees, so the bound is checked where tuples grow
 MAX_DEGREE = 100_000
 
-# a dense power's coefficients grow with |k|, so |k| times its q0 degree
-# bounds its work: (q0+1)^2000 is formed, (q0+1)^2049 is refused
+# |k| times the q0 degree of a dense power, or times the bits of a single
+# coefficient, bounds its work: (q0+1)^2049 and 7^1398102 are refused
 MAX_POWER_WORK = 1 << 22
 
 
@@ -134,37 +135,44 @@ def _check_degree(d):
         raise ValueError(f"q0 degree {d} exceeds the bound {MAX_DEGREE}")
 
 
-def _power(base, k, one):
-    """``base**k``, ``k >= 0``, from the unit ``one`` by repeated squaring
-    (about ``log2(k)`` products), for scalars and combinations alike."""
+def _power(base, k, one, mul=operator.mul):
+    """``base**k``, ``k >= 0``, from the unit ``one`` by repeated squaring with
+    ``mul`` (about ``log2(k)`` products), for any factor that ``mul`` takes."""
     out = one
     while k:
         if k & 1:
-            out = out * base
+            out = mul(out, base)
         k >>= 1
-        base = base * base if k else base
+        base = mul(base, base) if k else base
     return out
 
 
-def _shifted_power(s, m, e):
-    """``s**m * q0**e``, ``m >= 0``, refused by the q0 degree of the result
-    before anything is formed: ``s``'s own q0 power joins ``e``, and what is
-    left of ``s`` is raised in closed form when it is one coefficient, else
-    by squaring.  That rest has nonzero constant terms and coprime sides, so
-    its ``m``-th power has degrees ``m`` times its own."""
+def _shifted_power(s, k, e):
+    """``s**k * q0**e``, refused before anything is formed: ``s`` is inverted
+    when ``k < 0``, its own q0 power joins ``e``, and each coprime side of the
+    rest is raised on its own, with no gcd.  The bits of a single coefficient
+    bound the work, else ``|k|`` times the q0 degree of ``s**k`` does."""
+    m, s = abs(k), s.inv() if k < 0 else s
     vn, vd = _pval(s.num), _pval(s.den)
     num, den = s.num[vn:], s.den[vd:]
     e += (vn - vd) * m
     _check_degree(max(max(e, 0) + m * (len(num) - 1),
                       max(-e, 0) + m * (len(den) - 1)))
     if len(num) == len(den) == 1:
+        n = num[0].real ** 2 + num[0].imag ** 2  # |c|^2: 1 for a unit
+        bits = ((n.numerator * n.denominator - 1).bit_length() + 1) // 2
+        if m * bits > MAX_POWER_WORK:
+            raise ValueError(f"power {k} of a coefficient of {bits} bits "
+                             f"passes the work bound {MAX_POWER_WORK}")
         num = (_exact_coeff(_power(num[0], m, 1)),)
     else:
-        p = _power(ScalarValue(num, den, _canonical=True), m, ONE)
-        num, den = p.num, p.den
-    if e >= 0:
-        return ScalarValue(_pshift(num, e), den, _canonical=True)
-    return ScalarValue(num, _pshift(den, -e), _canonical=True)
+        degree = m * (max(len(s.num), len(s.den)) - 1)
+        if m * degree > MAX_POWER_WORK:
+            raise ValueError(f"power {k} of a dense scalar of q0 degree "
+                             f"{degree} passes the work bound {MAX_POWER_WORK}")
+        num, den = (_exact(_power(p, m, _P_ONE, _pmul)) for p in (num, den))
+    num, den = _pshift(num, max(e, 0)), _pshift(den, max(-e, 0))
+    return ScalarValue(num, den, _canonical=True)
 
 
 def _trim(cs):
@@ -357,24 +365,12 @@ class ScalarValue:
     def __pow__(self, k):
         if not isinstance(k, int):
             return NotImplemented
-        if not (any(self.num[:-1]) or any(self.den[:-1])):
-            # zero or c*q0^d: refused by its degree |d*k| before anything is
-            # formed
-            return _shifted_power(self.inv() if k < 0 else self, abs(k), 0)
-        # a dense base squares its way up: refuse before the first product
-        degree = abs(k) * (max(len(self.num), len(self.den)) - 1)
-        _check_degree(degree)
-        if abs(k) * degree > MAX_POWER_WORK:
-            raise ValueError(f"power {k} of a dense scalar of q0 degree "
-                             f"{degree} passes the work bound {MAX_POWER_WORK}")
-        if k < 0:
-            return self.inv() ** (-k)
-        return _power(self, k, ONE)
+        return _shifted_power(self, k, 0)
 
     def inv(self):
         if not self.num:
             raise ZeroDivisionError("inverse of zero scalar")
-        return ScalarValue(self.den, self.num)
+        return ScalarValue(*_monic(self.den, self.num), _canonical=True)
 
     # -- field-specific structure ----------------------------------------
 
@@ -457,6 +453,10 @@ def _canonicalize(num, den):
                 den, _ = _pdivmod(den, g)
             break
         num, den = qn, qd
+    return _monic(num, den)
+
+
+def _monic(num, den):
     if den[-1] != 1:
         inv = _inv(den[-1])
         num = tuple(c * inv for c in num)

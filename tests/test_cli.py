@@ -2,6 +2,7 @@ import contextlib
 import importlib
 import io
 import json
+import math
 import pathlib
 import os
 import random
@@ -621,6 +622,43 @@ def test_cli_powers_up_to_the_bound(capsys):
 def test_cli_powers_of_one_term_cost_no_time_per_factor(capsys):
     assert cli.main(["normalize", "--n", "1", "x1^99999999"]) == 0
     assert capsys.readouterr().out == "x1^99999999\n"
+
+
+def test_cli_dense_coefficient_powers_meet_the_scalar_bounds(capsys):
+    # the coefficient of a one-term element is refused as the scalar is
+    assert cli.main(["normalize", "--n", "1", "((q0+1)*y1)^100000"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", (
+        "error: power 100000 of a dense scalar of q0 degree 100000 passes "
+        "the work bound 4194304\n"))
+    # and each side is raised on its own: (q0^2 - i)^100 over (q0 + 3)^100
+    minus_i_powers = (1, coeff.QI(0, -1), -1, coeff.QI(0, 1))
+    num = [0] * 201
+    for j in range(101):
+        num[2 * j] = minus_i_powers[(100 - j) % 4] * math.comb(100, j)
+    num = tuple(map(coeff._exact_coeff, num))
+    den = tuple(math.comb(100, j) * 3 ** (100 - j) for j in range(101))
+    value = coeff.ScalarValue(num, den, _canonical=True)
+    assert cli.main(["normalize", "--n", "1", "((q0^2-i)/(q0+3))^100"]) == 0
+    assert capsys.readouterr().out == f"{value}\n"
+    assert cli.main(["normalize", "--n", "1", "((q0^2-i)/(q0+3)*y1)^100"]) == 0
+    assert capsys.readouterr().out == f"({value})*y1^100\n"
+
+
+def test_cli_refuses_coefficient_powers_over_the_work_bound(capsys,
+                                                            monkeypatch):
+    # 7 and 2/3 have 3 bits each; a unit has none
+    monkeypatch.setattr(coeff, "MAX_POWER_WORK", 300)
+    for text, out in (("7^100", f"{7 ** 100}\n"), ("i^99999999", "-i\n"),
+                      ("(-1)^99999999", "-1\n")):
+        assert cli.main(["normalize", "--n", "1", text]) == 0
+        assert capsys.readouterr().out == out
+    for text, k in (("7^101", 101), ("(7*y1)^101", 101), ("(2/3)^-101", -101)):
+        assert cli.main(["normalize", "--n", "1", text]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", (
+            f"error: power {k} of a coefficient of 3 bits passes the work "
+            "bound 300\n"))
 
 
 @pytest.mark.parametrize("text, degree", [

@@ -1,4 +1,5 @@
 import cmath
+import functools
 import json
 import math
 import pathlib
@@ -591,8 +592,11 @@ def test_dense_power_checks_its_work_before_any_product(monkeypatch):
 
 
 def test_dense_power_bound_keeps_degree_2048(monkeypatch):
-    monkeypatch.setattr(coeff, "_power", lambda base, k, one: "built")
-    assert (Q0 + ONE) ** 2048 == (Q0 + ONE) ** -2048 == "built"
+    built = []
+    monkeypatch.setattr(coeff, "_power",
+                        lambda base, k, one, mul: built.append(k) or one)
+    assert (Q0 + ONE) ** 2048 == (Q0 + ONE) ** -2048 == ONE
+    assert built == [2048] * 4  # both sides of each power
     with pytest.raises(ValueError, match="passes the work bound 4194304"):
         (Q0 + ONE) ** 2049
 
@@ -658,3 +662,69 @@ def test_one_term_power_is_formed_in_closed_form(monkeypatch):
             base ** k
         assert str(err.value) == (f"q0 degree {abs(k * (len(base.num) - 1))} "
                                   f"exceeds the bound {coeff.MAX_DEGREE}")
+
+
+# -- powers of canonical scalars -----------------------------------------------
+
+
+# a side with a nonzero constant term and a nonzero top: at least two terms
+_dense_side = st.builds(lambda low, cs, top: (low,) + tuple(cs) + (top,),
+                        _nonzero_coefficient, st.lists(_coefficient, max_size=3),
+                        _nonzero_coefficient)
+
+
+@st.composite
+def power_bases(draw):
+    """A canonical scalar with a dense numerator, denominator or both, with
+    QI and Fraction coefficients, times a power of q0."""
+    shape = draw(st.sampled_from(["num", "den", "both"]))
+    num = draw(_dense_side if shape != "den" else _one_term)
+    den = draw(_dense_side if shape != "num" else _one_term)
+    return ScalarValue(num, den) * q0_power(draw(st.integers(-3, 3)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(power_bases(), st.integers(-8, 8))
+def test_powers_match_repeated_products_and_quotients(s, k):
+    want = ONE
+    for _ in range(abs(k)):
+        want = want * s if k > 0 else want / s
+    assert _structure(s ** k) == _structure(want)
+
+
+def test_powers_form_no_gcd(monkeypatch):
+    base = (Q0 * Q0 - coeff.I) / (Q0 + integer(3))
+    want, value = {}, ONE
+    for k in range(13):
+        want[k], want[-k] = value, ONE / value
+        value = value * base
+    lam_inv_40 = functools.reduce(lambda a, _: a * LAMBDA_INV, range(40), ONE)
+
+    def no_gcd(a, b):
+        raise AssertionError("a gcd was formed")
+
+    monkeypatch.setattr(coeff, "_pgcd", no_gcd)
+    for k, value in want.items():
+        assert _structure(base ** k) == _structure(value)
+    assert _structure(LAMBDA_INV ** 40) == _structure(lam_inv_40)
+    assert _structure(LAMBDA ** -40) == _structure(lam_inv_40)
+
+
+def test_coefficient_power_checks_its_bits_before_forming_it(monkeypatch):
+    # 7 and 2/3 have 3 bits each (half those of 49 and 4/9), 2 and 1+i one,
+    # and a unit none
+    monkeypatch.setattr(coeff, "MAX_POWER_WORK", 300)
+    assert integer(7) ** 100 == integer(7 ** 100)
+    assert rational(2, 3) ** -100 == rational(3 ** 100, 2 ** 100)
+    assert gaussian(1, 1) ** 300 == integer(-(2 ** 150))
+    for unit in (ONE, -ONE, coeff.I, -coeff.I):
+        assert unit ** 99999999 == unit ** 3
+    assert (integer(5) * q0_power(3)) ** -100 == \
+        rational(1, 5 ** 100) * q0_power(-300)
+    for base, k, bits in ((integer(7), 101, 3), (rational(2, 3), -101, 3),
+                          (integer(2) * Q0, 301, 1),
+                          (gaussian(1, 1), -301, 1)):
+        with pytest.raises(ValueError) as err:
+            base ** k
+        assert str(err.value) == (f"power {k} of a coefficient of {bits} bits "
+                                  "passes the work bound 300")

@@ -551,6 +551,14 @@ def test_dense_coefficient_power_is_refused_before_any_product(monkeypatch):
                               f"the bound {coeff.MAX_DEGREE}")
 
 
+def test_dense_coefficient_work_leaves_out_the_q_power_of_the_key():
+    # (q0+1)^300 is 300 * 300 work; with q^(300*299/2) counted it would be
+    # 300 * 90000, over the bound
+    x = AlgebraElement(2, {((0, 0), (1, 0), (0, 1)): coeff.Q0 + ONE})
+    assert (x ** 300).terms == {((0, 0), (300, 0), (0, 300)):
+                                (coeff.Q0 + ONE) ** 300 * q_power(44850)}
+
+
 def test_free_words_merge_equal_keys_as_they_arise(monkeypatch):
     # (y1 x1)^k has k + 1 terms, but 2^k contraction paths
     k = 12
