@@ -29,6 +29,7 @@ import cmath
 import functools
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -506,15 +507,23 @@ def _monomial_product(a, b):
 
 def _qi_str(c):
     re, im = c.real, c.imag
-    if not im:
-        return str(re)
-    if not re:
-        if im == 1:
-            return "i"
-        if im == -1:
-            return "-i"
-        return f"{im}*i"
-    return f"({re} + {im}*i)" if im > 0 else f"({re} - {-im}*i)"
+    try:
+        if not im:
+            return str(re)
+        if not re:
+            if im == 1:
+                return "i"
+            if im == -1:
+                return "-i"
+            return f"{im}*i"
+        return f"({re} + {im}*i)" if im > 0 else f"({re} - {-im}*i)"
+    except ValueError:  # an integer past the interpreter's printing limit
+        bits = max(abs(side).bit_length() for part in (re, im)
+                   for side in (part.numerator, part.denominator))
+        raise ValueError(
+            f"a coefficient of {bits} bits passes the limit of "
+            f"{sys.get_int_max_str_digits()} decimal digits on printing an "
+            "integer") from None
 
 
 def _poly_str(p):

@@ -18,6 +18,7 @@ defined on scale generators, ``Q``, and ``K``.
 from __future__ import annotations
 
 import re
+import sys
 
 from . import coeff, uq, weyl
 from .coeff import ScalarValue
@@ -47,7 +48,15 @@ def _tokenize(text):
             at = len(text) - len(stripped)
             raise ParseError(f"unexpected character {stripped[0]!r}", at)
         if m.group("int") is not None:
-            tokens.append(("int", int(m.group("int")), m.start("int")))
+            digits, at = m.group("int"), m.start("int")
+            try:
+                value = int(digits)
+            except ValueError:  # past the interpreter's conversion limit
+                raise ParseError(f"integer literal of {len(digits)} digits "
+                                 "passes the limit of "
+                                 f"{sys.get_int_max_str_digits()} digits",
+                                 at) from None
+            tokens.append(("int", value, at))
         elif m.group("name") is not None:
             tokens.append(("name", m.group("name"), m.start("name")))
         else:
@@ -127,10 +136,10 @@ class _Parser:
             return a ** k
         if len(a.terms) == 1:
             ((word, cv),) = a.terms.items()
-            if cv.is_one and all(kind in (uq.K, uq.KINV) for kind, _ in word):
+            if all(kind in (uq.K, uq.KINV) for kind, _ in word):
                 flipped = tuple((uq.KINV if kind == uq.K else uq.K, j)
                                 for kind, j in reversed(word))
-                base = HopfElement(self.n, {flipped: coeff.ONE})
+                base = HopfElement(self.n, {flipped: cv.inv()})
                 return self._pow(base, -k, at)
         raise ParseError("negative exponents are only defined on K words", at)
 

@@ -1,4 +1,4 @@
-"""Sparse linear combinations: the add-and-prune step and the shared base."""
+"""Sparse linear combinations: add-and-prune, the shared base, free words."""
 
 from .coeff import ONE, ScalarValue, _power, integer
 from .errors import DescriptorMismatch
@@ -139,3 +139,24 @@ class Combination:
             else:
                 parts.append(f"({cv})*{body}")
         return " + ".join(parts)
+
+
+class Words(Combination):
+    """Combination of free words: tuple keys multiply by concatenation,
+    ``self``'s word first, and the unit key is ``()``."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def _unit_key(n):
+        return ()
+
+    def __mul__(self, other):
+        if isinstance(other, self._scalars):
+            return self.scaled(other)
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        self._match(other)
+        return type(self)(self.n, accumulate({}, (
+            (w1 + w2, c1 * c2) for w1, c1 in self.terms.items()
+            for w2, c2 in other.terms.items())))

@@ -15,7 +15,7 @@ from . import coeff, weyl
 from .coeff import ONE, q0_power, q_power
 from .errors import DescriptorMismatch, IndexOutOfRange
 from .report import SuiteReport
-from .sparse import Combination, accumulate
+from .sparse import Words, accumulate
 from .weyl import AlgebraElement, cartan_matrix
 
 K, KINV, E, F = "K", "Kinv", "E", "F"
@@ -43,28 +43,14 @@ def generators(n, jmax=None):
     return [(kind, j) for j in range(1, _jmax(n, jmax) + 1) for kind in _KINDS]
 
 
-class HopfElement(Combination):
+class HopfElement(Words):
     """Linear combination of free generator words over exact scalars."""
 
     __slots__ = ()
 
     @staticmethod
-    def _unit_key(n):
-        return ()
-
-    @staticmethod
     def generator(n, kind, j):
         return HopfElement(n, {(hopf_gen(n, kind, j),): ONE})
-
-    def __mul__(self, other):
-        if isinstance(other, self._scalars):
-            return self.scaled(other)
-        if not isinstance(other, HopfElement):
-            return NotImplemented
-        self._match(other)
-        return HopfElement(self.n, accumulate({}, (
-            (w1 + w2, c1 * c2) for w1, c1 in self.terms.items()
-            for w2, c2 in other.terms.items())))
 
     def star(self):
         """Antilinear anti-automorphism; every generator is fixed."""

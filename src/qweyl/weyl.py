@@ -43,7 +43,7 @@ from typing import NamedTuple
 from . import coeff
 from .coeff import ONE, ScalarValue, q0_power, q_power
 from .errors import IndexOutOfRange
-from .sparse import Combination, accumulate
+from .sparse import Combination, Words, accumulate
 
 # -- sign bookkeeping -------------------------------------------------------
 
@@ -317,20 +317,25 @@ def normal_form(n, words):
     return AlgebraElement(n, out)
 
 
-# -- derived elements: normal forms of the word lists further down ---------
+# -- derived elements: normal forms of the words further down --------------
+
+
+def _terms(words):
+    """The term list ``((scalar, atoms), ...)`` of ``words``, in its order."""
+    return tuple((cv, atoms) for atoms, cv in words.terms.items())
 
 
 def q_elem(n, k):
     """The commutator scale element at index ``k``; the unit at ``n + 1``."""
-    return normal_form(n, tl_q(n, _index(k, n + 1, "Q ")))
+    return normal_form(n, _terms(tl_q(n, _index(k, n + 1, "Q "))))
 
 
 def q_elem_inv(n, k):
-    return normal_form(n, tl_q_inv(n, _index(k, n + 1, "Q ")))
+    return normal_form(n, _terms(tl_q(n, _index(k, n + 1, "Q "), -1)))
 
 
 def rho(n, k):
-    return normal_form(n, tl_rho(n, _index(k, n, "rho ")))
+    return normal_form(n, _terms(tl_rho(n, _index(k, n, "rho "))))
 
 
 def rho_inv(n, k):
@@ -338,18 +343,18 @@ def rho_inv(n, k):
 
 
 def a_op(n, k):
-    return normal_form(n, tl_a(n, _index(k, n)))
+    return normal_form(n, _terms(tl_a(n, _index(k, n))))
 
 
 def b_op(n, k):
-    return normal_form(n, tl_b(n, _index(k, n)))
+    return normal_form(n, _terms(tl_b(n, _index(k, n))))
 
 
 def gamma(n):
-    """Quantum-trace density: R1^(-2n) * R2^2 * ... * Rn^2 (R1^-2 for n=1)."""
+    """Quantum-trace density: R1^(-2n) * R2^2 * ... * Rn^2."""
     if n < 1:
         raise IndexOutOfRange("rank must be positive")
-    return normal_form(n, tl_gamma(n))
+    return normal_form(n, _terms(tl_gamma(n)))
 
 
 def verify_identity(lhs, rhs):
@@ -366,7 +371,8 @@ def verify_identity(lhs, rhs):
 # A Relation is a named weighted word list that must normalize to zero.
 # The word form is kept (rather than canonical elements) so the same
 # catalog drives both the symbolic checks and the pointwise operator
-# checks on Gaussian states.
+# checks on Gaussian states.  The catalogs are written on ``Words`` of
+# atoms, whose terms keep the order in which they were formed.
 
 
 class Relation(NamedTuple):
@@ -374,161 +380,113 @@ class Relation(NamedTuple):
     terms: tuple  # ((scalar, atoms), ...)
 
 
-def tl(*pairs):
-    return tuple((cv if isinstance(cv, ScalarValue) else coeff.integer(cv), atoms)
-                 for cv, atoms in pairs)
+def _relations(pairs):
+    return [Relation(name, _terms(words)) for name, words in pairs]
 
 
-def tl_scaled(c, terms):
-    return tuple((c * cv, atoms) for cv, atoms in terms)
+def _word(n, *atoms):
+    return Words(n, {atoms: ONE})
 
 
-def tl_mul(a, b):
-    return tuple((ca * cb, wa + wb) for ca, wa in a for cb, wb in b)
+def _gens(n, head):
+    """The one-atom words ``head_k`` by index ``k = 1..n``."""
+    return {k: _word(n, (head, k)) for k in range(1, n + 1)}
 
 
-def tl_add(*parts):
-    return tuple(term for p in parts for term in p)
+def tl_q(n, k, sign=1):
+    """``Q_k`` (``Q_k^-1`` for ``sign = -1``); the unit at ``k = n + 1``."""
+    if k == n + 1:
+        return Words.unit(n)
+    return sign_of(n, k) * _word(n, ("R", k, 2 * sign))
 
 
-def tl_sub(a, b):
-    return tl_add(a, tl_scaled(coeff.MINUS_ONE, b))
-
-
-def _t_y(k):
-    return (("y", k),)
-
-
-def _t_x(k):
-    return (("x", k),)
-
-
-def _t_r(k, s=1):
-    return (("R", k, s),)
-
-
-def tl_q(n, k, s=2):
-    return tl((1, ())) if k == n + 1 else tl((sign_of(n, k), _t_r(k, s)))
-
-
-def tl_q_inv(n, k):
-    return tl_q(n, k, -2)
-
-
-def tl_rho(n, k):
+def tl_rho(n, k, sign=1):
+    """``rho_k`` (``rho_k^-1`` for ``sign = -1``) as one word of ``R``s."""
     if k == n:
-        return tl((1, _t_r(1) + _t_r(n))) if n > 1 else tl((1, _t_r(1, 2)))
-    atoms = _t_r(k) + _t_r(k + 1, -2)
-    if k + 2 <= n:
-        atoms += _t_r(k + 2)
-    return tl((1, atoms))
-
-
-def tl_rho_inv(n, k):
-    ((cv, atoms),) = tl_rho(n, k)
-    return ((cv, tuple(("R", j, -s) for (_tag, j, s) in atoms)),)
+        powers = ((1, 1), (n, 1)) if n > 1 else ((1, 2),)
+    else:
+        powers = ((k, 1), (k + 1, -2)) + (((k + 2, 1),) if k + 2 <= n else ())
+    return _word(n, *(("R", j, sign * s) for j, s in powers))
 
 
 def tl_a(n, k):
     if k == n:
-        return tl((-coeff.I * coeff.LAMBDA_INV, _t_y(n)))
+        return -coeff.I * coeff.LAMBDA_INV * _word(n, ("y", n))
     cv = coeff.I * coeff.LAMBDA_INV * q0_power(-1) * q_power(-1)
-    return tl_scaled(cv, tl_mul(tl_q_inv(n, k + 1), tl((1, _t_x(k + 1) + _t_y(k)))))
+    return cv * (tl_q(n, k + 1, -1) * _word(n, ("x", k + 1), ("y", k)))
 
 
 def tl_b(n, k):
     if k == n:
         cv = -coeff.I * coeff.LAMBDA_INV * q_power(-1)
-        return tl_scaled(cv, tl_mul(tl_rho_inv(n, n), tl((1, _t_x(n)))))
+        return cv * (tl_rho(n, n, -1) * _word(n, ("x", n)))
     cv = -coeff.I * coeff.LAMBDA_INV * q0_power(1)
-    return tl_scaled(cv, tl_mul(tl_rho_inv(n, k),
-                                tl_mul(tl_q_inv(n, k + 1),
-                                       tl((1, _t_y(k + 1) + _t_x(k))))))
+    return cv * (tl_rho(n, k, -1) * (tl_q(n, k + 1, -1)
+                                     * _word(n, ("y", k + 1), ("x", k))))
 
 
 def tl_gamma(n):
-    atoms = _t_r(1, -2 * n if n > 1 else -2)
-    for k in range(2, n + 1):
-        atoms += _t_r(k, 2)
-    return tl((1, atoms))
-
-
-def _commutator(a, b):
-    return tl_sub(tl_mul(a, b), tl_mul(b, a))
-
-
-def _q_commutator(a, b, qq):
-    """a*b - qq*b*a as a term list."""
-    return tl_sub(tl_mul(a, b), tl_scaled(qq, tl_mul(b, a)))
+    return _word(n, ("R", 1, -2 * n), *(("R", k, 2) for k in range(2, n + 1)))
 
 
 def coordinate_relations(n):
     """Defining exchange relations of the coordinate generators."""
     rels = []
+    y, x = _gens(n, "y"), _gens(n, "x")
     q2 = q_power(2)
     for k in range(1, n + 1):
         for l in range(k + 1, n + 1):
-            for tag, atom, e in (("qhn0", _t_y, 1), ("qhn1", _t_x, -1)):
-                rels.append(Relation(f"{tag}[k={k},l={l}]", _q_commutator(
-                    tl((1, atom(k))), tl((1, atom(l))), q_power(e))))
+            for tag, g, e in (("qhn0", y, 1), ("qhn1", x, -1)):
+                rels.append((f"{tag}[k={k},l={l}]",
+                             g[k] * g[l] - q_power(e) * (g[l] * g[k])))
     for l in range(1, n + 1):
         for k in range(1, n + 1):
-            if k == l:
-                continue
-            rels.append(Relation(
-                f"qhn2[l={l},k={k}]",
-                _q_commutator(tl((1, _t_x(l))), tl((1, _t_y(k))), q_power(1))))
+            if k != l:
+                rels.append((f"qhn2[l={l},k={k}]",
+                             x[l] * y[k] - q_power(1) * (y[k] * x[l])))
     for k in range(1, n):
-        terms = _q_commutator(tl((1, _t_x(k))), tl((1, _t_y(k))), q2)
-        tail = []
+        rel = x[k] * y[k] - q2 * (y[k] * x[k])
         for j in range(k + 1, n + 1):
-            tail.append(((coeff.ONE - q2) * q_power(j - k), _t_y(j) + _t_x(j)))
-        tail.append((-(coeff.ONE - q2) * q_power(n - k), ()))
-        rels.append(Relation(f"qhn3[k={k}]", tl_add(terms, tuple(tail))))
-    rels.append(Relation(
-        "qhn4",
-        tl_add(_q_commutator(tl((1, _t_x(n))), tl((1, _t_y(n))), q2),
-               tl((-(coeff.ONE - q2), ())))))
-    return rels
+            rel = rel + (ONE - q2) * q_power(j - k) * (y[j] * x[j])
+        rels.append((f"qhn3[k={k}]", rel - (ONE - q2) * q_power(n - k)))
+    rels.append(("qhn4", x[n] * y[n] - q2 * (y[n] * x[n]) - (ONE - q2)))
+    return _relations(rels)
 
 
 def localized_relations(n):
     """Relations of the scale generators with the coordinates."""
     rels = []
     lam_inv = coeff.LAMBDA_INV
+    gens = {"y": _gens(n, "y"), "x": _gens(n, "x")}
+    y, x = gens["y"], gens["x"]
     for k in range(1, n + 1):
-        qk = tl_q(n, k)
+        qk, rk = tl_q(n, k), _word(n, ("R", k, 1))
         for j in range(1, n + 1):
-            for tag, left, e in (("Q", qk, 2), ("Q12", tl((1, _t_r(k))), 1)):
+            for tag, left, e in (("Q", qk, 2), ("Q12", rk, 1)):
                 for g, sgn in (("y", 1), ("x", -1)):
-                    rels.append(Relation(f"{tag}{g}[k={k},j={j}]", _q_commutator(
-                        left, tl((1, ((g, j),))),
-                        q_power(sgn * e) if j >= k else ONE)))
+                    gj = gens[g][j]
+                    qq = q_power(sgn * e) if j >= k else ONE
+                    rels.append((f"{tag}{g}[k={k},j={j}]",
+                                 left * gj - qq * (gj * left)))
         for l in range(k + 1, n + 1):
-            rels.append(Relation(
-                f"QQn[k={k},l={l}]",
-                _commutator(qk, tl_q(n, l))))
-        for tag, e, word in (("QQyx", -1, _t_y(k) + _t_x(k)),
-                             ("QQyx*", 1, _t_x(k) + _t_y(k))):
-            rels.append(Relation(f"{tag}[k={k}]", tl_add(tl((1, word)), tl_sub(
-                tl_scaled(q_power(e), qk), tl_q(n, k + 1)))))
-        rels.append(Relation(
-            f"xyQ[k={k}]",
-            tl_sub(_q_commutator(tl((1, _t_x(k))), tl((1, _t_y(k))), q_power(2)),
-                   tl_scaled(coeff.ONE - q_power(2), tl_q(n, k + 1)))))
-        rels.append(Relation(
-            f"defQ[k={k}]",
-            tl_sub(tl_scaled(lam_inv,
-                             tl_sub(tl((1, _t_y(k) + _t_x(k))),
-                                    tl((1, _t_x(k) + _t_y(k))))),
-                   qk)))
+            ql = tl_q(n, l)
+            rels.append((f"QQn[k={k},l={l}]", qk * ql - ql * qk))
+        for tag, e, word in (("QQyx", -1, y[k] * x[k]),
+                             ("QQyx*", 1, x[k] * y[k])):
+            rels.append((f"{tag}[k={k}]",
+                         word + q_power(e) * qk - tl_q(n, k + 1)))
+        rels.append((f"xyQ[k={k}]",
+                     x[k] * y[k] - q_power(2) * (y[k] * x[k])
+                     - (ONE - q_power(2)) * tl_q(n, k + 1)))
+        rels.append((f"defQ[k={k}]",
+                     lam_inv * (y[k] * x[k] - x[k] * y[k]) - qk))
     if n == 1:
         # the rank-one names of three relations above, equal term for term
-        terms = {rel.name: rel.terms for rel in rels}
+        words = dict(rels)
         for name, same in (("xy", "xyQ[k=1]"), ("Qxy[y]", "Qy[k=1,j=1]"),
                            ("Qxy[x]", "Qx[k=1,j=1]")):
-            rels.append(Relation(name, terms[same]))
-    return rels
+            rels.append((name, words[same]))
+    return _relations(rels)
 
 
 def cartan_matrix(n):
@@ -541,8 +499,9 @@ def ab_rho_relations(n):
     rels = []
     cart = cartan_matrix(n)
     lam_inv = coeff.LAMBDA_INV
+    y, x = _gens(n, "y"), _gens(n, "x")
     rhos = {j: tl_rho(n, j) for j in range(1, n + 1)}
-    rhois = {j: tl_rho_inv(n, j) for j in range(1, n + 1)}
+    rhois = {j: tl_rho(n, j, -1) for j in range(1, n + 1)}
     aops = {j: tl_a(n, j) for j in range(1, n + 1)}
     bops = {j: tl_b(n, j) for j in range(1, n + 1)}
 
@@ -551,116 +510,80 @@ def ab_rho_relations(n):
         for k in range(1, n + 1):
             fy = q_power(1) if k == j else (q_power(-1) if k == j + 1 else ONE)
             fx = q_power(-1) if k == j else (q_power(1) if k == j + 1 else ONE)
-            rels.append(Relation(f"rhoy[j={j},k={k}]",
-                                 _q_commutator(rhos[j], tl((1, _t_y(k))), fy)))
-            rels.append(Relation(f"rhox[j={j},k={k}]",
-                                 _q_commutator(rhos[j], tl((1, _t_x(k))), fx)))
+            rels.append((f"rhoy[j={j},k={k}]",
+                         rhos[j] * y[k] - fy * (y[k] * rhos[j])))
+            rels.append((f"rhox[j={j},k={k}]",
+                         rhos[j] * x[k] - fx * (x[k] * rhos[j])))
     for k in range(1, n + 1):
         fy = q_power(2) if k == n else q_power(1)
         fx = q_power(-2) if k == n else q_power(-1)
-        rels.append(Relation(f"rhon[y,k={k}]",
-                             _q_commutator(rhos[n], tl((1, _t_y(k))), fy)))
-        rels.append(Relation(f"rhon[x,k={k}]",
-                             _q_commutator(rhos[n], tl((1, _t_x(k))), fx)))
+        rels.append((f"rhon[y,k={k}]", rhos[n] * y[k] - fy * (y[k] * rhos[n])))
+        rels.append((f"rhon[x,k={k}]", rhos[n] * x[k] - fx * (x[k] * rhos[n])))
 
     for i in range(1, n + 1):
-        rels.append(Relation(
-            f"qAB1[unit,{i}]",
-            tl_sub(tl_mul(rhos[i], rhois[i]), tl((1, ())))))
+        ri = rhos[i]
+        rels.append((f"qAB1[unit,{i}]", ri * rhois[i] - 1))
         for j in range(i + 1, n + 1):
-            rels.append(Relation(f"qAB1[rho,{i},{j}]",
-                                 _commutator(rhos[i], rhos[j])))
+            rels.append((f"qAB1[rho,{i},{j}]", ri * rhos[j] - rhos[j] * ri))
         for j in range(1, n + 1):
-            qa = q_power(cart[i - 1][j - 1])
-            rels.append(Relation(f"qAB1[rhoA,{i},{j}]",
-                                 _q_commutator(rhos[i], aops[j], qa)))
-            rels.append(Relation(f"qAB1[rhoB,{i},{j}]",
-                                 _q_commutator(rhos[i], bops[j],
-                                               q_power(-cart[i - 1][j - 1]))))
+            c = cart[i - 1][j - 1]
+            rels.append((f"qAB1[rhoA,{i},{j}]",
+                         ri * aops[j] - q_power(c) * (aops[j] * ri)))
+            rels.append((f"qAB1[rhoB,{i},{j}]",
+                         ri * bops[j] - q_power(-c) * (bops[j] * ri)))
 
     qser = q_power(1) + q_power(-1)
     for (tag, ops) in (("A", aops), ("B", bops)):
         eq = 2 if tag == "A" else 3
         for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                if j - i >= 2:
-                    rels.append(Relation(f"qAB{eq}[far,{i},{j}]",
-                                         _commutator(ops[i], ops[j])))
+            for j in range(i + 2, n + 1):
+                rels.append((f"qAB{eq}[far,{i},{j}]",
+                             ops[i] * ops[j] - ops[j] * ops[i]))
         for j in range(1, n + 1):
             for l in (j - 1, j + 1):
-                if not 1 <= l <= n:
-                    continue
-                serre = tl_add(
-                    tl_mul(tl_mul(ops[j], ops[j]), ops[l]),
-                    tl_scaled(-qser, tl_mul(tl_mul(ops[j], ops[l]), ops[j])),
-                    tl_mul(ops[l], tl_mul(ops[j], ops[j])))
-                rels.append(Relation(f"qAB{eq}[serre,{j},{l}]", serre))
+                if 1 <= l <= n:
+                    oj, ol = ops[j], ops[l]
+                    rels.append((f"qAB{eq}[serre,{j},{l}]", oj * oj * ol
+                                 - qser * (oj * ol * oj) + ol * (oj * oj)))
 
     for i in range(1, n + 1):
         for j in range(1, n + 1):
-            if i == j:
-                continue
-            rels.append(Relation(f"qAB4[cross,{i},{j}]",
-                                 _commutator(aops[i], bops[j])))
+            if i != j:
+                rels.append((f"qAB4[cross,{i},{j}]",
+                             aops[i] * bops[j] - bops[j] * aops[i]))
     for j in range(1, n):
-        rels.append(Relation(
-            f"qAB4[diag,{j}]",
-            tl_sub(_commutator(aops[j], bops[j]),
-                   tl_scaled(lam_inv, tl_sub(rhos[j], rhois[j])))))
-    rels.append(Relation(
-        "qAB5",
-        tl_add(_commutator(aops[n], bops[n]), tl_scaled(lam_inv, rhois[n]))))
+        rels.append((f"qAB4[diag,{j}]", aops[j] * bops[j] - bops[j] * aops[j]
+                     - lam_inv * (rhos[j] - rhois[j])))
+    rels.append(("qAB5", aops[n] * bops[n] - bops[n] * aops[n]
+                 + lam_inv * rhois[n]))
 
-    # ladder product rearrangements and their helper commutations
-    for k in range(2, n):
-        wk = tl_mul(tl_q_inv(n, k), tl((1, _t_x(k + 1) + _t_y(k - 1))))
-        vk = tl_mul(tl_mul(rhois[k - 1], rhois[k]),
-                    tl_mul(tl_q_inv(n, k), tl((1, _t_y(k + 1) + _t_x(k - 1)))))
-        rels.append(Relation(
-            f"AAk[k={k}]",
-            tl_sub(_q_commutator(aops[k - 1], aops[k], q_power(1)),
-                   tl_scaled(lam_inv * q_power(-1), wk))))
-        rels.append(Relation(
-            f"BBk[k={k}]",
-            tl_add(_q_commutator(bops[k - 1], bops[k], q_power(-1)),
-                   tl_scaled(lam_inv, vk))))
-        rels.append(Relation(f"hilf1[k={k}]",
-                             _q_commutator(aops[k], wk, q_power(1))))
-        rels.append(Relation(f"hilf2[k={k}]",
-                             _q_commutator(aops[k - 1], wk, q_power(-1))))
-        rels.append(Relation(f"hilf3[k={k}]",
-                             _q_commutator(bops[k], vk, q_power(-1))))
-        rels.append(Relation(f"hilf4[k={k}]",
-                             _q_commutator(bops[k - 1], vk, q_power(1))))
-    if n >= 2:
-        wn = tl_mul(tl_q_inv(n, n), tl((1, _t_y(n - 1))))
-        vn = tl_mul(tl_mul(rhois[n - 1], rhois[n]),
-                    tl_mul(tl_q_inv(n, n), tl((1, _t_x(n - 1)))))
-        rels.append(Relation(
-            "AAn-1",
-            tl_add(_q_commutator(aops[n - 1], aops[n], q_power(1)),
-                   tl_scaled(lam_inv * q0_power(1), wn))))
-        rels.append(Relation(
-            "BBn",
-            tl_add(_q_commutator(bops[n - 1], bops[n], q_power(-1)),
-                   tl_scaled(lam_inv * q0_power(-1) * q_power(-1), vn))))
-        rels.append(Relation("hilf5", _q_commutator(aops[n], wn, q_power(1))))
-        rels.append(Relation("hilf6", _q_commutator(aops[n - 1], wn, q_power(-1))))
-        rels.append(Relation("hilf7", _q_commutator(bops[n], vn, q_power(-1))))
-        rels.append(Relation("hilf8", _q_commutator(bops[n - 1], vn, q_power(1))))
+    # ladder product rearrangements and their helper commutations, for the
+    # pairs (k - 1, k) below n and then (n - 1, n)
+    q1, qm1 = q_power(1), q_power(-1)
+    for k in range(2, n + 1):
+        top = k == n
+        qi = tl_q(n, k, -1)
+        w = qi * (y[k - 1] if top else x[k + 1] * y[k - 1])
+        v = rhois[k - 1] * rhois[k] * (
+            qi * (x[k - 1] if top else y[k + 1] * x[k - 1]))
+        sw = lam_inv * q0_power(1) if top else -(lam_inv * qm1)
+        sv = lam_inv * q0_power(-1) * qm1 if top else lam_inv
+        names = (("AAn-1", "BBn", "hilf5", "hilf6", "hilf7", "hilf8") if top
+                 else [f"{t}[k={k}]" for t in ("AAk", "BBk", "hilf1", "hilf2",
+                                               "hilf3", "hilf4")])
+        a0, a1, b0, b1 = aops[k - 1], aops[k], bops[k - 1], bops[k]
+        rels += zip(names, (a0 * a1 - q1 * (a1 * a0) + sw * w,
+                            b0 * b1 - qm1 * (b1 * b0) + sv * v,
+                            a1 * w - q1 * (w * a1), a0 * w - qm1 * (w * a0),
+                            b1 * v - qm1 * (v * b1), b0 * v - q1 * (v * b0)))
 
     if n == 1:
-        qe = tl_q(1, 1)
-        qei = tl_q_inv(1, 1)
-        b3 = tl_scaled(coeff.MINUS_ONE, bops[1])  # the rank-one text form
-        rels.append(Relation("ABQ[QA]",
-                             _q_commutator(qe, aops[1], q_power(2))))
-        rels.append(Relation("ABQ[QB]",
-                             _q_commutator(qe, b3, q_power(-2))))
-        rels.append(Relation(
-            "ABQ[AB]",
-            tl_add(_commutator(aops[1], b3), tl_scaled(lam_inv, qei))))
-    return rels
+        # b3 = -B1 is the rank-one text form
+        qe, a1, b3 = tl_q(1, 1), aops[1], -bops[1]
+        rels += [("ABQ[QA]", qe * a1 - q_power(2) * (a1 * qe)),
+                 ("ABQ[QB]", qe * b3 - q_power(-2) * (b3 * qe)),
+                 ("ABQ[AB]", a1 * b3 - b3 * a1 + lam_inv * tl_q(1, 1, -1))]
+    return _relations(rels)
 
 
 def hermitian_generators(n):

@@ -661,6 +661,60 @@ def test_cli_refuses_coefficient_powers_over_the_work_bound(capsys,
             "bound 300\n"))
 
 
+@pytest.mark.parametrize("text, power", [
+    ("7^6000", 6000),
+    ("7^4000*7^4000", 8000),
+    ("(7^4000+q0)*(7^4000+q0)", 8000),
+])
+def test_cli_refuses_to_print_integers_past_the_string_limit(capsys, text,
+                                                             power):
+    # the largest coefficient is 7^power
+    assert cli.main(["normalize", text]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", (
+        f"error: a coefficient of {(7 ** power).bit_length()} bits passes the limit "
+        f"of {sys.get_int_max_str_digits()} decimal digits on printing an "
+        "integer\n"))
+
+
+def test_cli_prints_integers_up_to_the_string_limit(capsys):
+    assert cli.main(["normalize", "7^5000"]) == 0
+    assert capsys.readouterr().out == f"{7 ** 5000}\n"
+
+
+def test_cli_refuses_integer_literals_past_the_string_limit(capsys):
+    text = "q0 + " + "7" * 5000
+    with pytest.raises(ParseError) as err:
+        parse_scalar(text)
+    assert err.value.position == 5
+    assert cli.main(["normalize", text]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", (
+        "error: integer literal of 5000 digits passes the limit of "
+        f"{sys.get_int_max_str_digits()} digits (at position 5)\n"))
+
+
+@pytest.mark.parametrize("n, text, printed", [
+    (1, "(-K1)^-1", "(-1)*K1^-1"),
+    (1, "(2*K1)^-1", "(1/2)*K1^-1"),
+    (1, "((1+i)*K1)^-2", "(-1/2*i)*K1^-1*K1^-1"),
+    (2, "(q*K1*K2^-1)^-2", "((1)/(q0^4))*K2*K1^-1*K2*K1^-1"),
+    (1, "(-R1)^-1", "(-1)*R1^-1"),
+])
+def test_cli_negative_powers_of_scaled_k_words(capsys, n, text, printed):
+    assert cli.main(["normalize", "--n", str(n), text]) == 0
+    assert capsys.readouterr().out == printed + "\n"
+
+
+@pytest.mark.parametrize("text, at", [("(2*E1)^-1", 6), ("(K1+K2)^-1", 7)])
+def test_cli_negative_powers_refused_off_k_words(capsys, text, at):
+    assert cli.main(["normalize", "--n", "2", text]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", (
+        "error: negative exponents are only defined on K words "
+        f"(at position {at})\n"))
+
+
 @pytest.mark.parametrize("text, degree", [
     # y1*x2 squares to q (y1*x2)^2, so its m-th power has q0 degree m(m-1)
     ("(y1*x2)^400", 159600),

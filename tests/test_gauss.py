@@ -470,7 +470,7 @@ def test_pointwise_relation_suite():
 
 
 def test_trivial_relation_residual_zero():
-    rel = weyl.Relation("one-minus-one", weyl.tl((1, ()), (-1, ())))
+    rel = weyl.Relation("one-minus-one", ((weyl.ONE, ()), (-weyl.ONE, ())))
     state = GaussianState.from_legs(1.0, [(1.0, 0j)])
     rep = gauss.check_relations_pointwise(1, [rel], [state], CTX)
     assert rep.cases[0].residual == 0.0

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 from qweyl import coeff, weyl
 from qweyl.errors import DescriptorMismatch, ShapeMismatch
 from qweyl.gauss import GaussianState
-from qweyl.sparse import accumulate
+from qweyl.sparse import Words, accumulate
 from qweyl.uq import E, F, KINV, HopfElement
 
 # the accumulate-and-prune loops that sparse.accumulate replaced, kept as
@@ -89,11 +89,17 @@ def _state(n):
             GaussianState.from_legs(1j, [(1.0, 0.5j)] * n))
 
 
-_BUILDERS = [_algebra, _hopf, _state]
+def _words(n):
+    a, b = Words(n, {("a",): coeff.ONE}), Words(n, {("b", n): coeff.I})
+    return a * b - coeff.Q0 * (b * a), b + 3
+
+
+_BUILDERS = [_algebra, _hopf, _state, _words]
 _IDS = {"ids": lambda build: build.__name__[1:]}
 _MISMATCH = {_algebra: (DescriptorMismatch, "rank {} vs {}"),
              _hopf: (DescriptorMismatch, "rank {} vs {}"),
-             _state: (ShapeMismatch, "{} legs vs {}")}
+             _state: (ShapeMismatch, "{} legs vs {}"),
+             _words: (DescriptorMismatch, "rank {} vs {}")}
 
 
 @pytest.mark.parametrize("build", _BUILDERS, **_IDS)
@@ -136,7 +142,7 @@ def test_state_hash_with_equal_epsilon_keys():
     assert u == v and hash(u) == hash(v)
 
 
-@pytest.mark.parametrize("build", [_algebra, _hopf], **_IDS)
+@pytest.mark.parametrize("build", [_algebra, _hopf, _words], **_IDS)
 def test_exact_combinations_take_scalars_on_either_side(build):
     h, _ = build(2)
     two = coeff.integer(2)
@@ -147,6 +153,39 @@ def test_exact_combinations_take_scalars_on_either_side(build):
     assert 2 + h == h + 2 == h + unit.scaled(two)
     assert 2 * h == h * 2 == two * h == h * two == h.scaled(two)
     assert (h - h) == 0 and h + 0 == h
+
+
+def test_words_multiply_by_concatenation_left_word_first():
+    a = Words(1, {("a",): coeff.I, ("b", "c"): coeff.integer(2)})
+    b = Words(1, {("d",): coeff.Q0, (): coeff.MINUS_ONE})
+    assert list((a * b).terms.items()) == [
+        (("a", "d"), coeff.I * coeff.Q0), (("a",), -coeff.I),
+        (("b", "c", "d"), coeff.integer(2) * coeff.Q0),
+        (("b", "c"), coeff.integer(-2))]
+    assert type(a * b) is Words
+
+
+def test_words_unit_is_the_empty_word():
+    unit = Words.unit(2)
+    a = Words(2, {("a", "b"): coeff.LAMBDA})
+    assert unit.terms == {(): coeff.ONE} and unit == 1
+    assert unit * a == a * unit == a
+    assert a + 1 == Words(2, {("a", "b"): coeff.LAMBDA, (): coeff.ONE})
+
+
+def test_words_product_rank_clash():
+    with pytest.raises(DescriptorMismatch) as err:
+        Words(1, {("a",): coeff.ONE}) * Words(2, {("a",): coeff.ONE})
+    assert str(err.value) == "rank 1 vs 2"
+
+
+def test_words_cancelling_terms_drop():
+    u = Words(1, {(): coeff.ONE, ("a",): coeff.ONE})
+    v = Words(1, {(): coeff.ONE, ("a",): coeff.MINUS_ONE})
+    # (1 + a)(1 - a) = 1 - a + a - aa: the a terms cancel and leave no key
+    assert list((u * v).terms.items()) == [((), coeff.ONE),
+                                           (("a", "a"), coeff.MINUS_ONE)]
+    assert (u - u).terms == {}
 
 
 def test_combination_strings():

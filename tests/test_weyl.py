@@ -1,3 +1,4 @@
+import pathlib
 import random
 
 import pytest
@@ -639,15 +640,36 @@ def test_full_relation_suite_symbolically():
             assert element.is_zero, (n, rel.name, str(element))
 
 
+def _catalog_lines(n):
+    """Each rank-``n`` relation's name, then a line per term: scalar, atoms."""
+    for catalog in (weyl.coordinate_relations, weyl.localized_relations,
+                    weyl.ab_rho_relations):
+        for rel in catalog(n):
+            yield f"n={n} {rel.name}"
+            for cv, atoms in rel.terms:
+                assert isinstance(cv, coeff.ScalarValue), (n, rel.name)
+                yield f"  {cv} |" + "".join(
+                    f" {a[0]}{a[1]}" + (f"^{a[2]}" if a[0] == "R" else "")
+                    for a in atoms)
+
+
+def test_relation_catalogs_match_golden_file():
+    path = pathlib.Path(__file__).with_name("golden_relations.txt")
+    golden = path.read_text().splitlines()
+    got = [line for n in (1, 2, 3) for line in _catalog_lines(n)]
+    for number, (line, want) in enumerate(zip(got, golden), 1):
+        assert line == want, f"line {number}"
+    assert len(got) == len(golden)
+
+
 def _rank_one_reference():
     """The rank-one ``xy``, ``Qxy[y]`` and ``Qxy[x]`` written out by hand."""
-    y, x = weyl.tl((1, (("y", 1),))), weyl.tl((1, (("x", 1),)))
-    qc = weyl._q_commutator
+    y, x, r2 = ("y", 1), ("x", 1), ("R", 1, 2)  # Q1 = -R1^2
+    q2 = q_power(2)
     return {
-        "xy": weyl.tl_add(qc(x, y, q_power(2)),
-                          weyl.tl((-(coeff.ONE - q_power(2)), ()))),
-        "Qxy[y]": qc(weyl.tl_q(1, 1), y, q_power(2)),
-        "Qxy[x]": qc(weyl.tl_q(1, 1), x, q_power(-2)),
+        "xy": ((ONE, (x, y)), (-q2, (y, x)), (q2 - ONE, ())),
+        "Qxy[y]": ((-ONE, (r2, y)), (q2, (y, r2))),
+        "Qxy[x]": ((-ONE, (r2, x)), (q_power(-2), (x, r2))),
     }
 
 
