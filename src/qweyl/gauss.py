@@ -25,7 +25,6 @@ packets and leg overlaps fill each table in ``inner``'s float order.
 from __future__ import annotations
 
 import cmath
-import contextlib
 import functools
 import math
 import os
@@ -35,7 +34,7 @@ from dataclasses import dataclass
 from .errors import ShapeMismatch
 from .report import SuiteReport
 from .sparse import Combination, accumulate
-from .weyl import hermitian_generators
+from .weyl import hermitian_generators, sign_of
 
 
 def _apply_leg(eps, gamma, leg, phi):
@@ -218,7 +217,7 @@ def _atom_variants(atom, n, ctx):
     if kind == "y":
         return [ElementaryOperator(1.0 + 0j, before + ((1, 0),) + after, phi)]
     if kind == "x":
-        sign = -1.0 if main % 2 else 1.0
+        sign = -float(sign_of(n, k))
         return [ElementaryOperator(sign * ctx.q_value,
                                    before + ((-1, 2),) + after, phi),
                 ElementaryOperator(sign + 0j, before + ((-1, 0),) + after, phi)]
@@ -356,9 +355,10 @@ def _process_count(work, jobs):
     return max(1, min(cpus, work // WORK_PER_PROCESS, len(jobs)))
 
 
-def _sweep(cases, jobs, residual, work):
-    """Yield each ``(name, case)`` case's name and ``residual(case, *job)``
-    for every job, in order; ``work`` sizes the sweep for ``_process_count``.
+def _sweep(rep, tolerance, cases, jobs, residual, work):
+    """Record in ``rep`` each ``(name, case)`` case's worst
+    ``residual(case, *job)`` over the jobs, passing within ``tolerance``;
+    ``work`` sizes the sweep for ``_process_count``.
 
     A large sweep cuts the jobs into contiguous chunks and forks a child for
     each chunk after the first, which writes its residuals case by case as
@@ -402,7 +402,8 @@ def _sweep(cases, jobs, residual, work):
                     reads[c].close()
                     reads[c] = None
                 residuals.extend(residual(case, *job) for job in chunk)
-            yield name, residuals
+            worst = max(0.0, *residuals)
+            rep.record(name, worst <= tolerance, residual=worst)
     finally:
         for f in reads:
             if f:
@@ -448,11 +449,8 @@ def check_relations_pointwise(n, relations, states, ctx, suite="pointwise"):
     table, cases = _gram_cases(cases)
     # each job keeps its state's Gram table, which goes with the sweep
     jobs = [(state, norm(state), []) for state in states]
-    sweep = _sweep(cases, jobs, functools.partial(_gram_residual, table), work)
-    with contextlib.closing(sweep):
-        for name, residuals in sweep:
-            worst = max(0.0, *residuals)
-            rep.record(name, worst <= ctx.tolerance, residual=worst)
+    _sweep(rep, ctx.tolerance, cases, jobs,
+           functools.partial(_gram_residual, table), work)
     return rep
 
 

@@ -9,7 +9,6 @@ against the scale density, ``h(F) = c * sum(amp * <ket, density bra>)``.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
 import random
@@ -127,11 +126,7 @@ def plain_trace(F):
 
 def quantum_trace(F, ictx):
     """The invariant integral ``c * tr(F . density)``."""
-    dens = density_ops(F.n, ictx)
-    total = 0j
-    for amp, ket, bra in F.terms:
-        total += amp * inner(ket, apply_ops(dens, bra))
-    return ictx.c * total
+    return ictx.c * plain_trace(F.bras_applied(density_ops(F.n, ictx)))
 
 
 # -- the action on finite-rank operators ---------------------------------------
@@ -202,10 +197,7 @@ def check_invariance(n, ictx, count=20, seed=7, max_rank=3):
     work = ops * sum(len(ket.terms) + len(bra.terms)
                      for F in samples for _, ket, bra in F.terms)
     cases = [(uq._gen_str(g), g) for g in gens]
-    with contextlib.closing(gauss._sweep(cases, jobs, residual, work)) as sweep:
-        for gname, residuals in sweep:
-            worst = max(0.0, *residuals)
-            rep.record(gname, worst <= ictx.ctx.tolerance, residual=worst)
+    gauss._sweep(rep, ictx.ctx.tolerance, cases, jobs, residual, work)
     return rep
 
 

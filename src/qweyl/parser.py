@@ -29,7 +29,20 @@ from .weyl import AlgebraElement
 _TOKEN_RE = re.compile(r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z][A-Za-z0-9]*)"
                        r"|(?P<op>[-+*/^()'()]))")
 
-_GEN_RE = re.compile(r"^([yxRQKEF])(\d+)$")
+_CONSTANTS = {"i": coeff.I, "q0": coeff.Q0, "q": coeff.Q,
+              "lambda": coeff.LAMBDA}
+
+# generator heads and their builders ``(n, index)``; the K, E and F heads
+# name their kinds in ``uq``
+_GENERATORS = {"y": weyl.gen_y, "x": weyl.gen_x, "R": weyl.gen_r,
+               "Q": weyl.q_elem,
+               **{kind: (lambda n, j, kind=kind:
+                         HopfElement.generator(n, kind, j)) for kind in "KEF"}}
+
+_GEN_RE = re.compile(rf"^([{''.join(_GENERATORS)}])(\d+)$")
+
+# what a negative power is defined on, by element type
+_INVERTIBLE = {AlgebraElement: "scale generators", HopfElement: "K words"}
 
 # parentheses, ``eps(`` and ``S(`` nest at most this deep; each level takes
 # several Python frames, so a fixed bound refuses before the stack runs out
@@ -119,29 +132,13 @@ class _Parser:
         if isinstance(a, ScalarValue):
             if a.is_zero and k < 0:
                 raise ParseError("division by zero", at)
-            return a ** k
-        if isinstance(a, AlgebraElement):
-            if k < 0:
-                try:
-                    a, k = a.monomial_inverse(), -k
-                except ValueError:
-                    raise ParseError("negative exponents are only defined "
-                                     "on scale generators", at)
-            return a ** k
-        # symmetry words: negative powers only for K words
-        if k >= 0:
-            # a sum of T words expands to up to T^k words: refuse first
-            weyl._check_power_work(len(a.terms), k,
-                                   max(map(len, a.terms), default=0))
-            return a ** k
-        if len(a.terms) == 1:
-            ((word, cv),) = a.terms.items()
-            if all(kind in (uq.K, uq.KINV) for kind, _ in word):
-                flipped = tuple((uq.KINV if kind == uq.K else uq.K, j)
-                                for kind, j in reversed(word))
-                base = HopfElement(self.n, {flipped: cv.inv()})
-                return self._pow(base, -k, at)
-        raise ParseError("negative exponents are only defined on K words", at)
+        elif k < 0:
+            try:
+                a, k = a.monomial_inverse(), -k
+            except ValueError:
+                raise ParseError("negative exponents are only defined on "
+                                 + _INVERTIBLE[type(a)], at) from None
+        return a ** k
 
     # -- grammar --------------------------------------------------------
 
@@ -232,36 +229,19 @@ class _Parser:
                          expected=("integer", "name", "("))
 
     def name_value(self, name, at):
-        if name == "i":
-            return coeff.I
-        if name == "q0":
-            return coeff.Q0
-        if name == "q":
-            return coeff.Q
-        if name == "lambda":
-            return coeff.LAMBDA
+        if name in _CONSTANTS:
+            return _CONSTANTS[name]
         if name in ("eps", "S"):
             arg = self.nested(self.expect_op("(")[2])
             if isinstance(arg, ScalarValue):
-                arg = HopfElement.unit(self.n).scaled(arg)
+                arg = HopfElement.zero(self.n) + arg
             if not isinstance(arg, HopfElement):
                 raise ParseError(f"{name}() takes a symmetry-algebra argument", at)
             return uq.counit(arg) if name == "eps" else uq.antipode_element(arg)
         m = _GEN_RE.match(name)
         if not m:
             raise ParseError(f"unknown name {name!r}", at)
-        head, idx = m.group(1), int(m.group(2))
-        n = self.n
-        if head == "y":
-            return weyl.gen_y(n, idx)
-        if head == "x":
-            return weyl.gen_x(n, idx)
-        if head == "R":
-            return weyl.gen_r(n, idx)
-        if head == "Q":
-            return weyl.q_elem(n, idx)
-        return HopfElement.generator(n, {"K": uq.K, "E": uq.E,
-                                         "F": uq.F}[head], idx)
+        return _GENERATORS[m.group(1)](self.n, int(m.group(2)))
 
 
 def parse_expression(text, n):
@@ -269,26 +249,24 @@ def parse_expression(text, n):
     return _Parser(text, n).parse()
 
 
-def parse_algebra(text, n):
+def _parse_as(text, n, cls, what):
+    """``text`` parsed to a ``cls``; a scalar stands for that multiple of
+    the unit."""
     value = parse_expression(text, n)
-    if isinstance(value, ScalarValue):
-        return weyl.scalar_element(n, value)
-    if not isinstance(value, AlgebraElement):
-        raise ParseError("expected a coordinate-algebra expression", 0)
+    if isinstance(value, ScalarValue) and cls is not ScalarValue:
+        value = cls.zero(n) + value
+    if not isinstance(value, cls):
+        raise ParseError(f"expected a {what} expression", 0)
     return value
+
+
+def parse_algebra(text, n):
+    return _parse_as(text, n, AlgebraElement, "coordinate-algebra")
 
 
 def parse_hopf(text, n):
-    value = parse_expression(text, n)
-    if isinstance(value, ScalarValue):
-        return HopfElement.unit(n).scaled(value)
-    if not isinstance(value, HopfElement):
-        raise ParseError("expected a symmetry-algebra expression", 0)
-    return value
+    return _parse_as(text, n, HopfElement, "symmetry-algebra")
 
 
 def parse_scalar(text):
-    value = parse_expression(text, 1)
-    if not isinstance(value, ScalarValue):
-        raise ParseError("expected a scalar expression", 0)
-    return value
+    return _parse_as(text, 1, ScalarValue, "scalar")

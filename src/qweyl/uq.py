@@ -13,7 +13,7 @@ from functools import lru_cache
 
 from . import coeff, weyl
 from .coeff import ONE, q0_power, q_power
-from .errors import DescriptorMismatch, IndexOutOfRange
+from .errors import DescriptorMismatch
 from .report import SuiteReport
 from .sparse import Words, accumulate
 from .weyl import AlgebraElement, cartan_matrix
@@ -25,9 +25,7 @@ _KINDS = (K, KINV, E, F)
 def hopf_gen(n, kind, j):
     if kind not in _KINDS:
         raise ValueError(f"unknown generator kind {kind!r}")
-    if not 1 <= j <= n:
-        raise IndexOutOfRange(f"generator index {j} outside 1..{n}")
-    return (kind, j)
+    return (kind, weyl._index(j, n, "generator "))
 
 
 def _jmax(n, jmax):
@@ -51,6 +49,25 @@ class HopfElement(Words):
     @staticmethod
     def generator(n, kind, j):
         return HopfElement(n, {(hopf_gen(n, kind, j),): ONE})
+
+    def __pow__(self, m):
+        if not isinstance(m, int):
+            return NotImplemented
+        if m < 0:
+            return self.monomial_inverse() ** -m
+        # a sum of T words expands to up to T^m words: refuse first
+        weyl._check_power_work(len(self.terms), m,
+                               max(map(len, self.terms), default=0))
+        return super().__pow__(m)
+
+    def monomial_inverse(self):
+        """Inverse of one scaled word of ``K``/``K^-1``: the antipode of the
+        word over the inverted scalar."""
+        if len(self.terms) != 1 or not all(
+                kind in (K, KINV) for word in self.terms for kind, _ in word):
+            raise ValueError("only a scaled K word is invertible")
+        ((word, cv),) = self.terms.items()
+        return antipode_element(HopfElement(self.n, {word: cv.inv()}))
 
     def star(self):
         """Antilinear anti-automorphism; every generator is fixed."""
@@ -113,15 +130,21 @@ def antipode(n, g):
 
 
 def antipode_element(h):
-    """Anti-multiplicative extension of the generator antipode."""
+    """Anti-multiplicative extension of the generator antipode.  Each
+    generator's image is one scaled word, so each word's image is too."""
     n = h.n
-    out = HopfElement.zero(n)
-    for word, cv in h.terms.items():
-        acc = HopfElement.unit(n).scaled(cv)
-        for g in reversed(word):
-            acc = acc * antipode(n, g)
-        out = out + acc
-    return out
+    table = {g: antipode(n, g).terms.items() for g in set().union(*h.terms)}
+
+    def images():
+        for word, cv in h.terms.items():
+            image = []
+            for g in reversed(word):
+                ((w, c),) = table[g]
+                image += w
+                cv = cv * c
+            yield tuple(image), cv
+
+    return HopfElement(n, accumulate({}, images()))
 
 
 # -- the action --------------------------------------------------------------
@@ -203,8 +226,6 @@ def action_table(n, jmax=None):
                     else AlgebraElement.zero(n)
                 fx = (-i_unit * q0_power(1)) * weyl.gen_x(n, j) if k == j + 1 \
                     else AlgebraElement.zero(n)
-                ky = q_power(1) if k == j else (q_power(-1) if k == j + 1 else ONE)
-                kx = q_power(-1) if k == j else (q_power(1) if k == j + 1 else ONE)
             else:
                 ey = (i_unit * q_power(1)) * (weyl.gen_y(n, n) * y)
                 ex = (-i_unit * q_power(-1)) * AlgebraElement.unit(n) if k == n \
@@ -212,16 +233,16 @@ def action_table(n, jmax=None):
                 fy = i_unit * AlgebraElement.unit(n) if k == n \
                     else AlgebraElement.zero(n)
                 fx = (-i_unit * q_power(2)) * (x * weyl.gen_x(n, n))
-                ky = q_power(2) if k == n else q_power(1)
-                kx = q_power(-2) if k == n else q_power(-1)
             rows.append(((E, j), y, ey, f"E{j}>y{k}"))
             rows.append(((E, j), x, ex, f"E{j}>x{k}"))
             rows.append(((F, j), y, fy, f"F{j}>y{k}"))
             rows.append(((F, j), x, fx, f"F{j}>x{k}"))
-            rows.append(((K, j), y, ky * y, f"K{j}>y{k}"))
-            rows.append(((K, j), x, kx * x, f"K{j}>x{k}"))
-            rows.append(((KINV, j), y, ky.inv() * y, f"K{j}^-1>y{k}"))
-            rows.append(((KINV, j), x, kx.inv() * x, f"K{j}^-1>x{k}"))
+            # K_j acts by conjugation with rho_j
+            w = weyl.rho_weight(n, j, k)
+            for kind, s in ((K, 1), (KINV, -1)):
+                name = _gen_str((kind, j))
+                rows.append(((kind, j), y, q_power(s * w) * y, f"{name}>y{k}"))
+                rows.append(((kind, j), x, q_power(-s * w) * x, f"{name}>x{k}"))
     return rows
 
 

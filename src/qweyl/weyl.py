@@ -489,6 +489,14 @@ def localized_relations(n):
     return _relations(rels)
 
 
+def rho_weight(n, j, k):
+    """The ``w`` with ``rho_j y_k = q^w y_k rho_j`` and
+    ``rho_j x_k = q^-w x_k rho_j``."""
+    if j == n:
+        return 2 if k == n else 1
+    return (k == j) - (k == j + 1)
+
+
 def cartan_matrix(n):
     return tuple(tuple(2 if i == j else (-1 if abs(i - j) == 1 else 0)
                        for j in range(n)) for i in range(n))
@@ -506,19 +514,14 @@ def ab_rho_relations(n):
     bops = {j: tl_b(n, j) for j in range(1, n + 1)}
 
     # conjugator-coordinate table
-    for j in range(1, n):
+    for j in range(1, n + 1):
         for k in range(1, n + 1):
-            fy = q_power(1) if k == j else (q_power(-1) if k == j + 1 else ONE)
-            fx = q_power(-1) if k == j else (q_power(1) if k == j + 1 else ONE)
-            rels.append((f"rhoy[j={j},k={k}]",
-                         rhos[j] * y[k] - fy * (y[k] * rhos[j])))
-            rels.append((f"rhox[j={j},k={k}]",
-                         rhos[j] * x[k] - fx * (x[k] * rhos[j])))
-    for k in range(1, n + 1):
-        fy = q_power(2) if k == n else q_power(1)
-        fx = q_power(-2) if k == n else q_power(-1)
-        rels.append((f"rhon[y,k={k}]", rhos[n] * y[k] - fy * (y[k] * rhos[n])))
-        rels.append((f"rhon[x,k={k}]", rhos[n] * x[k] - fx * (x[k] * rhos[n])))
+            w = rho_weight(n, j, k)
+            names = ((f"rhon[y,k={k}]", f"rhon[x,k={k}]") if j == n else
+                     (f"rhoy[j={j},k={k}]", f"rhox[j={j},k={k}]"))
+            for name, g, e in zip(names, (y, x), (w, -w)):
+                rels.append((name, rhos[j] * g[k]
+                             - q_power(e) * (g[k] * rhos[j])))
 
     for i in range(1, n + 1):
         ri = rhos[i]

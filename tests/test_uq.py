@@ -6,8 +6,9 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qweyl import cli, coeff, uq, weyl
+from qweyl import cli, coeff, sparse, uq, weyl
 from qweyl.coeff import LAMBDA_INV, ONE, q0_power, q_power
 from qweyl.errors import DescriptorMismatch, IndexOutOfRange
 from qweyl.parser import parse_hopf, parse_scalar
@@ -61,6 +62,83 @@ def test_antipode_element_antimultiplicative():
     got = antipode_element(w)
     want = antipode(n, (F, 2)) * antipode(n, (E, 1))
     assert got == want
+
+
+def _fold_antipode(h):
+    """The antipode as a product fold: one generator image at a time."""
+    out = HopfElement.zero(h.n)
+    for word, cv in h.terms.items():
+        acc = HopfElement.unit(h.n).scaled(cv)
+        for g in reversed(word):
+            acc = acc * antipode(h.n, g)
+        out = out + acc
+    return out
+
+
+@st.composite
+def _hopf_elements(draw):
+    n = draw(st.integers(1, 3))
+    words = st.lists(st.sampled_from(uq.generators(n)), max_size=8)
+    terms = draw(st.lists(st.tuples(words, st.integers(-2, 2),
+                                    st.integers(-3, 3)), max_size=5))
+    return sum((HopfElement(n, {tuple(w): ONE}).scaled(c * q_power(e))
+                for w, c, e in terms), HopfElement.zero(n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_hopf_elements())
+def test_antipode_element_matches_the_product_fold(h):
+    assert antipode_element(h) == _fold_antipode(h)
+
+
+def test_antipode_of_k_words_forms_no_products(monkeypatch):
+    n = 2
+    word = ((K, 1),) * 300 + ((KINV, 2), (K, 1)) * 100
+    flipped = tuple((KINV if kind == K else K, j)
+                    for kind, j in reversed(word))
+    h = HopfElement(n, {word: q_power(3), ((K, 2),): ONE})
+    want = HopfElement(n, {flipped: q_power(3), ((KINV, 2),): ONE})
+
+    def no_product(self, other):
+        raise AssertionError("a product was formed")
+
+    monkeypatch.setattr(sparse.Words, "__mul__", no_product)
+    assert antipode_element(h) == want
+    assert HopfElement(n, {word: q_power(3)}).monomial_inverse() == \
+        HopfElement(n, {flipped: q_power(-3)})
+
+
+@pytest.mark.parametrize("n, build, text", [
+    (1, lambda g: g(K, 1) ** -2, "K1^-2"),
+    (1, lambda g: (2 * g(K, 1)) ** -1, "(2*K1)^-1"),
+    (1, lambda g: (-g(K, 1)) ** -1, "(-K1)^-1"),
+    (2, lambda g: (coeff.Q * (g(K, 1) * g(K, 2) ** -1)) ** -2,
+     "(q*K1*K2^-1)^-2"),
+])
+def test_negative_powers_of_k_words_match_the_cli(capsys, n, build, text):
+    got = build(lambda kind, j: hopf(n, kind, j))
+    assert cli.main(["normalize", "--n", str(n), text]) == 0
+    assert capsys.readouterr().out == f"{got}\n"
+
+
+def test_only_scaled_k_words_have_negative_powers():
+    n = 2
+    for h in (hopf(n, E, 1), hopf(n, K, 1) + hopf(n, K, 2),
+              HopfElement.zero(n), hopf(n, K, 1) * hopf(n, F, 2)):
+        with pytest.raises(ValueError):
+            h ** -1
+
+
+def test_hopf_powers_are_refused_before_they_expand(monkeypatch):
+    def no_power(*args):
+        raise AssertionError("a power was formed")
+
+    monkeypatch.setattr(sparse, "_power", no_power)
+    with pytest.raises(ValueError) as err:
+        (hopf(1, E, 1) + hopf(1, F, 1)) ** 30
+    assert str(err.value) == (
+        "power 30 of a 2-term element expands to 2^30 words of 30 atoms, "
+        f"over the bound {weyl.MAX_POWER_WORK}")
 
 
 def test_hopf_star_reverses_words():

@@ -480,6 +480,34 @@ def test_same_index_blocks_match_oracle(case):
         assert got == naive_normal_form(n, [(ONE, word)], random.Random(0))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_same_index_blocks_match_scale_products(n):
+    # y_k^t x_k^t = prod_{0<=j<t} (Q_{k+1} - q^(-1-2j) Q_k) and
+    # x_k^t y_k^t = prod_{1<=j<=t} (Q_{k+1} - q^(2j-1) Q_k), formed from
+    # products of scale elements only, which never reach ``_block``
+    for k in range(1, n + 1):
+        qk, qk1 = q_elem(n, k), q_elem(n, k + 1)
+        for t in (1, 2, 13, 25) + ((40,) if n == 1 else ()):
+            yx = xy = AlgebraElement.unit(n)
+            for j in range(t):
+                yx = yx * (qk1 - q_power(-1 - 2 * j) * qk)
+                xy = xy * (qk1 - q_power(2 * j + 1) * qk)
+            y, x = gen_y(n, k) ** t, gen_x(n, k) ** t
+            assert y * x == yx, (k, t)
+            assert x * y == xy, (k, t)
+
+
+def test_rho_weights_are_the_conjugation_weights():
+    for n in (1, 2, 3, 4):
+        for j in range(1, n + 1):
+            r = rho(n, j)
+            for k in range(1, n + 1):
+                w = weyl.rho_weight(n, j, k)
+                y, x = gen_y(n, k), gen_x(n, k)
+                assert r * y == q_power(w) * (y * r), (n, j, k)
+                assert r * x == q_power(-w) * (x * r), (n, j, k)
+
+
 @st.composite
 def _double_contractions(draw):
     n = draw(st.integers(2, 4))
