@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from .errors import ShapeMismatch
 from .report import SuiteReport
 from .sparse import Combination, accumulate
-from .weyl import hermitian_generators, sign_of
+from .weyl import hermitian_generators, localized_relations, sign_of
 
 
 def _apply_leg(eps, gamma, leg, phi):
@@ -500,7 +500,7 @@ def sample_states(n, rng, count):
 
 # -- the rank-one two-component model (single coordinate pair only) -----------
 #
-# States carry an internal two-component leg; operators are sums of
+# States are dicts keyed by ``(eps, gamma, component)``; operators are sums of
 # (one-leg ElementaryOperator, 2x2 matrix) pairs.
 
 SIGMA0 = ((1.0 + 0j, 0j), (0j, -1.0 + 0j))
@@ -509,37 +509,44 @@ ID2 = ((1.0 + 0j, 0j), (0j, 1.0 + 0j))
 
 
 def mat_mul(a, b):
-    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(2)) for j in range(2))
-                 for i in range(2))
+    (b00, b01), (b10, b11) = b
+    return tuple((r0 * b00 + r1 * b10, r0 * b01 + r1 * b11) for r0, r1 in a)
 
 
-def mat_add(a, b):
-    return tuple(tuple(a[i][j] + b[i][j] for j in range(2)) for i in range(2))
+def _model2_atom(atom, q_value, beta):
+    """The atom table: ``y1``, ``x1`` and ``R1^(2e)`` as (operator, matrix)
+    pairs that shift P in units of ``beta = 2*phi -+ pi``.  ``R1^2 = -Q1``
+    acts as ``e^{beta P}`` times ``SIGMA0``; an odd power of ``R1`` has no
+    image in this model."""
+    if atom[:2] == ("R", 1):
+        e, odd = divmod(atom[2], 2)
+        if odd:
+            raise ValueError(f"the two-component model represents only even "
+                             f"powers of R1, not R1^{atom[2]}")
+        pairs = [(1.0 + 0j, (0, e), SIGMA0 if e % 2 else ID2)]
+    elif atom == ("y", 1):
+        pairs = [(1.0 + 0j, (1, 0), SIGMA1)]
+    elif atom == ("x", 1):
+        pairs = [(q_value, (-1, 1), mat_mul(SIGMA0, SIGMA1)),
+                 (1.0 + 0j, (-1, 0), SIGMA1)]
+    else:
+        raise ValueError(f"the two-component model has no atom {atom!r}")
+    return [(ElementaryOperator(s, (leg,), beta), m) for s, leg, m in pairs]
 
 
-def model2_operators(ctx):
-    """Two-component realization of the single-pair coordinate algebra;
-    its one-leg operators shift P in units of ``beta = 2*phi -+ pi``."""
-    phi = ctx.phi
-    s = 1.0 if phi > 0 else -1.0
-    beta = 2.0 * phi - s * math.pi
-    qv = ctx.q_value
-    s01 = mat_mul(SIGMA0, SIGMA1)
-
-    def op(scalar, leg, mat):
-        return ElementaryOperator(scalar, (leg,), beta), mat
-
-    return {
-        "y": [op(1.0 + 0j, (1, 0), SIGMA1)],
-        "x": [op(qv, (-1, 1), s01), op(1.0 + 0j, (-1, 0), SIGMA1)],
-        "Q": [op(-1.0 + 0j, (0, 1), SIGMA0)],
-        "Qinv": [op(-1.0 + 0j, (0, -1), SIGMA0)],
-        "one": [op(1.0 + 0j, (0, 0), ID2)],
-    }
-
-
-def model2_state(amp, eps, gamma, comp):
-    return {(float(eps), complex(gamma), int(comp)): complex(amp)}
+def model2_represent(terms, ctx):
+    """Represent a weighted word list ``((scalar, atoms), ...)`` in the model;
+    each word composes its atoms' pairs as ``represent_word`` does."""
+    beta = 2.0 * ctx.phi - math.copysign(math.pi, ctx.phi)
+    out = []
+    for cv, atoms in terms:
+        ops = [(ElementaryOperator(cv.evaluate(ctx), ((0, 0),), beta), ID2)]
+        for atom in reversed(atoms):
+            variants = _model2_atom(atom, ctx.q_value, beta)
+            ops = [(v.applied_after(op), mat_mul(vm, m))
+                   for op, m in ops for v, vm in variants]
+        out += ops
+    return out
 
 
 def model2_random_state(rng):
@@ -550,18 +557,7 @@ def model2_random_state(rng):
                rng.randint(0, 1))
         amp = complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
         state[key] = state.get(key, 0j) + amp
-    return state or model2_state(1.0, 1.0, 0j, 0)
-
-
-def m2_compose(after, before):
-    """Compose two-component operators (``before`` acts first)."""
-    return [(a.applied_after(b), mat_mul(ma, mb))
-            for a, ma in after for b, mb in before]
-
-
-def m2_scaled(c, ops):
-    return [(ElementaryOperator(c * op.scalar, op.legs, op.phi), m)
-            for op, m in ops]
+    return state or {(1.0, 0j, 0): 1.0 + 0j}
 
 
 def model2_apply(ops, state):
@@ -592,54 +588,41 @@ def model2_norm(u):
     return math.sqrt(abs(model2_inner(u, u)))
 
 
-def _m2_relation_residual(op_terms, states):
-    """Largest relative residual of a vanishing sum of composite operators."""
-    worst = 0.0
-    for u in states:
-        scale = model2_norm(u)
-        total = {}
-        for ops in op_terms:
-            piece = model2_apply(ops, u)
-            scale = max(scale, model2_norm(piece))
-            accumulate(total, piece.items())
-        worst = max(worst, model2_norm(total) / scale)
-    return worst
+def _m2_relation_residual(op_terms, state):
+    """Relative residual of a vanishing sum of operator terms on one state."""
+    scale = model2_norm(state)
+    total = {}
+    for ops in op_terms:
+        piece = model2_apply(ops, state)
+        scale = max(scale, model2_norm(piece))
+        accumulate(total, piece.items())
+    return model2_norm(total) / scale
 
 
 def check_model2(states, ctx):
-    """Pointwise defining relations and hermiticity in the two-component model."""
+    """Pointwise defining relations and hermiticity in the two-component model,
+    read from the rank-one catalog and hermitian element list of ``weyl``."""
     if not states:
         raise ValueError("a pointwise check needs at least one state")
     rep = SuiteReport("model2-n1")
-    ops = model2_operators(ctx)
-    qv = ctx.q_value
-    lam = ctx.lambda_value
+    catalog = {rel.name: rel.terms for rel in localized_relations(1)}
+    cases = [(shown, [model2_represent((term,), ctx) for term in catalog[name]])
+             for name, shown in (("xy", "xy"), ("Qxy[y]", "Qxy[y]"),
+                                 ("Qxy[x]", "Qxy[x]"), ("defQ[k=1]", "Qdef"))]
+    work = sum(len(ops) for _, pieces in cases for ops in pieces) \
+        * sum(len(state) for state in states)
+    _sweep(rep, ctx.tolerance, cases, [(u,) for u in states],
+           _m2_relation_residual, work)
 
-    r = _m2_relation_residual(
-        [m2_compose(ops["x"], ops["y"]),
-         m2_scaled(-qv * qv, m2_compose(ops["y"], ops["x"])),
-         m2_scaled(-(1.0 - qv * qv), ops["one"])], states)
-    rep.record("xy", r <= ctx.tolerance, residual=r)
+    for name, element in hermitian_generators(1):
+        if name in ("y1", "x1", "Q1"):
+            ops = model2_represent(element.as_terms(), ctx)
+            worst = _hermitian_residual(
+                states, [model2_apply(ops, u) for u in states], model2_inner)
+            rep.record(f"hermitian[{name[0]}]", worst <= ctx.tolerance,
+                       residual=worst)
 
-    for coord in ("y", "x"):
-        factor = qv * qv if coord == "y" else 1.0 / (qv * qv)
-        r = _m2_relation_residual(
-            [m2_compose(ops["Q"], ops[coord]),
-             m2_scaled(-factor, m2_compose(ops[coord], ops["Q"]))], states)
-        rep.record(f"Qxy[{coord}]", r <= ctx.tolerance, residual=r)
-
-    r = _m2_relation_residual(
-        [m2_scaled(1.0 / lam, m2_compose(ops["y"], ops["x"])),
-         m2_scaled(-1.0 / lam, m2_compose(ops["x"], ops["y"])),
-         m2_scaled(-1.0, ops["Q"])], states)
-    rep.record("Qdef", r <= ctx.tolerance, residual=r)
-
-    for name in ("y", "x", "Q"):
-        worst = _hermitian_residual(
-            states, [model2_apply(ops[name], u) for u in states], model2_inner)
-        rep.record(f"hermitian[{name}]", worst <= ctx.tolerance, residual=worst)
-
-    anti = mat_add(mat_mul(SIGMA0, SIGMA1), mat_mul(SIGMA1, SIGMA0))
-    exact = all(anti[i][j] == 0 for i in range(2) for j in range(2))
+    s01, s10 = mat_mul(SIGMA0, SIGMA1), mat_mul(SIGMA1, SIGMA0)
+    exact = all(s01[i][j] + s10[i][j] == 0 for i in range(2) for j in range(2))
     rep.record("sigma-anticommute", exact, residual=0.0 if exact else 1.0)
     return rep

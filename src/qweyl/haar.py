@@ -176,12 +176,14 @@ def check_invariance(n, ictx, count=20, seed=7, max_rank=3):
     rep = SuiteReport("invariance")
     samples = [random_finite_rank(n, rng, max_rank) for _ in range(count)]
     jobs = [(F, quantum_trace(F, ictx)) for F in samples]
+    gens = uq.generators(n)
+    counits = {g: uq.counit(uq.HopfElement.generator(n, *g)).evaluate(ictx.ctx)
+               for g in gens}
 
     def residual(g, F, base):
         moved = quantum_trace(act_on_operator(g, F, ictx.ctx), ictx)
-        eps = 1.0 if g[0] in (uq.K, uq.KINV) else 0.0
         # relative to |c|, so the residual does not scale with c
-        err = abs(moved - eps * base) / (abs(ictx.c) + abs(base))
+        err = abs(moved - counits[g] * base) / (abs(ictx.c) + abs(base))
         if not math.isfinite(err):
             raise OverflowError(f"the {uq._gen_str(g)} invariance residual "
                                 f"is {err}")
@@ -189,7 +191,6 @@ def check_invariance(n, ictx, count=20, seed=7, max_rank=3):
 
     # operator terms times state terms, the units of a pointwise sweep; the
     # operators are built here, before any fork
-    gens = uq.generators(n)
     dens = len(density_ops(n, ictx))
     ops = sum(dens + (len(represent(left, ictx.ctx)) if left else 0)
               + (len(represent_adjoint(right, ictx.ctx)) if right else 0)

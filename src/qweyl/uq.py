@@ -131,18 +131,18 @@ def antipode(n, g):
 
 def antipode_element(h):
     """Anti-multiplicative extension of the generator antipode.  Each
-    generator's image is one scaled word, so each word's image is too."""
+    generator's image is one word times +-1, so each word's image is too."""
     n = h.n
     table = {g: antipode(n, g).terms.items() for g in set().union(*h.terms)}
 
     def images():
         for word, cv in h.terms.items():
-            image = []
+            image, sign = [], 1
             for g in reversed(word):
                 ((w, c),) = table[g]
                 image += w
-                cv = cv * c
-            yield tuple(image), cv
+                sign = sign if c.is_one else -sign
+            yield tuple(image), cv if sign > 0 else -cv
 
     return HopfElement(n, accumulate({}, images()))
 

@@ -15,7 +15,7 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import quad
 
 from qweyl import cli, gauss, haar, uq, weyl
-from qweyl.coeff import NumericContext
+from qweyl.coeff import ONE, NumericContext
 from qweyl.errors import ShapeMismatch
 from qweyl.gauss import (ElementaryOperator, GaussianState, _apply_leg,
                          _compose_legs, apply_ops, inner, norm, represent,
@@ -1169,6 +1169,61 @@ def test_family_closure_never_truncates():
 
 
 # -- two-component model --------------------------------------------------------
+#
+# The oracle: the model's operators written out by hand, composed and scaled
+# pair by pair, and the four relations as lists of such operator terms.
+
+
+def _oracle_operators(ctx, x_q_matrix=None):
+    phi = ctx.phi
+    s = 1.0 if phi > 0 else -1.0
+    beta = 2.0 * phi - s * math.pi
+    qv = ctx.q_value
+    s01 = gauss.mat_mul(gauss.SIGMA0, gauss.SIGMA1)
+
+    def op(scalar, leg, mat):
+        return ElementaryOperator(scalar, (leg,), beta), mat
+
+    return {
+        "y": [op(1.0 + 0j, (1, 0), gauss.SIGMA1)],
+        "x": [op(qv, (-1, 1), x_q_matrix or s01),
+              op(1.0 + 0j, (-1, 0), gauss.SIGMA1)],
+        "Q": [op(-1.0 + 0j, (0, 1), gauss.SIGMA0)],
+        "Qinv": [op(-1.0 + 0j, (0, -1), gauss.SIGMA0)],
+        "one": [op(1.0 + 0j, (0, 0), gauss.ID2)],
+    }
+
+
+def _m2_compose(after, before):
+    """Compose two-component operators (``before`` acts first)."""
+    return [(a.applied_after(b), gauss.mat_mul(ma, mb))
+            for a, ma in after for b, mb in before]
+
+
+def _m2_scaled(c, ops):
+    return [(ElementaryOperator(c * op.scalar, op.legs, op.phi), m)
+            for op, m in ops]
+
+
+def _oracle_relations(ctx, ops):
+    """Each relation's operator terms, by case name, in the catalog's order."""
+    qv, lam = ctx.q_value, ctx.lambda_value
+    rels = {"xy": [_m2_compose(ops["x"], ops["y"]),
+                   _m2_scaled(-qv * qv, _m2_compose(ops["y"], ops["x"])),
+                   _m2_scaled(-(1.0 - qv * qv), ops["one"])]}
+    for coord in ("y", "x"):
+        factor = qv * qv if coord == "y" else 1.0 / (qv * qv)
+        rels[f"Qxy[{coord}]"] = [
+            _m2_compose(ops["Q"], ops[coord]),
+            _m2_scaled(-factor, _m2_compose(ops[coord], ops["Q"]))]
+    rels["Qdef"] = [_m2_scaled(1.0 / lam, _m2_compose(ops["y"], ops["x"])),
+                    _m2_scaled(-1.0 / lam, _m2_compose(ops["x"], ops["y"])),
+                    _m2_scaled(-1.0, ops["Q"])]
+    return rels
+
+
+_M2_CATALOG = {"xy": "xy", "Qxy[y]": "Qxy[y]", "Qxy[x]": "Qxy[x]",
+               "Qdef": "defQ[k=1]"}
 
 
 def test_model2_suite_both_signs():
@@ -1182,6 +1237,23 @@ def test_model2_suite_both_signs():
 def test_model2_refuses_zero_states():
     with pytest.raises(ValueError, match="at least one state"):
         gauss.check_model2([], CTX)
+
+
+def test_model2_refuses_odd_powers_of_r():
+    for power in (1, -1, 3, -5):
+        with pytest.raises(ValueError, match=rf"not R1\^{power}$"):
+            gauss.model2_represent(((ONE, (("R", 1, power),)),), CTX)
+    with pytest.raises(ValueError, match="not R1"):
+        gauss.model2_represent(weyl.gen_r(1, 1).as_terms(), CTX)
+    for atom in (("y", 2), ("R", 2, 2), ("K", 1)):
+        with pytest.raises(ValueError, match="no atom"):
+            gauss.model2_represent(((ONE, (atom,)),), CTX)
+
+
+def _model2_states_of(drawn):
+    return [{(eps, complex(gr, gi), comp): complex(ar, ai)
+             for (eps, gr, gi, comp), (ar, ai) in terms.items()}
+            for terms in drawn]
 
 
 def _model2_hermitian_reference(ops, states):
@@ -1217,24 +1289,74 @@ _model2_states = st.lists(
     min_size=1, max_size=4)
 
 
+@given(drawn=_model2_states,
+       phi=st.sampled_from([math.pi / 3, -0.9, 0.7, 1.2, -2.5]))
+@settings(max_examples=60, deadline=None)
+def test_model2_represent_acts_as_the_hand_table(drawn, phi):
+    ctx = NumericContext(phi=phi)
+    ops = _oracle_operators(ctx)
+    r2 = _m2_scaled(-1.0, ops["Q"])  # R1^2 = -Q1
+    atoms = {("y", 1): ops["y"], ("x", 1): ops["x"], ("R", 1, 2): r2,
+             ("R", 1, -2): _m2_scaled(-1.0, ops["Qinv"]),
+             ("R", 1, 4): _m2_compose(r2, r2),
+             ("R", 1, -4): _m2_compose(ops["Qinv"], ops["Qinv"])}
+    pairs = [(gauss.model2_represent(((ONE, (atom,)),), ctx), want)
+             for atom, want in atoms.items()]
+    catalog = {rel.name: rel.terms for rel in weyl.localized_relations(1)}
+    for case, op_terms in _oracle_relations(ctx, ops).items():
+        terms = catalog[_M2_CATALOG[case]]
+        assert len(terms) == len(op_terms)
+        pairs += [(gauss.model2_represent((term,), ctx), want)
+                  for term, want in zip(terms, op_terms)]
+    for state in _model2_states_of(drawn):
+        for got_ops, want_ops in pairs:
+            got = gauss.model2_apply(got_ops, state)
+            want = gauss.model2_apply(want_ops, state)
+            scale = max(map(abs, want.values()), default=0.0)
+            for key in got.keys() | want.keys():
+                assert abs(got.get(key, 0j) - want.get(key, 0j)) \
+                    <= 1e-12 * scale
+
+
+def test_model2_planted_sigma_order_fails_qdef():
+    # SIGMA1*SIGMA0 = -SIGMA0*SIGMA1 on the q term of x breaks Qdef, in the
+    # hand table and in the atom table alike
+    rng = random.Random(5)
+    states = [gauss.model2_random_state(rng) for _ in range(8)]
+    s10 = gauss.mat_mul(gauss.SIGMA1, gauss.SIGMA0)
+    oracle = _oracle_relations(CTX, _oracle_operators(CTX, x_q_matrix=s10))
+    assert _model2_relation_reference(oracle["Qdef"], states) > CTX.tolerance
+    atom_table = gauss._model2_atom
+
+    def planted(atom, q_value, beta):
+        pairs = atom_table(atom, q_value, beta)
+        if atom[0] == "x":
+            pairs[0] = (pairs[0][0], s10)
+        return pairs
+
+    with mock.patch.object(gauss, "_model2_atom", planted):
+        rep = gauss.check_model2(states, CTX)
+    assert "Qdef" in [c.case for c in rep.failures()]
+    assert gauss.check_model2(states, CTX).ok
+
+
 @given(drawn=_model2_states)
 @settings(max_examples=100, deadline=None)
 def test_model2_residuals_are_bit_identical_to_the_reference_loops(drawn):
-    states = [{(eps, complex(gr, gi), comp): complex(ar, ai)
-               for (eps, gr, gi, comp), (ar, ai) in terms.items()}
-              for terms in drawn]
+    states = _model2_states_of(drawn)
     assume(all(any(state.values()) for state in states))
     residual = gauss._m2_relation_residual
     for ctx in (CTX, NEG):
         relations = []
 
-        def recorded(op_terms, states):
-            relations.append(op_terms)
-            return residual(op_terms, states)
+        def recorded(op_terms, state):
+            if state is states[0]:
+                relations.append(op_terms)
+            return residual(op_terms, state)
 
         with mock.patch.object(gauss, "_m2_relation_residual", recorded):
             cases = gauss.check_model2(states, ctx).cases
-        ops = gauss.model2_operators(ctx)
+        ops = _oracle_operators(ctx)
         want = [_model2_relation_reference(op_terms, states)
                 for op_terms in relations]
         want += [_model2_hermitian_reference(ops[name], states)
@@ -1246,17 +1368,17 @@ def test_model2_residuals_are_bit_identical_to_the_reference_loops(drawn):
 
 
 def test_model2_sigma_anticommutation_exact():
-    anti = gauss.mat_add(gauss.mat_mul(gauss.SIGMA0, gauss.SIGMA1),
-                         gauss.mat_mul(gauss.SIGMA1, gauss.SIGMA0))
-    assert all(anti[i][j] == 0 for i in range(2) for j in range(2))
+    s01 = gauss.mat_mul(gauss.SIGMA0, gauss.SIGMA1)
+    s10 = gauss.mat_mul(gauss.SIGMA1, gauss.SIGMA0)
+    assert all(s01[i][j] + s10[i][j] == 0 for i in range(2) for j in range(2))
 
 
 def test_model2_q_display_matches_quadrature():
     # the model's scale operator against a quadrature of the shifted packet
     ctx = CTX
-    ops = gauss.model2_operators(ctx)
-    state = gauss.model2_state(1.0, 1.0, 0.3 + 0.1j, 0)
-    image = gauss.model2_apply(ops["Q"], state)
+    ops = gauss.model2_represent(weyl.q_elem(1, 1).as_terms(), ctx)
+    state = {(1.0, 0.3 + 0.1j, 0): 1.0 + 0j}
+    image = gauss.model2_apply(ops, state)
     ((eps, gam, comp), amp), = image.items()
     assert comp == 0
     beta = 2 * ctx.phi - math.copysign(math.pi, ctx.phi)

@@ -108,6 +108,26 @@ def test_antipode_of_k_words_forms_no_products(monkeypatch):
         HopfElement(n, {flipped: q_power(-3)})
 
 
+def test_antipode_multiplies_no_scalar_per_generator(monkeypatch):
+    # every generator's antipode is one word times +-1, so a word's image
+    # needs at most one scalar operation, however long the word
+    n = 2
+    h = (hopf(n, E, 1) + hopf(n, F, 2) + 2 * hopf(n, K, 1)) ** 5
+    want = _fold_antipode(h)
+    calls = []
+    mul = coeff.ScalarValue.__mul__
+
+    def counted(self, other):
+        calls.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(coeff.ScalarValue, "__mul__", counted)
+    got = antipode_element(h)
+    monkeypatch.undo()
+    assert got == want
+    assert len(calls) <= len(h.terms)  # at most one product per word
+
+
 @pytest.mark.parametrize("n, build, text", [
     (1, lambda g: g(K, 1) ** -2, "K1^-2"),
     (1, lambda g: (2 * g(K, 1)) ** -1, "(2*K1)^-1"),
