@@ -49,6 +49,14 @@ _INVERTIBLE = {AlgebraElement: "scale generators", HopfElement: "K words"}
 MAX_NESTING = 100
 
 
+def _balanced(factors):
+    """The product of ``factors`` in their order, taken pairwise."""
+    while len(factors) > 1:
+        factors = [a * b for a, b in zip(factors[::2], factors[1::2])] \
+            + factors[len(factors) // 2 * 2:]
+    return factors[0]
+
+
 def _tokenize(text):
     tokens = []
     pos = 0
@@ -162,19 +170,27 @@ class _Parser:
                 return value
 
     def term(self):
-        value = self.unary()
+        # a run of symmetry factors is multiplied at its end as a balanced
+        # tree, so m written-out factors copy O(m log m) generators, not
+        # O(m^2); other factors keep their left-to-right grouping, on which
+        # the degree bound of a coordinate product depends
+        run = [self.unary()]
         while True:
             kind, sym, at = self.peek()
             if kind == "op" and sym in "*/":
                 self.advance()
                 rhs = self.unary()
                 if sym == "*":
-                    self._check_mix(value, rhs, at)
-                    value = value * rhs
+                    self._check_mix(run[-1], rhs, at)
+                    if isinstance(rhs, HopfElement) and isinstance(
+                            run[-1], HopfElement):
+                        run.append(rhs)
+                    else:
+                        run = [_balanced(run) * rhs]
                 else:
-                    value = self._div(value, rhs, at)
+                    run = [self._div(_balanced(run), rhs, at)]
             else:
-                return value
+                return _balanced(run)
 
     def unary(self):
         sign = 1

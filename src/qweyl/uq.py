@@ -16,7 +16,7 @@ from .coeff import ONE, q0_power, q_power
 from .errors import DescriptorMismatch
 from .report import SuiteReport
 from .sparse import Words, accumulate
-from .weyl import AlgebraElement, cartan_matrix
+from .weyl import AlgebraElement
 
 K, KINV, E, F = "K", "Kinv", "E", "F"
 _KINDS = (K, KINV, E, F)
@@ -335,53 +335,18 @@ def check_module_algebra(n, degree=3, jmax=None):
 
 
 def defining_relations(n, jmax=None):
-    """Words that must annihilate every element through the action."""
+    """Words that must annihilate every element through the action: the
+    Drinfeld-Jimbo relations of the generators up to ``jmax``, then
+    ``K_i^-1 K_i = 1``."""
     jmax = _jmax(n, jmax)
-    cart = cartan_matrix(n)
-    gens = {g: HopfElement.generator(n, *g) for g in generators(n, jmax)}
-    rels = []
-    lam_inv = coeff.LAMBDA_INV
-    for i in range(1, jmax + 1):
-        rels.append((f"KKinv[{i}]",
-                     gens[(K, i)] * gens[(KINV, i)] - HopfElement.unit(n)))
-        rels.append((f"KinvK[{i}]",
-                     gens[(KINV, i)] * gens[(K, i)] - HopfElement.unit(n)))
-        for j in range(i + 1, jmax + 1):
-            rels.append((f"KK[{i},{j}]",
-                         gens[(K, i)] * gens[(K, j)] - gens[(K, j)] * gens[(K, i)]))
-        for j in range(1, jmax + 1):
-            a = cart[i - 1][j - 1]
-            rels.append((f"KE[{i},{j}]",
-                         gens[(K, i)] * gens[(E, j)]
-                         - q_power(a) * (gens[(E, j)] * gens[(K, i)])))
-            rels.append((f"KF[{i},{j}]",
-                         gens[(K, i)] * gens[(F, j)]
-                         - q_power(-a) * (gens[(F, j)] * gens[(K, i)])))
-    qser = q_power(1) + q_power(-1)
-    for kind, tag in ((E, "EE"), (F, "FF")):
-        for i in range(1, jmax + 1):
-            for j in range(i + 1, jmax + 1):
-                if j - i >= 2:
-                    rels.append((f"{tag}far[{i},{j}]",
-                                 gens[(kind, i)] * gens[(kind, j)]
-                                 - gens[(kind, j)] * gens[(kind, i)]))
-        for j in range(1, jmax + 1):
-            for l in (j - 1, j + 1):
-                if not 1 <= l <= jmax:
-                    continue
-                gj, gl = gens[(kind, j)], gens[(kind, l)]
-                rels.append((f"{tag}serre[{j},{l}]",
-                             gj * gj * gl - qser * (gj * gl * gj) + gl * (gj * gj)))
-    for i in range(1, jmax + 1):
-        for j in range(1, jmax + 1):
-            if i != j:
-                rels.append((f"EFcross[{i},{j}]",
-                             gens[(E, i)] * gens[(F, j)]
-                             - gens[(F, j)] * gens[(E, i)]))
-        rels.append((f"EF[{i}]",
-                     gens[(E, i)] * gens[(F, i)] - gens[(F, i)] * gens[(E, i)]
-                     - lam_inv * (gens[(K, i)] - gens[(KINV, i)])))
-    return rels
+    k, kinv, e, f = ({j: HopfElement.generator(n, kind, j)
+                      for j in range(1, jmax + 1)} for kind in _KINDS)
+    return weyl.drinfeld_jimbo(k, kinv, e, f, {
+        "unit": "KKinv[{}]", "kk": "KK[{},{}]", "ke": "KE[{},{}]",
+        "kf": "KF[{},{}]", "efar": "EEfar[{},{}]", "eserre": "EEserre[{},{}]",
+        "ffar": "FFfar[{},{}]", "fserre": "FFserre[{},{}]",
+        "cross": "EFcross[{},{}]", "diag": "EF[{}]"}, jmax) + [
+        (f"KinvK[{i}]", kinv[i] * k[i] - 1) for i in k]
 
 
 def check_defining_relations(n, degree=3, jmax=None):

@@ -36,6 +36,7 @@ pins all of this against a naive rewriter.
 
 from __future__ import annotations
 
+from functools import lru_cache, wraps
 from itertools import chain
 from operator import add
 from typing import NamedTuple
@@ -372,7 +373,8 @@ def verify_identity(lhs, rhs):
 # The word form is kept (rather than canonical elements) so the same
 # catalog drives both the symbolic checks and the pointwise operator
 # checks on Gaussian states.  The catalogs are written on ``Words`` of
-# atoms, whose terms keep the order in which they were formed.
+# atoms, whose terms keep the order in which they were formed.  Each
+# catalog, and the hermitian element list, is built once per rank.
 
 
 class Relation(NamedTuple):
@@ -382,6 +384,19 @@ class Relation(NamedTuple):
 
 def _relations(pairs):
     return [Relation(name, _terms(words)) for name, words in pairs]
+
+
+def _per_rank(build):
+    """``build``, run once per rank and kept as a tuple; each call returns a
+    new list of the kept entries, which a caller may extend."""
+    kept = lru_cache(maxsize=None)(lambda n: tuple(build(n)))
+
+    @wraps(build)
+    def catalog(n):
+        return list(kept(n))
+
+    catalog.cache_clear, catalog.cache_info = kept.cache_clear, kept.cache_info
+    return catalog
 
 
 def _word(n, *atoms):
@@ -429,6 +444,7 @@ def tl_gamma(n):
     return _word(n, ("R", 1, -2 * n), *(("R", k, 2) for k in range(2, n + 1)))
 
 
+@_per_rank
 def coordinate_relations(n):
     """Defining exchange relations of the coordinate generators."""
     rels = []
@@ -453,6 +469,7 @@ def coordinate_relations(n):
     return _relations(rels)
 
 
+@_per_rank
 def localized_relations(n):
     """Relations of the scale generators with the coordinates."""
     rels = []
@@ -502,10 +519,48 @@ def cartan_matrix(n):
                        for j in range(n)) for i in range(n))
 
 
-def ab_rho_relations(n):
-    """Commutation suite of the conjugators and ladder elements."""
+def drinfeld_jimbo(k, kinv, e, f, names, diag):
+    """The Drinfeld-Jimbo relations of words ``k``, ``kinv``, ``e``, ``f``
+    given by index ``1..top``, as ``(name, words)`` pairs: per ``i`` the
+    unit, commuting and Cartan-weight relations, then ``e``'s and ``f``'s
+    far commutators and q-Serre relations, the cross commutators and the
+    diagonal ``[e_i, f_i] = lambda^-1 (k_i - kinv_i)`` for ``i <= diag``.
+    ``names`` maps each family to the format of its names' indices."""
+    top = len(k)
+    cart, span = cartan_matrix(top), range(1, top + 1)
     rels = []
-    cart = cartan_matrix(n)
+    for i in span:
+        rels.append((names["unit"].format(i), k[i] * kinv[i] - 1))
+        rels += [(names["kk"].format(i, j), k[i] * k[j] - k[j] * k[i])
+                 for j in range(i + 1, top + 1)]
+        for j in span:
+            c = cart[i - 1][j - 1]
+            rels.append((names["ke"].format(i, j),
+                         k[i] * e[j] - q_power(c) * (e[j] * k[i])))
+            rels.append((names["kf"].format(i, j),
+                         k[i] * f[j] - q_power(-c) * (f[j] * k[i])))
+    qser = q_power(1) + q_power(-1)
+    for tag, g in (("e", e), ("f", f)):
+        rels += [(names[tag + "far"].format(i, j), g[i] * g[j] - g[j] * g[i])
+                 for i in span for j in range(i + 2, top + 1)]
+        rels += [(names[tag + "serre"].format(j, l), g[j] * g[j] * g[l]
+                  - qser * (g[j] * g[l] * g[j]) + g[l] * (g[j] * g[j]))
+                 for j in span for l in (j - 1, j + 1) if 1 <= l <= top]
+    rels += [(names["cross"].format(i, j), e[i] * f[j] - f[j] * e[i])
+             for i in span for j in span if i != j]
+    rels += [(names["diag"].format(i), e[i] * f[i] - f[i] * e[i]
+              - coeff.LAMBDA_INV * (k[i] - kinv[i]))
+             for i in range(1, diag + 1)]
+    return rels
+
+
+@_per_rank
+def ab_rho_relations(n):
+    """Commutation suite of the conjugators and ladder elements: the
+    conjugator-coordinate table, the Drinfeld-Jimbo relations of
+    ``(rho, rho^-1, A, B)`` with ``qAB5`` in place of the top diagonal,
+    then the ladder rearrangements."""
+    rels = []
     lam_inv = coeff.LAMBDA_INV
     y, x = _gens(n, "y"), _gens(n, "x")
     rhos = {j: tl_rho(n, j) for j in range(1, n + 1)}
@@ -523,40 +578,12 @@ def ab_rho_relations(n):
                 rels.append((name, rhos[j] * g[k]
                              - q_power(e) * (g[k] * rhos[j])))
 
-    for i in range(1, n + 1):
-        ri = rhos[i]
-        rels.append((f"qAB1[unit,{i}]", ri * rhois[i] - 1))
-        for j in range(i + 1, n + 1):
-            rels.append((f"qAB1[rho,{i},{j}]", ri * rhos[j] - rhos[j] * ri))
-        for j in range(1, n + 1):
-            c = cart[i - 1][j - 1]
-            rels.append((f"qAB1[rhoA,{i},{j}]",
-                         ri * aops[j] - q_power(c) * (aops[j] * ri)))
-            rels.append((f"qAB1[rhoB,{i},{j}]",
-                         ri * bops[j] - q_power(-c) * (bops[j] * ri)))
-
-    qser = q_power(1) + q_power(-1)
-    for (tag, ops) in (("A", aops), ("B", bops)):
-        eq = 2 if tag == "A" else 3
-        for i in range(1, n + 1):
-            for j in range(i + 2, n + 1):
-                rels.append((f"qAB{eq}[far,{i},{j}]",
-                             ops[i] * ops[j] - ops[j] * ops[i]))
-        for j in range(1, n + 1):
-            for l in (j - 1, j + 1):
-                if 1 <= l <= n:
-                    oj, ol = ops[j], ops[l]
-                    rels.append((f"qAB{eq}[serre,{j},{l}]", oj * oj * ol
-                                 - qser * (oj * ol * oj) + ol * (oj * oj)))
-
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i != j:
-                rels.append((f"qAB4[cross,{i},{j}]",
-                             aops[i] * bops[j] - bops[j] * aops[i]))
-    for j in range(1, n):
-        rels.append((f"qAB4[diag,{j}]", aops[j] * bops[j] - bops[j] * aops[j]
-                     - lam_inv * (rhos[j] - rhois[j])))
+    rels += drinfeld_jimbo(rhos, rhois, aops, bops, {
+        "unit": "qAB1[unit,{}]", "kk": "qAB1[rho,{},{}]",
+        "ke": "qAB1[rhoA,{},{}]", "kf": "qAB1[rhoB,{},{}]",
+        "efar": "qAB2[far,{},{}]", "eserre": "qAB2[serre,{},{}]",
+        "ffar": "qAB3[far,{},{}]", "fserre": "qAB3[serre,{},{}]",
+        "cross": "qAB4[cross,{},{}]", "diag": "qAB4[diag,{}]"}, n - 1)
     rels.append(("qAB5", aops[n] * bops[n] - bops[n] * aops[n]
                  + lam_inv * rhois[n]))
 
@@ -589,6 +616,7 @@ def ab_rho_relations(n):
     return _relations(rels)
 
 
+@_per_rank
 def hermitian_generators(n):
     """Named elements whose involution must fix them."""
     out = []

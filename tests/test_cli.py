@@ -110,6 +110,7 @@ def test_cli_refuses_deep_nesting_without_a_traceback(capsys):
 @pytest.mark.parametrize("text, position", [
     ("x1 - E1", 3), ("E1 - x1", 3), ("x1 + E1", 3), ("E1 + x1", 3),
     ("x1 * E1", 3), ("E1*x1", 2), ("2*E1 - x1", 5), ("(x1 - 2) * (3*E1)", 9),
+    ("E1*F1*x1", 5), ("2*E1*F1/3*y1", 9), ("y1*K1*K1", 2),
 ])
 def test_parse_refuses_mixed_families(text, position):
     with pytest.raises(ParseError) as err:
@@ -282,6 +283,22 @@ def test_cli_verify_exact_suites_match_golden(capsys):
     lines = [line for line in capsys.readouterr().out.splitlines()
              if line.split(",", 1)[0][len("suite="):] in exact]
     assert lines == golden.read_text(encoding="utf-8").splitlines()
+
+
+def test_cli_verify_builds_each_catalog_once_per_rank(capsys):
+    catalogs = (weyl.coordinate_relations, weyl.localized_relations,
+                weyl.ab_rho_relations, weyl.hermitian_generators)
+    for catalog in catalogs:
+        catalog.cache_clear()
+    assert cli.main(["verify", "--seed", "7"]) == 0
+    capsys.readouterr()
+    # verify runs at n = 1 and 2
+    assert [catalog.cache_info().misses for catalog in catalogs] == [2] * 4
+    for catalog in catalogs:
+        first = catalog(1)
+        first.append(None)  # each call returns its own list
+        assert catalog(1) == first[:-1]
+    assert [catalog.cache_info().misses for catalog in catalogs] == [2] * 4
 
 
 def test_cli_verify_numeric_suites_match_golden(capsys):

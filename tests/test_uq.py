@@ -510,6 +510,99 @@ def test_a_wrong_serre_word_fails_only_its_relations(monkeypatch,
     assert _failing(uq.check_defining_relations(n, degree=2)) == want
 
 
+def _reference_defining_relations(n, jmax=None):
+    """The defining relations written out family by family, apart from
+    ``weyl.drinfeld_jimbo``."""
+    jmax = uq._jmax(n, jmax)
+    cart = weyl.cartan_matrix(n)
+    gens = {g: HopfElement.generator(n, *g) for g in uq.generators(n, jmax)}
+    rels = []
+    for i in range(1, jmax + 1):
+        rels.append((f"KKinv[{i}]",
+                     gens[(K, i)] * gens[(KINV, i)] - HopfElement.unit(n)))
+        rels.append((f"KinvK[{i}]",
+                     gens[(KINV, i)] * gens[(K, i)] - HopfElement.unit(n)))
+        for j in range(i + 1, jmax + 1):
+            rels.append((f"KK[{i},{j}]",
+                         gens[(K, i)] * gens[(K, j)] - gens[(K, j)] * gens[(K, i)]))
+        for j in range(1, jmax + 1):
+            a = cart[i - 1][j - 1]
+            rels.append((f"KE[{i},{j}]",
+                         gens[(K, i)] * gens[(E, j)]
+                         - q_power(a) * (gens[(E, j)] * gens[(K, i)])))
+            rels.append((f"KF[{i},{j}]",
+                         gens[(K, i)] * gens[(F, j)]
+                         - q_power(-a) * (gens[(F, j)] * gens[(K, i)])))
+    qser = q_power(1) + q_power(-1)
+    for kind, tag in ((E, "EE"), (F, "FF")):
+        for i in range(1, jmax + 1):
+            for j in range(i + 1, jmax + 1):
+                if j - i >= 2:
+                    rels.append((f"{tag}far[{i},{j}]",
+                                 gens[(kind, i)] * gens[(kind, j)]
+                                 - gens[(kind, j)] * gens[(kind, i)]))
+        for j in range(1, jmax + 1):
+            for l in (j - 1, j + 1):
+                if not 1 <= l <= jmax:
+                    continue
+                gj, gl = gens[(kind, j)], gens[(kind, l)]
+                rels.append((f"{tag}serre[{j},{l}]",
+                             gj * gj * gl - qser * (gj * gl * gj) + gl * (gj * gj)))
+    for i in range(1, jmax + 1):
+        for j in range(1, jmax + 1):
+            if i != j:
+                rels.append((f"EFcross[{i},{j}]",
+                             gens[(E, i)] * gens[(F, j)]
+                             - gens[(F, j)] * gens[(E, i)]))
+        rels.append((f"EF[{i}]",
+                     gens[(E, i)] * gens[(F, i)] - gens[(F, i)] * gens[(E, i)]
+                     - LAMBDA_INV * (gens[(K, i)] - gens[(KINV, i)])))
+    return rels
+
+
+def test_defining_relations_match_the_written_out_families():
+    for n in range(1, 5):
+        for jmax in range(1, n + 1):
+            got = uq.defining_relations(n, jmax)
+            want = _reference_defining_relations(n, jmax)
+            assert len(got) == len(dict(got)) == len(want), (n, jmax)
+            assert {name: rel.terms for name, rel in got} == \
+                {name: rel.terms for name, rel in want}, (n, jmax)
+
+
+@pytest.fixture
+def fresh_catalogs():
+    """No cached ab-rho catalog before or after the test."""
+    weyl.ab_rho_relations.cache_clear()
+    yield
+    weyl.ab_rho_relations.cache_clear()
+
+
+def test_a_wrong_builder_serre_coefficient_fails_both_catalogs(
+        monkeypatch, fresh_action, fresh_catalogs):
+    # the e-side q-Serre middle word at -q in place of -(q + 1/q), planted
+    # once in the builder that both catalogs call
+    build = weyl.drinfeld_jimbo
+
+    def planted(k, kinv, e, f, names, diag):
+        serre = {names["eserre"].format(j, l): (j, l)
+                 for j in e for l in e if abs(j - l) == 1}
+        out = []
+        for name, rel in build(k, kinv, e, f, names, diag):
+            if name in serre:
+                j, l = serre[name]
+                rel = rel + q_power(-1) * (e[j] * e[l] * e[j])
+            out.append((name, rel))
+        return out
+
+    monkeypatch.setattr(weyl, "drinfeld_jimbo", planted)
+    n = 2
+    relations = uq.check_defining_relations(n, degree=2)
+    assert set(_failing(relations)) == {"EEserre[1,2]", "EEserre[2,1]"}
+    ab_rho = cli.run_ab_rho(n, argparse.Namespace())
+    assert set(_failing(ab_rho)) == {"qAB2[serre,1,2]", "qAB2[serre,2,1]"}
+
+
 # each planted defect at its rank, with the certificate cases it leaves open
 _DEFECTS = {
     "e-antipode": (_plant_e_antipode, 1, {
@@ -661,6 +754,30 @@ def test_symmetry_powers_take_logarithmically_many_products(monkeypatch):
     power = parse_hopf("(E1+F1)^5", 1)
     assert power == parse_hopf("(E1+F1)*(E1+F1)*(E1+F1)*(E1+F1)*(E1+F1)", 1)
     assert len(power.terms) == 32
+
+
+def test_written_out_symmetry_products_copy_few_generators(monkeypatch):
+    # a run of m written-out factors is multiplied as a balanced tree, so
+    # the words it concatenates hold O(m log m) generators in all
+    mul = sparse.Words.__mul__
+    copied = []
+
+    def counted(self, other):
+        if isinstance(other, sparse.Words):
+            copied.append(sum(len(w1) + len(w2) for w1 in self.terms
+                              for w2 in other.terms))
+        return mul(self, other)
+
+    monkeypatch.setattr(sparse.Words, "__mul__", counted)
+    m = 4000
+    got = parse_hopf("*".join(["K1"] * m), 1)
+    assert got == HopfElement(1, {((K, 1),) * m: ONE})
+    assert sum(copied) <= m * m.bit_length()
+    copied.clear()
+    got = parse_hopf("2*" + "*".join(["E1", "F1"] * (m // 2)) + "/3*K1", 1)
+    assert got == HopfElement(1, {((E, 1), (F, 1)) * (m // 2) + ((K, 1),):
+                                  parse_scalar("2/3")})
+    assert sum(copied) <= 2 * m * m.bit_length()
 
 
 def test_power_of_the_zero_symmetry_element_prints_zero_at_once():
