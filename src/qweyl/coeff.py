@@ -148,6 +148,13 @@ def _power(base, k, one, mul=operator.mul):
     return out
 
 
+def _coefficient_bits(c):
+    """The bits by which the work bound counts a coefficient's powers: half
+    those of ``|c|^2``'s numerator times its denominator, 0 for a unit."""
+    n = c.real ** 2 + c.imag ** 2
+    return ((n.numerator * n.denominator - 1).bit_length() + 1) // 2
+
+
 def _shifted_power(s, k, e):
     """``s**k * q0**e``, refused before anything is formed: ``s`` is inverted
     when ``k < 0``, its own q0 power joins ``e``, and each coprime side of the
@@ -160,8 +167,7 @@ def _shifted_power(s, k, e):
     _check_degree(max(max(e, 0) + m * (len(num) - 1),
                       max(-e, 0) + m * (len(den) - 1)))
     if len(num) == len(den) == 1:
-        n = num[0].real ** 2 + num[0].imag ** 2  # |c|^2: 1 for a unit
-        bits = ((n.numerator * n.denominator - 1).bit_length() + 1) // 2
+        bits = _coefficient_bits(num[0])
         if m * bits > MAX_POWER_WORK:
             raise ValueError(f"power {k} of a coefficient of {bits} bits "
                              f"passes the work bound {MAX_POWER_WORK}")
@@ -520,10 +526,15 @@ def _qi_str(c):
     except ValueError:  # an integer past the interpreter's printing limit
         bits = max(abs(side).bit_length() for part in (re, im)
                    for side in (part.numerator, part.denominator))
-        raise ValueError(
-            f"a coefficient of {bits} bits passes the limit of "
-            f"{sys.get_int_max_str_digits()} decimal digits on printing an "
-            "integer") from None
+        raise _unprintable(bits) from None
+
+
+def _unprintable(bits):
+    """The refusal to print a coefficient whose largest side has ``bits``
+    bits, past ``sys.get_int_max_str_digits()``."""
+    return ValueError(f"a coefficient of {bits} bits passes the limit of "
+                      f"{sys.get_int_max_str_digits()} decimal digits on "
+                      "printing an integer")
 
 
 def _poly_str(p):

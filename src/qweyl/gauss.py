@@ -12,7 +12,8 @@ its P-shift unit ``phi``:
 
 Composing two legs moves the second ``T`` shift past the first ``P`` shift
 at the Weyl phase ``exp(-1j*phi*m0*t1)`` of integer exponent, so every leg
-stays one integer pair and operators with equal legs merge exactly.
+stays one integer pair and operators with equal legs merge exactly; a
+composite ``(scalar, k, legs)`` forms its phase of exponent ``k`` once.
 Applying any represented element to a state stays inside the family, and
 all inner products, linear in the first argument, reduce to the closed-form
 Gaussian integral ``sqrt(pi/a) * exp(b**2/(4a))``.  A pointwise relation
@@ -131,21 +132,6 @@ def norm(u):
 # -- elementary operators ------------------------------------------------------
 
 
-def _compose_legs(first, then, phi):
-    """The leg ``first`` followed by ``then``, as ``(phase, leg)``.
-
-    Moving the ``T`` shift of ``then`` past the ``P`` shift of ``first``
-    picks up ``exp(-1j*phi*k)`` with the integer exponent ``k = m0*t1``.
-    Keeping legs composed avoids the huge intermediate prefactors that
-    uncomposed conjugation words would produce on sharply peaked packets.
-    """
-    t0, m0 = first
-    t1, m1 = then
-    k = m0 * t1
-    phase = cmath.exp(1j * (-k * phi)) if k else 1.0 + 0j
-    return phase, (t0 + t1, m0 + m1)
-
-
 @dataclass(frozen=True)
 class ElementaryOperator:
     """Complex scalar times one integer shift leg ``(t, m)`` per tensor leg."""
@@ -154,20 +140,24 @@ class ElementaryOperator:
     legs: tuple  # per tensor leg: e^{t T}, then e^{m phi P}
     phi: float  # the P-shift unit
 
-    def applied_after(self, other):
-        """Composite acting as ``other`` first, then ``self``."""
-        return _composed(self.scalar * other.scalar, zip(other.legs, self.legs),
-                         self.phi)
 
-
-def _composed(scalar, leg_pairs, phi):
-    """``scalar`` times the composite of each ``(first, then)`` leg pair."""
+def _then(first, then):
+    """The triple of ``first`` followed by ``then``: the ``T`` shift of
+    ``then`` moves past the ``P`` shift of ``first`` on each tensor leg."""
+    (s0, k, legs0), (s1, k1, legs1) = first, then
     legs = []
-    for first, then in leg_pairs:
-        phase, leg = _compose_legs(first, then, phi)
-        scalar *= phase
-        legs.append(leg)
-    return ElementaryOperator(scalar, tuple(legs), phi)
+    for (t0, m0), (t1, m1) in zip(legs0, legs1):
+        k += m0 * t1
+        legs.append((t0 + t1, m0 + m1))
+    return s0 * s1, k + k1, tuple(legs)
+
+
+def _operator(triple, phi):
+    """The elementary operator of a triple, its Weyl phase formed once."""
+    scalar, k, legs = triple
+    if k:
+        scalar *= cmath.exp(1j * (-k * phi))
+    return ElementaryOperator(scalar, legs, phi)
 
 
 def adjoint_ops(ops):
@@ -176,19 +166,21 @@ def adjoint_ops(ops):
     Each shift is its own adjoint, so a leg's shifts act in reverse order
     (``e^{m phi P}`` first, then ``e^{t T}``); scalars are conjugated.
     """
-    return [_composed(op.scalar.conjugate(),
-                      (((0, m), (t, 0)) for t, m in op.legs), op.phi)
-            for op in ops]
+    return [_operator(_then(
+        (op.scalar.conjugate(), 0, [(0, m) for _, m in op.legs]),
+        (1.0 + 0j, 0, [(t, 0) for t, _ in op.legs])), op.phi) for op in ops]
 
 
 def apply_ops(ops, state):
     """Apply a sum of elementary operators to a state."""
+    for op in ops:
+        if len(op.legs) != state.n:
+            raise ShapeMismatch(f"operator has {len(op.legs)} legs, "
+                                f"state has {state.n}")
+
     def images():
         for key, amp in state.terms.items():
             for op in ops:
-                if len(op.legs) != state.n:
-                    raise ShapeMismatch(f"operator has {len(op.legs)} legs, "
-                                        f"state has {state.n}")
                 val = amp * op.scalar
                 phi = op.phi
                 newkey = []
@@ -205,32 +197,29 @@ def apply_ops(ops, state):
 
 
 def _atom_variants(atom, n, ctx):
-    """The elementary operators whose sum realizes one generator atom."""
-    phi = ctx.phi
+    """The triples whose sum realizes one generator atom."""
     kind, k = atom[0], atom[1]
     main = n - k
     before = ((0, 1),) * main
     after = ((0, 0),) * (k - 1)
     if kind == "R":
-        return [ElementaryOperator(
-            1.0 + 0j, ((0, atom[2]),) * (main + 1) + after, phi)]
+        return [(1.0 + 0j, 0, ((0, atom[2]),) * (main + 1) + after)]
     if kind == "y":
-        return [ElementaryOperator(1.0 + 0j, before + ((1, 0),) + after, phi)]
+        return [(1.0 + 0j, 0, before + ((1, 0),) + after)]
     if kind == "x":
         sign = -float(sign_of(n, k))
-        return [ElementaryOperator(sign * ctx.q_value,
-                                   before + ((-1, 2),) + after, phi),
-                ElementaryOperator(sign + 0j, before + ((-1, 0),) + after, phi)]
+        return [(sign * ctx.q_value, 0, before + ((-1, 2),) + after),
+                (sign + 0j, 0, before + ((-1, 0),) + after)]
     raise ValueError(f"unknown atom kind {kind!r}")
 
 
 def represent_word(n, atoms, ctx, scalar=1.0 + 0j):
     """Represent a free product of generator atoms as elementary operators."""
-    ops = [ElementaryOperator(complex(scalar), ((0, 0),) * n, ctx.phi)]
+    ops = [(complex(scalar), 0, ((0, 0),) * n)]
     for atom in reversed(tuple(atoms)):
         variants = _atom_variants(atom, n, ctx)
-        ops = [v.applied_after(op) for op in ops for v in variants]
-    return ops
+        ops = [_then(op, v) for op in ops for v in variants]
+    return [_operator(op, ctx.phi) for op in ops]
 
 
 def represent_terms(n, terms, ctx):
@@ -513,11 +502,11 @@ def mat_mul(a, b):
     return tuple((r0 * b00 + r1 * b10, r0 * b01 + r1 * b11) for r0, r1 in a)
 
 
-def _model2_atom(atom, q_value, beta):
-    """The atom table: ``y1``, ``x1`` and ``R1^(2e)`` as (operator, matrix)
-    pairs that shift P in units of ``beta = 2*phi -+ pi``.  ``R1^2 = -Q1``
-    acts as ``e^{beta P}`` times ``SIGMA0``; an odd power of ``R1`` has no
-    image in this model."""
+def _model2_atom(atom, q_value):
+    """The atom table: ``y1``, ``x1`` and ``R1^(2e)`` as (one-leg triple,
+    matrix) pairs that shift P in units of ``beta = 2*phi -+ pi``.  ``R1^2 =
+    -Q1`` acts as ``e^{beta P}`` times ``SIGMA0``; an odd power of ``R1`` has
+    no image in this model."""
     if atom[:2] == ("R", 1):
         e, odd = divmod(atom[2], 2)
         if odd:
@@ -531,7 +520,7 @@ def _model2_atom(atom, q_value, beta):
                  (1.0 + 0j, (-1, 0), SIGMA1)]
     else:
         raise ValueError(f"the two-component model has no atom {atom!r}")
-    return [(ElementaryOperator(s, (leg,), beta), m) for s, leg, m in pairs]
+    return [((s, 0, (leg,)), m) for s, leg, m in pairs]
 
 
 def model2_represent(terms, ctx):
@@ -540,12 +529,12 @@ def model2_represent(terms, ctx):
     beta = 2.0 * ctx.phi - math.copysign(math.pi, ctx.phi)
     out = []
     for cv, atoms in terms:
-        ops = [(ElementaryOperator(cv.evaluate(ctx), ((0, 0),), beta), ID2)]
+        ops = [((cv.evaluate(ctx), 0, ((0, 0),)), ID2)]
         for atom in reversed(atoms):
-            variants = _model2_atom(atom, ctx.q_value, beta)
-            ops = [(v.applied_after(op), mat_mul(vm, m))
+            variants = _model2_atom(atom, ctx.q_value)
+            ops = [(_then(op, v), mat_mul(vm, m))
                    for op, m in ops for v, vm in variants]
-        out += ops
+        out += [(_operator(op, beta), m) for op, m in ops]
     return out
 
 

@@ -699,6 +699,65 @@ def test_cli_prints_integers_up_to_the_string_limit(capsys):
     assert capsys.readouterr().out == f"{7 ** 5000}\n"
 
 
+def _formed_past_the_limit(value):
+    return isinstance(value, coeff.ScalarValue) and any(
+        abs(side).bit_length() > 20000 for c in value.num
+        for part in (c.real, c.imag) for side in (part.numerator,
+                                                  part.denominator))
+
+
+@pytest.mark.parametrize("n, text, bits", [
+    (1, "7^1398101", 3924966),
+    (1, "(7*y1)^1398101", 3924966),
+    (1, "(7*K1)^1398101", 3924966),
+    (1, "(2/3)^1000000", 1584963),
+    (1, "(-2/3)^-999999", 1584961),
+    (1, "(7*R1)^-1398101", 3924966),
+    (1, "7^6000", 16845),
+])
+def test_cli_refuses_unprintable_coefficient_powers_unformed(
+        capsys, monkeypatch, n, text, bits):
+    # the printer's refusal, raised before a coefficient past it is formed
+    def unformed(fn):
+        def checked(*args):
+            value = fn(*args)
+            assert not _formed_past_the_limit(value)
+            return value
+        return checked
+
+    monkeypatch.setattr(coeff, "_shifted_power",
+                        unformed(coeff._shifted_power))
+    monkeypatch.setattr(coeff.ScalarValue, "__mul__",
+                        unformed(coeff.ScalarValue.__mul__))
+    assert cli.main(["normalize", "--n", str(n), text]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", (
+        f"error: a coefficient of {bits} bits passes the limit of "
+        f"{sys.get_int_max_str_digits()} decimal digits on printing an "
+        "integer\n"))
+
+
+@pytest.mark.parametrize("n, text, message", [
+    (1, "7^1398102", "power 1398102 of a coefficient of 3 bits passes the "
+                     "work bound 4194304"),
+    (1, "(7*q0)^1398101", "q0 degree 1398101 exceeds the bound 100000"),
+    (2, "(7*y1*x2)^1398101", "q0 degree 1954685008100 exceeds the bound "
+                             "100000"),
+])
+def test_cli_unprintable_powers_meet_their_other_bounds_first(capsys, n, text,
+                                                              message):
+    assert cli.main(["normalize", "--n", str(n), text]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@given(side=st.integers(1, 10 ** 6), m=st.integers(0, 3000))
+@settings(max_examples=200, deadline=None)
+def test_power_bits_are_exact_or_untold(side, m):
+    bits = parser._power_bits(side, m)
+    assert bits in (None, (side ** m).bit_length())
+    assert bits is not None or side & (side - 1)
+
+
 def test_cli_refuses_integer_literals_past_the_string_limit(capsys):
     text = "q0 + " + "7" * 5000
     with pytest.raises(ParseError) as err:

@@ -1,6 +1,5 @@
 import cmath
 import collections
-import dataclasses
 import math
 import os
 import pathlib
@@ -18,7 +17,7 @@ from qweyl import cli, gauss, haar, uq, weyl
 from qweyl.coeff import ONE, NumericContext
 from qweyl.errors import ShapeMismatch
 from qweyl.gauss import (ElementaryOperator, GaussianState, _apply_leg,
-                         _compose_legs, apply_ops, inner, norm, represent,
+                         _operator, _then, apply_ops, inner, norm, represent,
                          represent_word)
 from qweyl.report import SuiteReport
 from qweyl.sparse import accumulate
@@ -93,24 +92,46 @@ def test_weyl_exchange_relation_exact_fields():
 
 
 def test_leg_composition_phase():
+    # P by 2 and then T by 3 moves the T shift past the P shift: k = 2*3
+    assert _then((1.0 + 0j, 0, ((0, 2),)), (1.0 + 0j, 0, ((3, 0),))) == \
+        (1.0 + 0j, 6, ((3, 2),))
+    assert _then((1.0 + 0j, 0, ((0, 1),)), (1.0 + 0j, 0, ((0, -1),))) == \
+        (1.0 + 0j, 0, ((0, 0),))
+    # exponents add over tensor legs and over the composed triples
+    assert _then((2.0 + 0j, 1, ((0, 1), (2, -1))),
+                 (0.5j, 3, ((4, 0), (5, 1)))) == (1j, 1 + 3 + 4 - 5,
+                                                  ((4, 1), (7, 0)))
     phi = 0.75
-    phase, leg = _compose_legs((0, 2), (3, 0), phi)
-    assert leg == (3, 2)
-    assert phase == pytest.approx(cmath.exp(-6j * phi))
-    phase, leg = _compose_legs((0, 1), (0, -1), phi)
-    assert phase == 1.0
-    assert leg == (0, 0)
+    op = _operator((1.0 + 0j, 6, ((3, 2),)), phi)
+    assert (op.legs, op.phi) == (((3, 2),), phi)
+    assert op.scalar == pytest.approx(cmath.exp(-6j * phi))
+    assert _operator((0.5 - 1j, 0, ((0, 0),)), phi).scalar == 0.5 - 1j
 
 
 def test_operator_word_exchange_collapses_identically():
     # the exchange relation holds at the level of composed operator data
     phi = -0.625
     lhs = ElementaryOperator(1.0 + 0j, ((3, 2),), phi)
-    p_first = ElementaryOperator(1.0 + 0j, ((0, 2),), phi)
-    rhs = ElementaryOperator(cmath.exp(1j * 2 * phi * 3),
-                             ((3, 0),), phi).applied_after(p_first)
+    rhs = _operator(_then((1.0 + 0j, 0, ((0, 2),)),
+                          (cmath.exp(1j * 2 * phi * 3), 0, ((3, 0),))), phi)
     assert lhs.legs == rhs.legs
     assert lhs.scalar == pytest.approx(rhs.scalar, rel=1e-15)
+
+
+def test_represent_word_forms_each_phase_once(monkeypatch):
+    # the word's operators pick up Weyl phases at several composition steps;
+    # each returned operator may form one phase at most
+    calls = []
+
+    def exp(z):
+        calls.append(z)
+        return cmath.exp(z)
+
+    monkeypatch.setattr(gauss, "cmath", mock.Mock(exp=exp))
+    atoms = (("y", 1), ("R", 1, 1), ("x", 1), ("y", 2), ("R", 1, 2),
+             ("y", 1), ("R", 2, -1), ("x", 2))
+    ops = represent_word(2, atoms, CTX)
+    assert calls and len(calls) <= len(ops)
 
 
 # -- the float-leg oracle ------------------------------------------------------
@@ -385,6 +406,16 @@ def test_shape_mismatch():
         apply_ops(represent(weyl.gen_y(2, 1), CTX), u)
 
 
+def test_apply_ops_checks_ranks_on_a_zero_state():
+    # a zero state has no terms, so the check cannot wait for one
+    ops = represent(weyl.gen_y(2, 1), CTX)
+    with pytest.raises(ShapeMismatch,
+                       match="^operator has 2 legs, state has 1$"):
+        apply_ops(ops, GaussianState.zero(1))
+    assert apply_ops(ops, GaussianState.zero(2)).is_zero
+    assert apply_ops([], GaussianState.zero(1)).is_zero
+
+
 # -- representation -----------------------------------------------------------
 
 
@@ -514,13 +545,14 @@ def _planted(defect):
     def planted(atom, n, ctx):
         ops = variants(atom, n, ctx)
         if atom[0] == "x" and defect == "x-q-squared":
-            ops[0] = dataclasses.replace(ops[0],
-                                         scalar=ops[0].scalar * ctx.q_value)
+            scalar, k, legs = ops[0]
+            ops[0] = (scalar * ctx.q_value, k, legs)
         elif atom[0] == "x" and defect == "x-second-sign":
-            ops[1] = dataclasses.replace(ops[1], scalar=-ops[1].scalar)
+            scalar, k, legs = ops[1]
+            ops[1] = (-scalar, k, legs)
         elif atom[0] == "R" and defect == "R-first-leg-doubled":
-            (t, m), *rest = ops[0].legs
-            ops[0] = dataclasses.replace(ops[0], legs=((t, 2 * m), *rest))
+            scalar, k, ((t, m), *rest) = ops[0]
+            ops[0] = (scalar, k, ((t, 2 * m), *rest))
         return ops
 
     return planted
@@ -1195,9 +1227,17 @@ def _oracle_operators(ctx, x_q_matrix=None):
 
 
 def _m2_compose(after, before):
-    """Compose two-component operators (``before`` acts first)."""
-    return [(a.applied_after(b), gauss.mat_mul(ma, mb))
-            for a, ma in after for b, mb in before]
+    """Compose two-component operators (``before`` acts first): the ``T``
+    shift of ``a`` moves past the ``P`` shift of ``b`` at the float phase
+    ``exp(-1j*beta*m0*t1)``."""
+    out = []
+    for a, ma in after:
+        for b, mb in before:
+            ((t0, m0),), ((t1, m1),) = b.legs, a.legs
+            scalar = a.scalar * b.scalar * cmath.exp(-1j * b.phi * m0 * t1)
+            op = ElementaryOperator(scalar, ((t0 + t1, m0 + m1),), a.phi)
+            out.append((op, gauss.mat_mul(ma, mb)))
+    return out
 
 
 def _m2_scaled(c, ops):
@@ -1328,8 +1368,8 @@ def test_model2_planted_sigma_order_fails_qdef():
     assert _model2_relation_reference(oracle["Qdef"], states) > CTX.tolerance
     atom_table = gauss._model2_atom
 
-    def planted(atom, q_value, beta):
-        pairs = atom_table(atom, q_value, beta)
+    def planted(atom, q_value):
+        pairs = atom_table(atom, q_value)
         if atom[0] == "x":
             pairs[0] = (pairs[0][0], s10)
         return pairs
