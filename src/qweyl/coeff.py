@@ -321,8 +321,10 @@ class ScalarValue:
             return NotImplemented
         if self.den == o.den:
             return ScalarValue(_padd(self.num, o.num), self.den)
-        num = _padd(_pmul(self.num, o.den), _pmul(o.num, self.den))
-        return ScalarValue(num, _pmul(self.den, o.den))
+        # over the least common multiple of the denominators, not their product
+        ca, cb = _canonicalize(self.den, o.den)
+        num = _padd(_pmul(self.num, cb), _pmul(o.num, ca))
+        return ScalarValue(num, _pmul(self.den, cb))
 
     __radd__ = __add__
 

@@ -17,46 +17,44 @@ defined on scale generators, ``Q``, and ``K``.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 import sys
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import coeff, uq, weyl
-from .coeff import ScalarValue
+from .coeff import ONE, ScalarValue
 from .errors import ParseError
 from .uq import HopfElement
 from .weyl import AlgebraElement
 
 _TOKEN_RE = re.compile(r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z][A-Za-z0-9]*)"
-                       r"|(?P<op>[-+*/^()'()]))")
+                       r"|(?P<op>[-+*/^()']))")
 
 _CONSTANTS = {"i": coeff.I, "q0": coeff.Q0, "q": coeff.Q,
               "lambda": coeff.LAMBDA}
 
-# generator heads and their builders ``(n, index)``; the K, E and F heads
-# name their kinds in ``uq``
-_GENERATORS = {"y": weyl.gen_y, "x": weyl.gen_x, "R": weyl.gen_r,
-               "Q": weyl.q_elem,
-               **{kind: (lambda n, j, kind=kind:
-                         HopfElement.generator(n, kind, j)) for kind in "KEF"}}
-
-_GEN_RE = re.compile(rf"^([{''.join(_GENERATORS)}])(\d+)$")
-
-# what a negative power is defined on, by element type
-_INVERTIBLE = {AlgebraElement: "scale generators", HopfElement: "K words"}
+_GEN_RE = re.compile(r"^([yxRQKEF])(\d+)$")
 
 # parentheses, ``eps(`` and ``S(`` nest at most this deep; each level takes
 # several Python frames, so a fixed bound refuses before the stack runs out
 MAX_NESTING = 100
 
+# a generator's power past this is formed by ``**``, under that one's bounds
+MAX_WORD_POWER = 64
 
-def _balanced(factors):
-    """The product of ``factors`` in their order, taken pairwise."""
-    while len(factors) > 1:
-        factors = [a * b for a, b in zip(factors[::2], factors[1::2])] \
-            + factors[len(factors) // 2 * 2:]
-    return factors[0]
+
+class _Word(NamedTuple):
+    """A generator power: its family, coefficient and atoms, in a product."""
+
+    cls: type
+    coef: ScalarValue
+    atoms: tuple
+
+    def __neg__(self):
+        return self._replace(coef=-self.coef)
 
 
 def _power_bits(side, m):
@@ -70,10 +68,11 @@ def _power_bits(side, m):
 
 def _refuse_unprintable_power(a, k):
     """Raise the printer's ``ValueError`` before ``a ** k`` is formed, when
-    ``a`` is one term whose coefficient is a real rational ``c`` and ``c**k``
-    surely passes ``sys.get_int_max_str_digits()``.  A bound that ``a ** k``
-    meets first still refuses it first, and a power past the coefficient
-    work bound is left to ``a ** k``."""
+    ``a`` is one term whose coefficient is a real or pure imaginary rational
+    ``c`` and ``c**k`` surely passes ``sys.get_int_max_str_digits()``; since
+    ``(b*i)^k = b^k * i^k``, an imaginary ``c`` counts the bits of ``b``.  A
+    bound that ``a ** k`` meets first still refuses it first, and a power
+    past the coefficient work bound is left to ``a ** k``."""
     if isinstance(a, ScalarValue):
         c = a
     elif len(a.terms) == 1:
@@ -81,13 +80,14 @@ def _refuse_unprintable_power(a, k):
     else:
         return
     limit, m = sys.get_int_max_str_digits(), abs(k)
-    if not (limit and m > 1 and c.den == (1,) and len(c.num) == 1
-            and type(c.num[0]) in (int, Fraction)):
+    if not (limit and m > 1 and c.den == (1,) and len(c.num) == 1):
         return
-    if m * coeff._coefficient_bits(c.num[0]) > coeff.MAX_POWER_WORK:
+    b = c.num[0]
+    b = b.imag if type(b) is coeff.QI and not b.real else b
+    if (type(b) not in (int, Fraction)
+            or m * coeff._coefficient_bits(b) > coeff.MAX_POWER_WORK):
         return
-    bits = [_power_bits(abs(side), m)
-            for side in (c.num[0].numerator, c.num[0].denominator)]
+    bits = [_power_bits(abs(side), m) for side in (b.numerator, b.denominator)]
     # an N-bit integer has more than (N - 1)*log10(2) digits; one digit of
     # margin keeps the float comparison sure
     if None in bits or (max(bits) - 1) * math.log10(2) <= limit + 1:
@@ -98,31 +98,25 @@ def _refuse_unprintable_power(a, k):
 
 
 def _tokenize(text):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m or m.end() == pos:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            at = len(text) - len(stripped)
-            raise ParseError(f"unexpected character {stripped[0]!r}", at)
-        if m.group("int") is not None:
-            digits, at = m.group("int"), m.start("int")
+    tokens, pos = [], 0
+    for m in _TOKEN_RE.finditer(text):
+        if m.start() != pos:
+            break
+        kind = m.lastgroup
+        value, at, pos = m.group(kind), m.start(kind), m.end()
+        if kind == "int":
             try:
-                value = int(digits)
+                value = int(value)
             except ValueError:  # past the interpreter's conversion limit
-                raise ParseError(f"integer literal of {len(digits)} digits "
+                raise ParseError(f"integer literal of {len(value)} digits "
                                  "passes the limit of "
                                  f"{sys.get_int_max_str_digits()} digits",
                                  at) from None
-            tokens.append(("int", value, at))
-        elif m.group("name") is not None:
-            tokens.append(("name", m.group("name"), m.start("name")))
-        else:
-            tokens.append(("op", m.group("op"), m.start("op")))
-        pos = m.end()
+        tokens.append((kind, value, at))
+    stripped = text[pos:].lstrip()
+    if stripped:
+        raise ParseError(f"unexpected character {stripped[0]!r}",
+                         len(text) - len(stripped))
     tokens.append(("end", None, len(text)))
     return tokens
 
@@ -141,6 +135,14 @@ class _Parser:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
+
+    def accept(self, symbols):
+        """The next token, taken if it is an operator in ``symbols``."""
+        kind, sym, _ = tok = self.peek()
+        if kind == "op" and sym in symbols:
+            self.pos += 1
+            return tok
+        return None
 
     def expect_op(self, symbol):
         kind, value, at = self.peek()
@@ -167,16 +169,28 @@ class _Parser:
                 or type(a) is type(b)):
             raise ParseError("cannot mix coordinate and symmetry generators", at)
 
-    def _div(self, a, b, at):
-        if not isinstance(b, ScalarValue):
-            raise ParseError("division is defined for scalar denominators only", at)
-        if b.is_zero:
-            raise ParseError("division by zero", at)
-        if isinstance(a, ScalarValue):
-            return a / b
-        return a.scaled(b.inv())
+    def _times(self, value, cls, coef, atoms):
+        """``value`` times ``coef`` times the word ``atoms`` of family ``cls``,
+        formed once; a None ``value`` or ``cls`` stands for the unit."""
+        if cls is None and coef.is_one:
+            return value
+        if cls is None or not coef:
+            word = coef if cls is None else cls.zero(self.n)
+        elif cls is HopfElement:
+            word = HopfElement(self.n, {tuple(atoms): coef})
+        else:
+            word = weyl.normal_form(self.n, [(coef, atoms)])
+        return word if value is None else value * word
 
     def _pow(self, a, k, at):
+        if isinstance(a, _Word) and len(a.atoms) == 1:
+            head, j, *e = a.atoms[0]
+            if head == "R":  # ``R_j`` or ``Q_j``: one atom at any power
+                coef = a.coef if a.coef.is_one else a.coef ** k
+                return _Word(a.cls, coef, (("R", j, e[0] * k),))
+            if 0 <= k <= MAX_WORD_POWER:
+                return a._replace(atoms=a.atoms * k)
+        a = self._times(None, *a) if isinstance(a, _Word) else a
         if isinstance(a, ScalarValue):
             if a.is_zero and k < 0:
                 raise ParseError("division by zero", at)
@@ -184,8 +198,9 @@ class _Parser:
             try:
                 a, k = a.monomial_inverse(), -k
             except ValueError:
-                raise ParseError("negative exponents are only defined on "
-                                 + _INVERTIBLE[type(a)], at) from None
+                raise ParseError("negative exponents are only defined on " + (
+                    "K words" if isinstance(a, HopfElement)
+                    else "scale generators"), at) from None
         _refuse_unprintable_power(a, k)
         return a ** k
 
@@ -200,78 +215,71 @@ class _Parser:
 
     def expr(self):
         value = self.term()
-        while True:
-            kind, sym, at = self.peek()
-            if kind == "op" and sym in "+-":
-                self.advance()
-                rhs = self.term()
-                self._check_mix(value, rhs, at)
-                value = value + rhs if sym == "+" else value - rhs
-            else:
-                return value
+        while tok := self.accept("+-"):
+            rhs = self.term()
+            self._check_mix(value, rhs, tok[2])
+            value = value + rhs if tok[1] == "+" else value - rhs
+        return value
 
     def term(self):
-        # a run of symmetry factors is multiplied at its end as a balanced
-        # tree, so m written-out factors copy O(m log m) generators, not
-        # O(m^2); other factors keep their left-to-right grouping, on which
-        # the degree bound of a coordinate product depends
-        run = [self.unary()]
+        # a product is one word, formed once: scalars and ``/`` by a scalar
+        # fold into its coefficient and generator powers join its atoms; any
+        # other factor forms the word so far and multiplies left to right
+        value, family, cls, coef, atoms = None, None, None, ONE, []
+        sym, at = "*", None
         while True:
-            kind, sym, at = self.peek()
-            if kind == "op" and sym in "*/":
-                self.advance()
-                rhs = self.unary()
-                if sym == "*":
-                    self._check_mix(run[-1], rhs, at)
-                    if isinstance(rhs, HopfElement) and isinstance(
-                            run[-1], HopfElement):
-                        run.append(rhs)
-                    else:
-                        run = [_balanced(run) * rhs]
-                else:
-                    run = [self._div(_balanced(run), rhs, at)]
+            factor = self.unary()
+            if sym == "/":
+                if not isinstance(factor, ScalarValue):
+                    raise ParseError("division is defined for scalar "
+                                     "denominators only", at)
+                if factor.is_zero:
+                    raise ParseError("division by zero", at)
+                coef = coef / factor
+            elif isinstance(factor, ScalarValue):
+                coef = coef * factor
             else:
-                return _balanced(run)
+                fam = factor.cls if isinstance(factor, _Word) else type(factor)
+                if family not in (None, fam):
+                    raise ParseError("cannot mix coordinate and symmetry "
+                                     "generators", at)
+                family = fam
+                if isinstance(factor, _Word):
+                    cls = fam
+                    coef = coef if factor.coef.is_one else coef * factor.coef
+                    atoms += factor.atoms
+                else:
+                    value = self._times(value, cls, coef, atoms)
+                    value = factor if value is None else value * factor
+                    cls, coef, atoms = None, ONE, []
+            tok = self.accept("*/")
+            if tok is None:
+                value = self._times(value, cls, coef, atoms)
+                return ONE if value is None else value
+            _, sym, at = tok
 
     def unary(self):
         sign = 1
-        while True:
-            kind, sym, _ = self.peek()
-            if kind == "op" and sym in "+-":
-                self.advance()
-                if sym == "-":
-                    sign = -sign
-            else:
-                break
+        while tok := self.accept("+-"):
+            sign = -sign if tok[1] == "-" else sign
         value = self.postfix()
-        if sign < 0:
-            value = -value
-        return value
+        return -value if sign < 0 else value
 
     def postfix(self):
         value = self.primary()
-        while True:
-            kind, sym, at = self.peek()
-            if kind == "op" and sym == "'":
-                self.advance()
+        while tok := self.accept("'^"):
+            if tok[1] == "^":
+                value = self._pow(value, self.exponent(), tok[2])
+            elif not isinstance(value, _Word):  # generators are hermitian
                 value = value.star()
-            elif kind == "op" and sym == "^":
-                self.advance()
-                value = self._pow(value, self.exponent(), at)
-            else:
-                return value
+        return value
 
     def exponent(self):
-        kind, sym, at = self.peek()
-        neg = False
-        if kind == "op" and sym == "-":
-            self.advance()
-            neg = True
-        kind, val, at = self.peek()
+        neg = self.accept("-")
+        kind, val, at = self.advance()
         if kind != "int":
             raise ParseError("expected an integer exponent", at,
                              expected=("integer",))
-        self.advance()
         return -val if neg else val
 
     def primary(self):
@@ -295,10 +303,26 @@ class _Parser:
             if not isinstance(arg, HopfElement):
                 raise ParseError(f"{name}() takes a symmetry-algebra argument", at)
             return uq.counit(arg) if name == "eps" else uq.antipode_element(arg)
-        m = _GEN_RE.match(name)
-        if not m:
+        word = _generator(name, self.n)
+        if word is None:
             raise ParseError(f"unknown name {name!r}", at)
-        return _GENERATORS[m.group(1)](self.n, int(m.group(2)))
+        return word
+
+
+@functools.lru_cache(maxsize=256)
+def _generator(name, n):
+    """The word of the generator ``name`` at rank ``n``, or None."""
+    m = _GEN_RE.match(name)
+    if not m:
+        return None
+    head, j = m.group(1), int(m.group(2))
+    if head in "KEF":
+        return _Word(HopfElement, ONE, (uq.hopf_gen(n, head, j),))
+    if head == "Q":
+        ((atoms, cv),) = weyl.tl_q(n, weyl._index(j, n + 1, "Q ")).terms.items()
+        return _Word(AlgebraElement, cv, atoms)
+    atom = (head, weyl._index(j, n, head + " "))
+    return _Word(AlgebraElement, ONE, (atom + (1,) if head == "R" else atom,))
 
 
 def parse_expression(text, n):

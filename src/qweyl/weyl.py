@@ -306,11 +306,14 @@ def normal_form(n, words):
     """Normalize a weighted word list ``((scalar, atoms), ...)``.
 
     Returns the canonical element of the sum; an empty list gives zero.
+    A word starts at the key of its first run in block order (``_runs``)
+    and multiplies each further run's key into every term in closed form.
     """
     out = {}
     for cv, atoms in words:
-        terms = [(AlgebraElement._unit_key(n), AlgebraElement._scalar(cv))]
-        for key in _runs(n, atoms):
+        first, *rest = _runs(n, atoms) or [AlgebraElement._unit_key(n)]
+        terms = [(first, AlgebraElement._scalar(cv))]
+        for key in rest:
             terms = [t for k, c in terms for t in _key_product(n, k, key, c)]
             if len(terms) > 1:  # equal keys merge as they arise
                 terms = list(accumulate({}, terms).items())

@@ -119,6 +119,121 @@ def test_parse_refuses_mixed_families(text, position):
                               f"(at position {position})")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("y1*K1", "cannot mix coordinate and symmetry generators (at position 2)"),
+    ("K1*y1*x1", "cannot mix coordinate and symmetry generators "
+                 "(at position 2)"),
+    ("y1/0", "division by zero (at position 2)"),
+    ("y1*x1/K1", "division is defined for scalar denominators only "
+                 "(at position 5)"),
+])
+def test_parse_errors_inside_a_word_keep_their_positions(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_expression(text, 1)
+    assert str(err.value) == message
+
+
+# the parser that takes each product one factor at a time, left to right,
+# each generator being its own element: the slow oracle of the word route
+_ELEMENTS = {"y": weyl.gen_y, "x": weyl.gen_x, "R": weyl.gen_r,
+             "Q": weyl.q_elem,
+             **{kind: (lambda n, j, kind=kind:
+                       uq.HopfElement.generator(n, kind, j)) for kind in "KEF"}}
+
+
+class _FactorByFactor(parser._Parser):
+    def name_value(self, name, at):
+        m = parser._GEN_RE.match(name)
+        if not m:
+            return super().name_value(name, at)
+        return _ELEMENTS[m.group(1)](self.n, int(m.group(2)))
+
+    def term(self):
+        value = self.unary()
+        while True:
+            kind, sym, at = self.peek()
+            if kind != "op" or sym not in "*/":
+                return value
+            self.advance()
+            rhs = self.unary()
+            if sym == "*":
+                self._check_mix(value, rhs, at)
+                value = value * rhs
+            elif not isinstance(rhs, coeff.ScalarValue):
+                raise ParseError("division is defined for scalar denominators "
+                                 "only", at)
+            elif rhs.is_zero:
+                raise ParseError("division by zero", at)
+            else:
+                value = value * rhs.inv()
+
+
+def _outcome(parse, text, n):
+    try:
+        value = parse(text, n)
+    except ParseError as err:
+        return "ParseError", str(err)
+    return type(value).__name__, str(value), value
+
+
+_POWERS = ["", "", "", "^2", "^3", "^0", "^-1", "^-2", "'", "^2^-1", "^-1^2"]
+_SCALARS = ["2", "q", "q0", "i", "lambda", "(1/2)", "(q0 - 1)", "0"]
+
+
+@st.composite
+def _products(draw):
+    """An expression at rank 1..4 over one family's generators and scalars:
+    powers, ``'``, ``/``, parentheses, ``-``, ``S(…)`` and ``eps(…)``."""
+    n = draw(st.integers(1, 4))
+    heads = draw(st.sampled_from(["yxRQ", "KEF"]))
+    names = [f"{h}{k}" for h in heads for k in range(1, n + 1)] + (
+        [f"Q{n + 1}"] if "Q" in heads else [])
+    leaf = st.tuples(st.sampled_from(names + _SCALARS),
+                     st.sampled_from(_POWERS)).map("".join)
+    group = st.tuples(leaf, st.sampled_from(["*", "+", " - "]), leaf,
+                      st.sampled_from(["^2", "^-1", "'"])).map(
+        lambda p: f"({p[0]}{p[1]}{p[2]}){p[3]}")
+    text = draw(st.recursive(
+        st.one_of(leaf, leaf, group),
+        lambda inner: st.one_of(
+            st.tuples(inner, st.sampled_from(["*", " * ", "/", "+", " - "]),
+                      inner).map("".join),
+            st.tuples(st.sampled_from(["-", "(", "S(", "eps("]), inner).map(
+                lambda p: p[0] + p[1] + ("" if p[0] == "-" else ")")),
+            inner.map(lambda e: f"({e})'")),
+        max_leaves=10))
+    return n, text
+
+
+@settings(max_examples=300, deadline=None)
+@given(_products())
+def test_word_route_matches_the_factor_by_factor_product(case):
+    n, text = case
+    assert _outcome(parse_expression, text, n) == _outcome(
+        lambda t, r: _FactorByFactor(t, r).parse(), text, n)
+
+
+def test_written_out_coordinate_products_take_one_key_product_per_run(
+        monkeypatch):
+    # 4,000 atoms in 2,001 block-order runs: one word, formed from its first
+    # run's key by one key product per further run
+    text = "*".join(["y1", "R1", "y1", "R1^-1"] * 1000)
+    atoms = [("y", 1), ("R", 1, 1), ("y", 1), ("R", 1, -1)] * 1000
+    want = _FactorByFactor(text, 1).parse()
+    runs = len(weyl._runs(1, atoms))
+    assert runs == 2001
+    calls = []
+    key_product = weyl._key_product
+
+    def counted(*args):
+        calls.append(args)
+        return key_product(*args)
+
+    monkeypatch.setattr(weyl, "_key_product", counted)
+    assert parse_algebra(text, 1) == want
+    assert len(calls) == runs - 1
+
+
 @pytest.mark.parametrize("text, printed", [
     ("2 - E1*F1", "(2) + (-1)*E1*F1"),
     ("-E1 + 3*K1^-1", "(-1)*E1 + (3)*K1^-1"),
@@ -714,6 +829,9 @@ def _formed_past_the_limit(value):
     (1, "(-2/3)^-999999", 1584961),
     (1, "(7*R1)^-1398101", 3924966),
     (1, "7^6000", 16845),
+    (1, "(7*i)^1398101", 3924966),
+    (1, "(-7*i*y1)^1398100", 3924963),
+    (1, "(2/3*i*K1)^-1000000", 1584963),
 ])
 def test_cli_refuses_unprintable_coefficient_powers_unformed(
         capsys, monkeypatch, n, text, bits):

@@ -491,6 +491,54 @@ def test_shared_denominator_sum_cancels_a_common_factor():
     assert _structure(a - a) == _structure(ZERO) == _structure(b + (-b))
 
 
+@st.composite
+def c_power_pairs(draw):
+    """``(a, b)``, each a numerator over ``q0^k·C^m``; a numerator may carry
+    a factor of C, so that a side cancels part of its denominator."""
+    def value():
+        den = (1,)
+        for _ in range(draw(st.integers(0, 3))):
+            den = coeff._pmul(den, _C)
+        num = coeff._pmul(draw(st.sampled_from(_C_FACTORS)),
+                          draw(st.one_of(_nonzero_poly, _int_poly)))
+        return ScalarValue(num, coeff._pshift(den, draw(st.integers(0, 3))))
+
+    return value(), value()
+
+
+@settings(max_examples=150, deadline=None)
+@given(c_power_pairs())
+def test_sums_over_c_power_denominators_match_cross_products(pair):
+    a, b = pair
+    for x, y in ((a, b), (b, a)):
+        for s in (1, -1):
+            got = x + y if s > 0 else x - y
+            want = _cross_sum(x, y, s)
+            assert _structure(got) == _structure(want)
+            assert hash(got) == hash(want)
+
+
+def test_sums_over_c_power_denominators_form_their_common_multiple(
+        monkeypatch):
+    # 1/C^2 + 1/(q0^3·C^3) is formed over q0^3·C^3, of degree 15, where the
+    # product of the denominators, q0^3·C^5, has degree 23
+    c = q0_power(4) - ONE
+    a, b = ONE / c ** 2, q0_power(-3) / c ** 3
+    want = _cross_sum(a, b, 1)
+    degrees = []
+    pmul = coeff._pmul
+
+    def counted(x, y):
+        out = pmul(x, y)
+        degrees.append(len(out) - 1)
+        return out
+
+    monkeypatch.setattr(coeff, "_pmul", counted)
+    got = a + b
+    assert _structure(got) == _structure(want)
+    assert max(degrees) <= 15
+
+
 # -- every field operation leaves canonical coefficients -----------------------
 
 
