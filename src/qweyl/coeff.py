@@ -155,11 +155,22 @@ def _coefficient_bits(c):
     return ((n.numerator * n.denominator - 1).bit_length() + 1) // 2
 
 
+def _power_bits(side, m):
+    """``(side ** m).bit_length()`` for an integer ``side >= 1``, or None
+    where a float cannot tell it."""
+    if not side & (side - 1):  # a power of two
+        return m * (side.bit_length() - 1) + 1
+    x = m * math.log2(side)
+    return None if abs(x - round(x)) < 1e-6 else math.floor(x) + 1
+
+
 def _shifted_power(s, k, e):
     """``s**k * q0**e``, refused before anything is formed: ``s`` is inverted
     when ``k < 0``, its own q0 power joins ``e``, and each coprime side of the
-    rest is raised on its own, with no gcd.  The bits of a single coefficient
-    bound the work, else ``|k|`` times the q0 degree of ``s**k`` does."""
+    rest is raised on its own, with no gcd.  The q0 degree is bounded, then
+    the work: the bits of a single coefficient, else ``|k|`` times the q0
+    degree of ``s**k``; last, a real or pure imaginary single coefficient
+    meets the printer's limit."""
     m, s = abs(k), s.inv() if k < 0 else s
     vn, vd = _pval(s.num), _pval(s.den)
     num, den = s.num[vn:], s.den[vd:]
@@ -167,11 +178,19 @@ def _shifted_power(s, k, e):
     _check_degree(max(max(e, 0) + m * (len(num) - 1),
                       max(-e, 0) + m * (len(den) - 1)))
     if len(num) == len(den) == 1:
-        bits = _coefficient_bits(num[0])
+        c, bits = num[0], _coefficient_bits(num[0])
         if m * bits > MAX_POWER_WORK:
             raise ValueError(f"power {k} of a coefficient of {bits} bits "
                              f"passes the work bound {MAX_POWER_WORK}")
-        num = (_exact_coeff(_power(num[0], m, 1)),)
+        b = c.imag if type(c) is QI and not c.real else c
+        limit = sys.get_int_max_str_digits()
+        if limit and m > 1 and type(b) is not QI:
+            # (b*i)^m = b^m*i^m; an N-bit integer has more than
+            # (N - 1)*log10(2) digits, and one digit of margin keeps it sure
+            top = [_power_bits(abs(x), m) for x in (b.numerator, b.denominator)]
+            if None not in top and (max(top) - 1) * math.log10(2) > limit + 1:
+                raise _unprintable(max(top))
+        num = (_exact_coeff(_power(c, m, 1)),)
     else:
         degree = m * (max(len(s.num), len(s.den)) - 1)
         if m * degree > MAX_POWER_WORK:

@@ -18,10 +18,8 @@ defined on scale generators, ``Q``, and ``K``.
 from __future__ import annotations
 
 import functools
-import math
 import re
 import sys
-from fractions import Fraction
 from typing import NamedTuple
 
 from . import coeff, uq, weyl
@@ -55,46 +53,6 @@ class _Word(NamedTuple):
 
     def __neg__(self):
         return self._replace(coef=-self.coef)
-
-
-def _power_bits(side, m):
-    """``(side ** m).bit_length()`` for an integer ``side >= 1``, or None
-    where a float cannot tell it."""
-    if not side & (side - 1):  # a power of two
-        return m * (side.bit_length() - 1) + 1
-    x = m * math.log2(side)
-    return None if abs(x - round(x)) < 1e-6 else math.floor(x) + 1
-
-
-def _refuse_unprintable_power(a, k):
-    """Raise the printer's ``ValueError`` before ``a ** k`` is formed, when
-    ``a`` is one term whose coefficient is a real or pure imaginary rational
-    ``c`` and ``c**k`` surely passes ``sys.get_int_max_str_digits()``; since
-    ``(b*i)^k = b^k * i^k``, an imaginary ``c`` counts the bits of ``b``.  A
-    bound that ``a ** k`` meets first still refuses it first, and a power
-    past the coefficient work bound is left to ``a ** k``."""
-    if isinstance(a, ScalarValue):
-        c = a
-    elif len(a.terms) == 1:
-        (c,) = a.terms.values()
-    else:
-        return
-    limit, m = sys.get_int_max_str_digits(), abs(k)
-    if not (limit and m > 1 and c.den == (1,) and len(c.num) == 1):
-        return
-    b = c.num[0]
-    b = b.imag if type(b) is coeff.QI and not b.real else b
-    if (type(b) not in (int, Fraction)
-            or m * coeff._coefficient_bits(b) > coeff.MAX_POWER_WORK):
-        return
-    bits = [_power_bits(abs(side), m) for side in (b.numerator, b.denominator)]
-    # an N-bit integer has more than (N - 1)*log10(2) digits; one digit of
-    # margin keeps the float comparison sure
-    if None in bits or (max(bits) - 1) * math.log10(2) <= limit + 1:
-        return
-    if c is not a:
-        a.scaled(c.inv()) ** k  # the word's own bounds, as in ``a ** k``
-    raise coeff._unprintable(max(bits))
 
 
 def _tokenize(text):
@@ -201,7 +159,6 @@ class _Parser:
                 raise ParseError("negative exponents are only defined on " + (
                     "K words" if isinstance(a, HopfElement)
                     else "scale generators"), at) from None
-        _refuse_unprintable_power(a, k)
         return a ** k
 
     # -- grammar --------------------------------------------------------

@@ -1,6 +1,6 @@
 """Sparse linear combinations: add-and-prune, the shared base, free words."""
 
-from .coeff import ONE, ScalarValue, _power, integer
+from .coeff import ONE, ScalarValue, _power, _shifted_power, integer
 from .errors import DescriptorMismatch
 
 
@@ -24,12 +24,12 @@ def accumulate(out, pairs):
 class Combination:
     """Finite linear combination ``{key: coefficient}`` over a rank ``n``.
 
-    Holds the vector-space structure; a subclass adds its product and how a
-    key prints (``_key_str``) and sorts (``_sort_key``).  Coefficients are
-    exact scalars unless a subclass overrides ``_scalar``.  An operand of a
-    type in ``_scalars`` stands for that multiple of the unit, whose key a
-    subclass taking such operands gives as ``_unit_key(n)``.  The dict
-    ``terms`` never holds a zero coefficient.
+    Holds the vector-space structure and ``**``; a subclass adds its product,
+    a key's power (``_key_power``) and how a key prints (``_key_str``) and
+    sorts (``_sort_key``).  Coefficients are exact scalars unless a subclass
+    overrides ``_scalar``.  An operand of a type in ``_scalars`` stands for
+    that multiple of the unit, whose key a subclass taking such operands gives
+    as ``_unit_key(n)``.  The dict ``terms`` never holds a zero coefficient.
     """
 
     __slots__ = ("n", "terms")
@@ -105,10 +105,27 @@ class Combination:
         return NotImplemented
 
     def __pow__(self, m):
-        """The ``m``-th power, ``m >= 0``, of a subclass with a product."""
-        if not isinstance(m, int) or m < 0:
+        """The ``m``-th power: the ``monomial_inverse``'s for ``m < 0``; once
+        ``_check_power`` passes, a sum's by squaring, and one term's in closed
+        form, its coefficient (``_shifted_power``) before its key."""
+        if not isinstance(m, int):
             return NotImplemented
-        return _power(self, m, self.unit(self.n))
+        if m < 0:
+            return self.monomial_inverse() ** -m
+        self._check_power(m)
+        if len(self.terms) != 1:
+            return _power(self, m, self.unit(self.n))
+        ((key, cv),) = self.terms.items()
+        e = self._power_shift(key, m) if m > 1 else 0
+        cv = _shifted_power(cv, m, e)
+        return type(self)(self.n, {self._key_power(key, m): cv})
+
+    def _check_power(self, m):
+        """Refuse the ``m``-th power before any of it is formed."""
+
+    def _power_shift(self, key, m):
+        """``e`` with ``key**m = q0**e * _key_power(key, m)``, ``m >= 2``."""
+        return 0
 
     @property
     def is_zero(self):
@@ -150,6 +167,10 @@ class Words(Combination):
     @staticmethod
     def _unit_key(n):
         return ()
+
+    @staticmethod
+    def _key_power(word, m):
+        return word * m
 
     def __mul__(self, other):
         if isinstance(other, self._scalars):

@@ -50,15 +50,10 @@ class HopfElement(Words):
     def generator(n, kind, j):
         return HopfElement(n, {(hopf_gen(n, kind, j),): ONE})
 
-    def __pow__(self, m):
-        if not isinstance(m, int):
-            return NotImplemented
-        if m < 0:
-            return self.monomial_inverse() ** -m
-        # a sum of T words expands to up to T^m words: refuse first
+    def _check_power(self, m):
+        # T words expand to up to T^m words, and one word to m copies of it
         weyl._check_power_work(len(self.terms), m,
                                max(map(len, self.terms), default=0))
-        return super().__pow__(m)
 
     def monomial_inverse(self):
         """Inverse of one scaled word of ``K``/``K^-1``: the antipode of the

@@ -217,36 +217,29 @@ class AlgebraElement(Combination):
             _key_product(self.n, ka, kb, ca * cb)
             for kb, cb in other.terms.items() for ka, ca in self.terms.items())))
 
-    def __pow__(self, m):
-        if not isinstance(m, int):
-            return NotImplemented
-        if m < 0:
-            return self.monomial_inverse() ** (-m)
-        if len(self.terms) == 1 and m >= 2:
-            # k*k never contracts, so (c*k)^m = c^m q^(w*m(m-1)/2) (m*k) for
-            # k*k = q^w (2k): its q0 degree is checked once, on the result
-            ((key, cv),) = self.terms.items()
-            ((_, qw),) = _key_product(self.n, key, key, ONE)
-            e = (len(qw.num) - len(qw.den)) * (m * (m - 1) // 2)
-            return AlgebraElement(self.n, {
-                tuple(tuple(m * s for s in part) for part in key):
-                    coeff._shifted_power(cv, m, e)})
-        if len(self.terms) > 1:
-            # a sum squares its way up: refuse before the first product
-            _check_power_work(len(self.terms), m,
-                              max(sum(map(abs, r)) + sum(b) + sum(c)
-                                  for r, b, c in self.terms))
-        return super().__pow__(m)
+    def _check_power(self, m):
+        if len(self.terms) > 1:  # a sum's expansion; one term has none
+            _check_power_work(len(self.terms), m, max(
+                sum(map(abs, r)) + sum(b) + sum(c) for r, b, c in self.terms))
+
+    def _power_shift(self, key, m):
+        """``key*key = q^w (2 key)`` never contracts, so ``key**m`` is
+        ``q^(w*m(m-1)/2) (m key)``, from one key product."""
+        ((_, qw),) = _key_product(self.n, key, key, ONE)
+        return (len(qw.num) - len(qw.den)) * (m * (m - 1) // 2)
+
+    @staticmethod
+    def _key_power(key, m):
+        return tuple(tuple(m * s for s in part) for part in key)
 
     def monomial_inverse(self):
         """Inverse, defined only for a single scale monomial (pure R part)."""
         if len(self.terms) != 1:
             raise ValueError("only single scale monomials are invertible")
-        ((r, b, c), cv), = self.terms.items()
-        if any(b) or any(c):
+        ((key, cv),) = self.terms.items()
+        if any(key[1]) or any(key[2]):
             raise ValueError("coordinate generators are not invertible")
-        z = (0,) * self.n
-        return AlgebraElement(self.n, {(tuple(-s for s in r), z, z): cv.inv()})
+        return AlgebraElement(self.n, {self._key_power(key, -1): cv.inv()})
 
     # -- involution ---------------------------------------------------------
 

@@ -858,6 +858,12 @@ def test_cli_refuses_unprintable_coefficient_powers_unformed(
 @pytest.mark.parametrize("n, text, message", [
     (1, "7^1398102", "power 1398102 of a coefficient of 3 bits passes the "
                      "work bound 4194304"),
+    (1, "(7*K1)^1398102", "power 1398102 of a coefficient of 3 bits passes "
+                          "the work bound 4194304"),
+    (1, "(2*K1)^5000000", "power 5000000 of a coefficient of 1 bits passes "
+                          "the work bound 4194304"),
+    (1, "(2*K1)^16000000", "power 16000000 of a coefficient of 1 bits passes "
+                           "the work bound 4194304"),
     (1, "(7*q0)^1398101", "q0 degree 1398101 exceeds the bound 100000"),
     (2, "(7*y1*x2)^1398101", "q0 degree 1954685008100 exceeds the bound "
                              "100000"),
@@ -866,14 +872,6 @@ def test_cli_unprintable_powers_meet_their_other_bounds_first(capsys, n, text,
                                                               message):
     assert cli.main(["normalize", "--n", str(n), text]) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
-
-
-@given(side=st.integers(1, 10 ** 6), m=st.integers(0, 3000))
-@settings(max_examples=200, deadline=None)
-def test_power_bits_are_exact_or_untold(side, m):
-    bits = parser._power_bits(side, m)
-    assert bits in (None, (side ** m).bit_length())
-    assert bits is not None or side & (side - 1)
 
 
 def test_cli_refuses_integer_literals_past_the_string_limit(capsys):

@@ -776,3 +776,43 @@ def test_coefficient_power_checks_its_bits_before_forming_it(monkeypatch):
             base ** k
         assert str(err.value) == (f"power {k} of a coefficient of {bits} bits "
                                   "passes the work bound 300")
+
+
+@given(side=st.integers(1, 10 ** 6), m=st.integers(0, 3000))
+@settings(max_examples=200, deadline=None)
+def test_power_bits_are_exact_or_untold(side, m):
+    bits = coeff._power_bits(side, m)
+    assert bits in (None, (side ** m).bit_length())
+    assert bits is not None or side & (side - 1)
+
+
+def test_library_powers_past_the_printer_are_refused_unformed(monkeypatch):
+    # the largest side of 7^6000, (7i)^6000 and (3/2)^10000 has 16845, 16845
+    # and 15850 bits, past the 4300 decimal digits the printer takes; 3^9000
+    # has 4295 digits and prints
+    formed, power = [], coeff._power
+
+    def watched(*args):
+        formed.append(power(*args))
+        return formed[-1]
+
+    monkeypatch.setattr(coeff, "_power", watched)
+    monkeypatch.setattr(coeff.sys, "get_int_max_str_digits", lambda: 4300)
+    for base, k, bits in ((integer(7), 6000, 16845),
+                          (gaussian(0, 7), 6000, 16845),
+                          (rational(2, 3), -10000, 15850)):
+        with pytest.raises(ValueError) as err:
+            base ** k
+        assert str(err.value) == (f"a coefficient of {bits} bits passes the "
+                                  "limit of 4300 decimal digits on printing "
+                                  "an integer")
+    assert not formed
+    assert integer(7) ** 5000 == integer(7 ** 5000)
+    assert rational(2, 3) ** -9000 == rational(3 ** 9000, 2 ** 9000)
+    assert formed == [7 ** 5000, Fraction(3 ** 9000, 2 ** 9000)]
+    # with no limit there is nothing to refuse
+    monkeypatch.setattr(coeff.sys, "get_int_max_str_digits", lambda: 0)
+    assert (integer(7) ** 6000).num == (7 ** 6000,)
+    assert (gaussian(0, 7) ** 6000).num == (7 ** 6000,)
+    assert (rational(2, 3) ** -10000).num == (Fraction(3 ** 10000,
+                                                       2 ** 10000),)

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -5,7 +7,7 @@ from qweyl import coeff, weyl
 from qweyl.errors import DescriptorMismatch, ShapeMismatch
 from qweyl.gauss import GaussianState
 from qweyl.sparse import Words, accumulate
-from qweyl.uq import E, F, KINV, HopfElement
+from qweyl.uq import E, F, K, KINV, HopfElement
 
 # the accumulate-and-prune loops that sparse.accumulate replaced, kept as
 # oracles: one for exact scalars, one for complex amplitudes
@@ -205,3 +207,71 @@ def test_combination_strings():
     assert str(state) == ("G(0.7, (-2+0j))*G(1.0, 0j)"
                           " + ((0.5-1j))*G(0.7, 0.5j)*G(1.0, 0j)")
     assert str(GaussianState.zero(2)) == "0"
+
+
+# -- the one power routine -------------------------------------------------------
+
+# single coefficients with q0 powers and Fraction and QI parts; dense ones
+# (a sum of them squares slowly, so only one term takes them)
+_SINGLE = [coeff.ONE, coeff.MINUS_ONE, coeff.integer(3), coeff.rational(-2, 3),
+           coeff.I, coeff.gaussian(1, -2),
+           coeff.gaussian(Fraction(1, 2), Fraction(-3, 4))]
+_DENSE = [coeff.Q0 + coeff.ONE, coeff.LAMBDA_INV,
+          coeff.I * coeff.LAMBDA - coeff.rational(1, 2)]
+
+
+def _coefficients(pool):
+    return st.builds(lambda c, d: c * coeff.q0_power(d), st.sampled_from(pool),
+                     st.integers(-2, 2))
+
+
+def _algebra_keys(n, top, scale_only):
+    def key(r, bc):
+        return (tuple(r), tuple(max(v, 0) for v in bc),
+                tuple(max(-v, 0) for v in bc))
+
+    exps = st.lists(st.integers(-top, top), min_size=n, max_size=n)
+    return st.builds(key, exps, st.just([0] * n) if scale_only else exps)
+
+
+def _words(atoms, top):
+    return st.lists(st.sampled_from(atoms), max_size=top).map(tuple)
+
+
+@st.composite
+def _power_bases(draw, terms=1, invertible=False):
+    """An ``AlgebraElement``, ``HopfElement`` or ``Words`` value of ``terms``
+    terms; an invertible one is one scale monomial or one scaled word of
+    ``K`` and ``K^-1``.  A sum keeps its keys short."""
+    n, top = draw(st.integers(1, 2)), 2 if terms == 1 else 1
+    kinds = (K, KINV) if invertible else (K, KINV, E, F)
+    families = [
+        (weyl.AlgebraElement, _algebra_keys(n, top, invertible)),
+        (HopfElement, _words([(k, j) for k in kinds for j in range(1, n + 1)],
+                             top + 1))]
+    if not invertible:
+        families.append((Words, _words([("a",), ("b", 1)], top + 1)))
+    cls, keys = draw(st.sampled_from(families))
+    pool = _SINGLE + _DENSE if terms == 1 else _SINGLE
+    return cls(n, draw(st.dictionaries(keys, _coefficients(pool),
+                                       min_size=terms, max_size=terms)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_power_bases(), st.integers(0, 8))
+def test_one_term_powers_match_repeated_products(x, m):
+    assert x ** m == coeff._power(x, m, type(x).unit(x.n))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_power_bases(terms=2), st.integers(0, 8))
+def test_powers_of_sums_match_repeated_products(x, m):
+    assert x ** m == coeff._power(x, m, type(x).unit(x.n))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_power_bases(invertible=True), st.integers(1, 8))
+def test_negative_powers_are_powers_of_the_monomial_inverse(x, m):
+    inverse = x.monomial_inverse()
+    assert x ** -m == inverse ** m
+    assert x ** -m == coeff._power(inverse, m, type(x).unit(x.n))
