@@ -113,7 +113,7 @@ def run_cyclicity(n, args):
 
 
 def run_obstruction(n, args):
-    return haar.check_obstruction()
+    return haar.check_obstruction(n)
 
 
 _RUNNERS = {

@@ -116,17 +116,7 @@ def inner(u, v):
 
 
 def norm(u):
-    """``sqrt(inner(u, u))`` over unordered term pairs: as ``(j, i)`` is the
-    conjugate of ``(i, j)``, an off-diagonal pair adds twice its real part."""
-    items = tuple(u.terms.items())
-    total = 0.0
-    for i, (ku, au) in enumerate(items):
-        for j, (kv, av) in enumerate(items[i:]):
-            prod = au * av.conjugate()
-            for (e1, g1), (e2, g2) in zip(ku, kv):
-                prod *= _leg_overlap(e1, g1, e2, g2)
-            total += 2.0 * prod.real if j else prod.real
-    return math.sqrt(abs(total))
+    return math.sqrt(abs(inner(u, u)))
 
 
 # -- elementary operators ------------------------------------------------------

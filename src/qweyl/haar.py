@@ -223,20 +223,19 @@ def check_cyclicity(n, ictx, count=20, seed=7):
     return rep
 
 
-def check_obstruction():
+def check_obstruction(n=1):
     """No normalized invariant integral exists on the coordinate algebra.
 
-    Derivation: the lowering generator sends the first coordinate to the
-    unit (times i), yet has vanishing counit, so ``h(1) = 1`` would force
-    ``1 = -1j * eps(F) * h(y) = 0``.
+    Derivation: the lowering generator ``F_n`` sends the coordinate ``y_n``
+    to the unit (times i), yet has vanishing counit, so ``h(1) = 1`` would
+    force ``1 = -1j * eps(F_n) * h(y_n) = 0``.
     """
     rep = SuiteReport("obstruction")
-    f_gen = (uq.F, 1)
-    got = uq.act(f_gen, weyl.gen_y(1, 1))
-    expected = weyl.AlgebraElement.unit(1).scaled(coeff.I)
+    got = uq.act((uq.F, n), weyl.gen_y(n, n))
+    expected = weyl.AlgebraElement.unit(n).scaled(coeff.I)
     rep.record("F>y=i", got == expected,
                detail="" if got == expected else str(got))
-    eps = uq.counit(uq.HopfElement.generator(1, uq.F, 1))
+    eps = uq.counit(uq.HopfElement.generator(n, uq.F, n))
     rep.record("eps(F)=0", eps.is_zero, detail="" if eps.is_zero else str(eps))
     confirmed = got == expected and eps.is_zero
     rep.record("obstruction-confirmed", confirmed)

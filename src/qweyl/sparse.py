@@ -24,9 +24,10 @@ def accumulate(out, pairs):
 class Combination:
     """Finite linear combination ``{key: coefficient}`` over a rank ``n``.
 
-    Holds the vector-space structure and ``**``; a subclass adds its product,
-    a key's power (``_key_power``) and how a key prints (``_key_str``) and
-    sorts (``_sort_key``).  Coefficients are exact scalars unless a subclass
+    Holds the vector-space structure, ``**`` and the inverse of one term; a
+    subclass adds its product, a key's power (``_key_power``) and inverse
+    (``_key_inverse``) and how a key prints (``_key_str``) and sorts
+    (``_sort_key``).  Coefficients are exact scalars unless a subclass
     overrides ``_scalar``.  An operand of a type in ``_scalars`` stands for
     that multiple of the unit, whose key a subclass taking such operands gives
     as ``_unit_key(n)``.  The dict ``terms`` never holds a zero coefficient.
@@ -119,6 +120,20 @@ class Combination:
         e = self._power_shift(key, m) if m > 1 else 0
         cv = _shifted_power(cv, m, e)
         return type(self)(self.n, {self._key_power(key, m): cv})
+
+    def monomial_inverse(self):
+        """Inverse of one scaled key whose ``_key_inverse`` is defined: that
+        key over the inverted scalar; anything else raises ``ValueError``."""
+        if len(self.terms) == 1:
+            ((key, cv),) = self.terms.items()
+            inverse = self._key_inverse(key)
+            if inverse is not None:
+                return inverse.scaled(cv.inv())
+        raise ValueError("only a single invertible term has an inverse")
+
+    def _key_inverse(self, key):
+        """The inverse of the unit-coefficient ``key``, or None."""
+        return None
 
     def _check_power(self, m):
         """Refuse the ``m``-th power before any of it is formed."""

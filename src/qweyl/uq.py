@@ -55,14 +55,10 @@ class HopfElement(Words):
         weyl._check_power_work(len(self.terms), m,
                                max(map(len, self.terms), default=0))
 
-    def monomial_inverse(self):
-        """Inverse of one scaled word of ``K``/``K^-1``: the antipode of the
-        word over the inverted scalar."""
-        if len(self.terms) != 1 or not all(
-                kind in (K, KINV) for word in self.terms for kind, _ in word):
-            raise ValueError("only a scaled K word is invertible")
-        ((word, cv),) = self.terms.items()
-        return antipode_element(HopfElement(self.n, {word: cv.inv()}))
+    def _key_inverse(self, word):
+        """A word of ``K``/``K^-1`` inverts to its antipode word."""
+        if all(kind in (K, KINV) for kind, _ in word):
+            return antipode_element(HopfElement(self.n, {word: ONE}))
 
     def star(self):
         """Antilinear anti-automorphism; every generator is fixed."""

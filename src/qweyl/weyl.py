@@ -232,14 +232,11 @@ class AlgebraElement(Combination):
     def _key_power(key, m):
         return tuple(tuple(m * s for s in part) for part in key)
 
-    def monomial_inverse(self):
-        """Inverse, defined only for a single scale monomial (pure R part)."""
-        if len(self.terms) != 1:
-            raise ValueError("only single scale monomials are invertible")
-        ((key, cv),) = self.terms.items()
-        if any(key[1]) or any(key[2]):
-            raise ValueError("coordinate generators are not invertible")
-        return AlgebraElement(self.n, {self._key_power(key, -1): cv.inv()})
+    def _key_inverse(self, key):
+        """A scale monomial (pure ``R`` part) inverts to its ``-1``-th power;
+        a coordinate generator does not invert."""
+        if not (any(key[1]) or any(key[2])):
+            return AlgebraElement(self.n, {self._key_power(key, -1): ONE})
 
     # -- involution ---------------------------------------------------------
 
@@ -328,7 +325,7 @@ def q_elem(n, k):
 
 
 def q_elem_inv(n, k):
-    return normal_form(n, _terms(tl_q(n, _index(k, n + 1, "Q "), -1)))
+    return q_elem(n, k).monomial_inverse()
 
 
 def rho(n, k):

@@ -323,6 +323,19 @@ def test_cli_verify_suite_exit_zero(capsys):
         assert ", residual=" in line and ", pass=" in line
 
 
+@pytest.mark.parametrize("n", ["2", "3", "8"])
+def test_cli_obstruction_runs_at_the_given_rank(capsys, monkeypatch, n):
+    assert cli.main(["verify", "--suite", "obstruction", "--n", n]) == 0
+    assert capsys.readouterr().out == "".join(
+        f"suite=obstruction, case={case}, residual=0.000000e+00, pass=true\n"
+        for case in ("F>y=i", "eps(F)=0", "obstruction-confirmed"))
+    # a counit wrong only on the generators of index n fails at rank n
+    counit = uq.counit
+    monkeypatch.setattr(uq, "counit", lambda h: ONE if any(
+        j == int(n) for word in h.terms for _, j in word) else counit(h))
+    assert cli.main(["verify", "--suite", "obstruction", "--n", n]) == 1
+
+
 def test_cli_reports_are_deterministic(capsys, tmp_path):
     args = ["verify", "--suite", "invariance", "--n", "1",
             "--samples", "6", "--seed", "11"]

@@ -5,7 +5,7 @@ import random
 import pytest
 from scipy.integrate import quad
 
-from qweyl import gauss, haar, uq, weyl
+from qweyl import coeff, gauss, haar, uq, weyl
 from qweyl.coeff import NumericContext
 from qweyl.errors import ShapeMismatch
 from qweyl.gauss import GaussianState, apply_ops, inner, norm, represent
@@ -284,6 +284,54 @@ def test_obstruction_report():
     assert rep.ok
     cases = {c.case for c in rep.cases}
     assert cases == {"F>y=i", "eps(F)=0", "obstruction-confirmed"}
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 32])
+def test_obstruction_holds_at_every_rank(n):
+    rep = haar.check_obstruction(n)
+    assert rep.ok
+    assert [c.case for c in rep.cases] == [
+        case.case for case in haar.check_obstruction().cases]
+
+
+@pytest.fixture
+def fresh_action():
+    """No memoized action images before or after the test."""
+    uq._act_monomial.cache_clear()
+    yield
+    uq._act_monomial.cache_clear()
+
+
+def _plant_counit(monkeypatch):
+    """A counit that keeps every word, ladder generators too."""
+    monkeypatch.setattr(uq, "counit", lambda h: sum(h.terms.values(),
+                                                    coeff.ZERO))
+
+
+def _plant_f_sign(monkeypatch):
+    """The second term of each F sandwich with its sign flipped."""
+    sandwich = uq.sandwich
+
+    def planted(n, g):
+        terms = sandwich(n, g)
+        if g[0] == uq.F:
+            first, (c, left, right) = terms
+            terms = (first, (-c, left, right))
+        return terms
+
+    monkeypatch.setattr(uq, "sandwich", planted)
+
+
+@pytest.mark.parametrize("plant, failing", [
+    (_plant_counit, {"eps(F)=0", "obstruction-confirmed"}),
+    (_plant_f_sign, {"F>y=i", "obstruction-confirmed"})],
+    ids=["counit", "f-sign"])
+def test_a_planted_obstruction_defect_fails_at_rank_3(monkeypatch,
+                                                      fresh_action,
+                                                      plant, failing):
+    plant(monkeypatch)
+    rep = haar.check_obstruction(3)
+    assert {c.case for c in rep.cases if not c.passed} == failing
 
 
 def act_hopf_on_operator(h, F, ctx):

@@ -275,3 +275,34 @@ def test_negative_powers_are_powers_of_the_monomial_inverse(x, m):
     inverse = x.monomial_inverse()
     assert x ** -m == inverse ** m
     assert x ** -m == coeff._power(inverse, m, type(x).unit(x.n))
+
+
+_ALGEBRA_TWO_TERMS = weyl.gen_r(1, 1) + weyl.gen_r(1, 1, -1)
+_HOPF_TWO_TERMS = HopfElement.generator(1, K, 1) + HopfElement.generator(
+    1, KINV, 1)
+
+
+@pytest.mark.parametrize("x", [
+    Words(1, {("a",): coeff.ONE}), Words.zero(1), Words.unit(1),
+    Words(1, {("a",): coeff.ONE, (): coeff.I}),
+    weyl.AlgebraElement.zero(1), weyl.gen_y(1, 1), weyl.gen_x(1, 1),
+    _ALGEBRA_TWO_TERMS, 2 * weyl.gen_r(1, 1) * weyl.gen_x(1, 1),
+    HopfElement.zero(1), HopfElement.generator(1, E, 1), _HOPF_TWO_TERMS,
+    HopfElement.generator(1, K, 1) * HopfElement.generator(1, F, 1),
+    GaussianState.from_legs(1.0, [(1.0, 0j)])],
+    ids=["word", "words-zero", "words-unit", "words-two-terms",
+         "algebra-zero", "y", "x", "algebra-two-terms", "R-times-x",
+         "hopf-zero", "E", "hopf-two-terms", "K-times-F", "state"])
+def test_no_inverse_outside_one_invertible_term(x):
+    with pytest.raises(ValueError):
+        x.monomial_inverse()
+    with pytest.raises(ValueError):
+        x ** -1
+
+
+@pytest.mark.parametrize("cls", [weyl.AlgebraElement, HopfElement])
+def test_the_unit_and_a_scaled_unit_invert(cls):
+    unit = cls.unit(2)
+    assert unit.monomial_inverse() == unit ** -1 == unit
+    two = unit.scaled(coeff.integer(2))
+    assert two ** -1 == unit.scaled(coeff.integer(2).inv())

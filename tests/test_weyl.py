@@ -239,6 +239,21 @@ def test_rho_shapes():
     assert rho(1, 1) * rho_inv(1, 1) == AlgebraElement.unit(1)
 
 
+@pytest.mark.parametrize("n", range(1, 6))
+def test_inverse_builders_are_inverse_powers(n):
+    unit = AlgebraElement.unit(n)
+    for k in range(1, n + 2):
+        inverse = q_elem_inv(n, k)
+        assert inverse == q_elem(n, k) ** -1
+        assert inverse == normal_form(n, weyl._terms(weyl.tl_q(n, k, -1)))
+        assert inverse * q_elem(n, k) == unit
+    for k in range(1, n + 1):
+        assert rho_inv(n, k) == rho(n, k) ** -1
+        assert rho_inv(n, k) == normal_form(
+            n, weyl._terms(weyl.tl_rho(n, k, -1)))
+        assert rho_inv(n, k) * rho(n, k) == unit
+
+
 def test_ab_commutator_top():
     for n in (1, 2):
         lhs = a_op(n, n) * b_op(n, n) - b_op(n, n) * a_op(n, n)
