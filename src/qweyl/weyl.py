@@ -241,19 +241,10 @@ class AlgebraElement(Combination):
     # -- involution ---------------------------------------------------------
 
     def star(self):
-        """Anti-multiplicative involution fixing every generator.  A key's
-        reversed word sorts back at ``q^w``, times ``q`` per ``x`` passing a
-        ``y`` and per ``x_i x_j`` swap, ``1/q`` per ``y_i y_j`` swap."""
-        z = (0,) * self.n
-        out = {}
-        for (r, b, c), cv in self.terms.items():
-            nb, nc = sum(b), sum(c)
-            e = nb * nc + (nc * nc - nb * nb - sum(x * x for x in c)
-                           + sum(x * x for x in b)) // 2
-            ((key, cv),) = _key_product(self.n, (z, b, c), (r, z, z),
-                                        cv.star() * q_power(e))
-            out[key] = cv
-        return AlgebraElement(self.n, out)
+        """Anti-multiplicative involution fixing every generator: each term's
+        reversed word, with the conjugated scalar, sorts back in normal form."""
+        return normal_form(self.n, [(cv.star(), _key_atoms(key)[::-1])
+                                    for key, cv in self.terms.items()])
 
     # -- inspection -----------------------------------------------------------
 
@@ -270,11 +261,6 @@ class AlgebraElement(Combination):
 
     def __repr__(self):
         return f"<element n={self.n}: {self}>"
-
-
-def scalar_element(n, c):
-    """The constant ``c`` (an exact scalar or an int) as an element."""
-    return AlgebraElement.zero(n) + c
 
 
 # -- generators and normal form --------------------------------------------

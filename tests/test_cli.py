@@ -24,7 +24,7 @@ from qweyl.parser import parse_algebra, parse_expression, parse_hopf, parse_scal
 
 def test_parse_defining_relation_collapses():
     got = parse_algebra("x1*y1 - q^2*y1*x1", 1)
-    assert got == weyl.scalar_element(1, ONE - q_power(2))
+    assert got == weyl.AlgebraElement.zero(1) + (ONE - q_power(2))
 
 
 def test_parse_star_postfix():
@@ -283,7 +283,8 @@ def test_cli_normalize(capsys):
     rc = cli.main(["normalize", "--n", "1", "x1*y1 - q^2*y1*x1"])
     out = capsys.readouterr().out.strip()
     assert rc == 0
-    assert parse_algebra(out, 1) == weyl.scalar_element(1, ONE - q_power(2))
+    want = weyl.AlgebraElement.zero(1) + (ONE - q_power(2))
+    assert parse_algebra(out, 1) == want
 
 
 def test_cli_normalize_answers_hopf_queries(capsys):

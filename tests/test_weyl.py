@@ -1,5 +1,6 @@
 import pathlib
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -183,7 +184,7 @@ def test_empty_word_list_is_zero():
 
 def test_defining_commutator_collapses():
     lhs = gen_x(1, 1) * gen_y(1, 1) - q_power(2) * (gen_y(1, 1) * gen_x(1, 1))
-    assert lhs == weyl.scalar_element(1, ONE - q_power(2))
+    assert lhs == AlgebraElement.zero(1) + (ONE - q_power(2))
 
 
 def test_multiply_unit():
@@ -463,14 +464,24 @@ def test_key_products_match_oracle(case):
     assert _mono(n, ka) * _mono(n, kb) == _oracle_product(n, ka, kb)
 
 
+# scalars with q0 powers and Fraction and QI parts, which star conjugates
+_STAR_SCALARS = st.builds(
+    lambda c, d: c * coeff.q0_power(d),
+    st.sampled_from([ONE, coeff.rational(-2, 3), coeff.I, coeff.gaussian(1, -2),
+                     coeff.gaussian(Fraction(1, 2), Fraction(-3, 4))]),
+    st.integers(-3, 3))
+
+
 @settings(max_examples=40, deadline=None)
-@given(st.integers(1, 5).flatmap(lambda n: st.tuples(st.just(n), _keys(n))))
+@given(st.integers(1, 5).flatmap(
+    lambda n: st.tuples(st.just(n), _keys(n), _STAR_SCALARS)))
 def test_star_of_a_key_matches_oracle(case):
-    # the involution reverses the word, which the oracle sorts back
-    n, key = case
+    # the involution conjugates the scalar and reverses the word, which the
+    # oracle sorts back
+    n, key, c = case
     word = _key_word(key)[::-1]
-    assert _mono(n, key).star() == naive_normal_form(
-        n, [(ONE, word)], random.Random(0))
+    assert (c * _mono(n, key)).star() == naive_normal_form(
+        n, [(c.star(), word)], random.Random(0))
 
 
 @st.composite
