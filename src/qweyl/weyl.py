@@ -242,9 +242,16 @@ class AlgebraElement(Combination):
 
     def star(self):
         """Anti-multiplicative involution fixing every generator: each term's
-        reversed word, with the conjugated scalar, sorts back in normal form."""
-        return normal_form(self.n, [(cv.star(), _key_atoms(key)[::-1])
-                                    for key, cv in self.terms.items()])
+        reversed word ``x_n^c_n..x_1^c_1 y_n^b_n..y_1^b_1 R^r``, with the
+        conjugated scalar, folds back one generator power at a time (no two
+        contract), so its cost grows with ``n``, not with the exponents."""
+        n, z, out = self.n, (0,) * self.n, {}
+        for (r, b, c), cv in self.terms.items():
+            keys = [_atom_key(n, i + 1, part, e[i])
+                    for part, e in ((2, c), (1, b))
+                    for i in reversed(range(n)) if e[i]]
+            accumulate(out, _fold(n, cv.star(), keys + [(r, z, z)]))
+        return AlgebraElement(n, out)
 
     # -- inspection -----------------------------------------------------------
 
@@ -287,14 +294,20 @@ def normal_form(n, words):
     """
     out = {}
     for cv, atoms in words:
-        first, *rest = _runs(n, atoms) or [AlgebraElement._unit_key(n)]
-        terms = [(first, AlgebraElement._scalar(cv))]
-        for key in rest:
-            terms = [t for k, c in terms for t in _key_product(n, k, key, c)]
-            if len(terms) > 1:  # equal keys merge as they arise
-                terms = list(accumulate({}, terms).items())
-        accumulate(out, terms)
+        accumulate(out, _fold(n, AlgebraElement._scalar(cv), _runs(n, atoms)
+                              or [AlgebraElement._unit_key(n)]))
     return AlgebraElement(n, out)
+
+
+def _fold(n, cv, keys):
+    """``cv`` times the product of ``keys``, left to right, as terms."""
+    first, *rest = keys
+    terms = [(first, cv)]
+    for key in rest:
+        terms = [t for k, c in terms for t in _key_product(n, k, key, c)]
+        if len(terms) > 1:  # equal keys merge as they arise
+            terms = list(accumulate({}, terms).items())
+    return terms
 
 
 # -- derived elements: normal forms of the words further down --------------

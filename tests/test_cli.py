@@ -768,6 +768,11 @@ def test_cli_powers_up_to_the_bound(capsys):
 def test_cli_powers_of_one_term_cost_no_time_per_factor(capsys):
     assert cli.main(["normalize", "--n", "1", "x1^99999999"]) == 0
     assert capsys.readouterr().out == "x1^99999999\n"
+    assert cli.main(["normalize", "--n", "1", "(x1^99999999)'"]) == 0
+    assert capsys.readouterr().out == "x1^99999999\n"
+    assert cli.main(["normalize", "--n", "3",
+                     "(R2^99999999*R3^-99999999*y1^99999999)'"]) == 0
+    assert capsys.readouterr().out == "R2^99999999*R3^-99999999*y1^99999999\n"
 
 
 def test_cli_dense_coefficient_powers_meet_the_scalar_bounds(capsys):

@@ -207,6 +207,19 @@ def test_star_fixes_generators():
     assert q_elem(2, 1).star() == q_elem(2, 1)
 
 
+def test_star_costs_no_time_per_factor():
+    # star folds one power per generator, so a large exponent is one
+    # key product: y1^m passes R2^m and R3^-m at q^0, and y2^m x1^m passes
+    # x1^m at q^(m*m), which meets the degree bound before anything grows
+    m = 99999999
+    key = ((0, m, -m), (m, 0, 0), (0, 0, 0))
+    assert AlgebraElement(3, {key: ONE}).star() == AlgebraElement(
+        3, {key: ONE})
+    big = AlgebraElement(2, {((0, 0), (0, m), (m, 0)): ONE})
+    with pytest.raises(ValueError, match="q0 degree 19999999600000002"):
+        big.star()
+
+
 def test_q_elem_values():
     assert q_elem(1, 2) == AlgebraElement.unit(1)
     assert q_elem(1, 1) == gen_r(1, 1, 2).scaled(-1)
