@@ -169,8 +169,8 @@ def _shifted_power(s, k, e):
     when ``k < 0``, its own q0 power joins ``e``, and each coprime side of the
     rest is raised on its own, with no gcd.  The q0 degree is bounded, then
     the work: the bits of a single coefficient, else ``|k|`` times the q0
-    degree of ``s**k``; last, a real or pure imaginary single coefficient
-    meets the printer's limit."""
+    degree of ``s**k``; last, a single coefficient meets the printer's
+    limit."""
     m, s = abs(k), s.inv() if k < 0 else s
     vn, vd = _pval(s.num), _pval(s.den)
     num, den = s.num[vn:], s.den[vd:]
@@ -189,7 +189,14 @@ def _shifted_power(s, k, e):
             # (N - 1)*log10(2) digits, and one digit of margin keeps it sure
             top = [_power_bits(abs(x), m) for x in (b.numerator, b.denominator)]
             if None not in top and (max(top) - 1) * math.log10(2) > limit + 1:
-                raise _unprintable(max(top))
+                raise _unprintable(f"{max(top)} bits")
+        elif limit and m > 1:
+            # the larger part of c^m lies in [|c|^m/sqrt(2), |c|^m], so its
+            # numerator (|c| > 1) or denominator has more than `low` digits
+            top, bottom = (b.real ** 2 + b.imag ** 2).as_integer_ratio()
+            low = m * abs(math.log10(top) - math.log10(bottom)) / 2 - 0.16
+            if low > limit + 1:
+                raise _unprintable(f"more than {math.floor(low)} digits")
         num = (_exact_coeff(_power(c, m, 1)),)
     else:
         degree = m * (max(len(s.num), len(s.den)) - 1)
@@ -547,13 +554,13 @@ def _qi_str(c):
     except ValueError:  # an integer past the interpreter's printing limit
         bits = max(abs(side).bit_length() for part in (re, im)
                    for side in (part.numerator, part.denominator))
-        raise _unprintable(bits) from None
+        raise _unprintable(f"{bits} bits") from None
 
 
-def _unprintable(bits):
-    """The refusal to print a coefficient whose largest side has ``bits``
-    bits, past ``sys.get_int_max_str_digits()``."""
-    return ValueError(f"a coefficient of {bits} bits passes the limit of "
+def _unprintable(size):
+    """The refusal to print a coefficient whose largest side has ``size``,
+    past ``sys.get_int_max_str_digits()``."""
+    return ValueError(f"a coefficient of {size} passes the limit of "
                       f"{sys.get_int_max_str_digits()} decimal digits on "
                       "printing an integer")
 

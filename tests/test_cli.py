@@ -874,6 +874,32 @@ def test_cli_refuses_unprintable_coefficient_powers_unformed(
         "integer\n"))
 
 
+@pytest.mark.parametrize("n, text, digits", [
+    (1, "(7+7*i)^600000", 597367),
+    (1, "((1+i)/7*y1)^600000", 416749),
+    (1, "((1+i)/7)^-600000", 416749),
+    (2, "((3-4*i)*K2)^-6160", 4305),
+])
+def test_cli_refuses_gaussian_rational_powers_unformed(capsys, monkeypatch,
+                                                       n, text, digits):
+    # both parts nonzero: a sure lower bound on the digits, |c|^m over
+    # sqrt(2), refuses the power before it is formed
+    def unformed(fn):
+        def checked(*args):
+            value = fn(*args)
+            assert not _formed_past_the_limit(value)
+            return value
+        return checked
+
+    monkeypatch.setattr(coeff, "_shifted_power",
+                        unformed(coeff._shifted_power))
+    assert cli.main(["normalize", "--n", str(n), text]) == 2
+    assert capsys.readouterr() == ("", (
+        f"error: a coefficient of more than {digits} digits passes the limit "
+        f"of {sys.get_int_max_str_digits()} decimal digits on printing an "
+        "integer\n"))
+
+
 @pytest.mark.parametrize("n, text, message", [
     (1, "7^1398102", "power 1398102 of a coefficient of 3 bits passes the "
                      "work bound 4194304"),

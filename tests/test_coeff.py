@@ -816,3 +816,42 @@ def test_library_powers_past_the_printer_are_refused_unformed(monkeypatch):
     assert (gaussian(0, 7) ** 6000).num == (7 ** 6000,)
     assert (rational(2, 3) ** -10000).num == (Fraction(3 ** 10000,
                                                        2 ** 10000),)
+
+
+@pytest.mark.parametrize("re, im", [
+    (3, 4), (7, -7), (Fraction(1, 7), Fraction(1, 7)),
+    (Fraction(2, 3), Fraction(-5, 2)), (Fraction(-1, 10), Fraction(1, 5))])
+def test_gaussian_rational_powers_are_refused_on_a_sure_digit_bound(
+        monkeypatch, re, im):
+    # a power of a + b*i, both parts nonzero, is refused unformed when more
+    # than D > limit digits must print, and it has more than D
+    limit, formed, power = 60, [], coeff._power
+
+    def watched(*args):
+        formed.append(args)
+        return power(*args)
+
+    def digits(value):
+        (c,) = value.num
+        return max(len(str(abs(side))) for part in (c.real, c.imag)
+                   for side in (part.numerator, part.denominator))
+
+    monkeypatch.setattr(coeff, "_power", watched)
+    refused = []
+    for m in range(2, 400):
+        monkeypatch.setattr(coeff.sys, "get_int_max_str_digits",
+                            lambda: limit)
+        formed.clear()
+        try:
+            gaussian(re, im) ** m
+        except ValueError as err:
+            refused.append(m)
+            assert not formed
+            head, tail = str(err).split(" digits passes the limit of ")
+            bound = int(head.removeprefix("a coefficient of more than "))
+            assert tail == f"{limit} decimal digits on printing an integer"
+            monkeypatch.setattr(coeff.sys, "get_int_max_str_digits",
+                                lambda: 0)
+            assert digits(gaussian(re, im) ** m) > bound > limit
+    # refused from some power on, and at every power past it
+    assert refused and refused == list(range(refused[0], 400))

@@ -910,6 +910,27 @@ def _processes(monkeypatch, count):
     return pids
 
 
+def _reaped(monkeypatch):
+    """Record the status of each child that ``os.waitpid`` reaps; return
+    the list of statuses."""
+    waitpid = os.waitpid
+    statuses = []
+
+    def recorded(pid, options):
+        reaped, status = waitpid(pid, options)
+        if reaped:
+            statuses.append(status)
+        return reaped, status
+
+    monkeypatch.setattr(os, "waitpid", recorded)
+    return statuses
+
+
+def _killed(statuses):
+    return any(os.WIFSIGNALED(s) and os.WTERMSIG(s) == signal.SIGKILL
+               for s in statuses)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_split_sweep_reports_what_one_process_reports(n, monkeypatch,
                                                       no_child_left):
@@ -981,9 +1002,10 @@ def test_split_sweep_outlives_a_killed_child(monkeypatch, no_child_left):
             os.kill(os.getpid(), signal.SIGKILL)
 
     _failing_residual(monkeypatch, n, rels, 1, die)
-    pids = _processes(monkeypatch, 3)
+    pids, statuses = _processes(monkeypatch, 3), _reaped(monkeypatch)
     assert gauss.check_relations_pointwise(n, rels, states, CTX).lines() == want
     assert len(pids) == 2
+    assert _killed(statuses)
 
 
 def _invariance(seed=5):
@@ -1007,27 +1029,28 @@ def test_split_invariance_reports_what_one_process_reports(monkeypatch,
 
 
 def _failing_action(monkeypatch, fail):
-    """Patch ``haar.act_on_operator`` to call ``fail(name, index)`` first,
-    with the generator's name and the index of the sampled operator, and
-    to scale its image by what ``fail`` returns if that is not None.
+    """Patch ``haar._moved_trace``, the trace of one generator's image of
+    one sample, to call ``fail(name, index)`` first, with the generator's
+    name and the index of the sampled operator, and to scale the trace by
+    what ``fail`` returns if that is not None.
 
     Returns the list of sampled operators, which a test empties before
     each run."""
     samples = []
-    draw, act = haar.random_finite_rank, haar.act_on_operator
+    draw, moved = haar.random_finite_rank, haar._moved_trace
 
     def drawn(*args, **kwargs):
         samples.append(draw(*args, **kwargs))
         return samples[-1]
 
-    def patched(g, F, ctx):
+    def patched(g, parts, F, held, ictx):
         index = next(i for i, s in enumerate(samples) if s is F)
         factor = fail(uq._gen_str(g), index)
-        out = act(g, F, ctx)
-        return out if factor is None else out.scaled(factor)
+        out = moved(g, parts, F, held, ictx)
+        return out if factor is None else out * factor
 
     monkeypatch.setattr(haar, "random_finite_rank", drawn)
-    monkeypatch.setattr(haar, "act_on_operator", patched)
+    monkeypatch.setattr(haar, "_moved_trace", patched)
     return samples
 
 
@@ -1070,9 +1093,10 @@ def test_split_invariance_outlives_a_killed_child(monkeypatch, no_child_left):
             os.kill(os.getpid(), signal.SIGKILL)
 
     _failing_action(monkeypatch, die)
-    pids = _processes(monkeypatch, 3)
+    pids, statuses = _processes(monkeypatch, 3), _reaped(monkeypatch)
     assert _invariance().lines() == want
     assert len(pids) == 2
+    assert _killed(statuses)
 
 
 def test_only_rank_three_sweeps_fork(monkeypatch, capsys, no_child_left):

@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 import random
 
@@ -233,13 +234,18 @@ def test_invariance_all_generators():
 
 def test_invariance_traces_each_unmoved_sample_once(monkeypatch):
     calls = []
-    trace = haar.quantum_trace
+    trace, moved = haar.quantum_trace, haar._moved_trace
 
     def counted(F, ictx):
         calls.append(F)
         return trace(F, ictx)
 
+    def counted_moved(g, parts, F, held, ictx):
+        calls.append(F)
+        return moved(g, parts, F, held, ictx)
+
     monkeypatch.setattr(haar, "quantum_trace", counted)
+    monkeypatch.setattr(haar, "_moved_trace", counted_moved)
     rep = haar.check_invariance(1, IntegralContext(ctx=CTX), count=3, seed=5)
     assert rep.ok
     assert len(calls) == 3 + 3 * len(uq.generators(1))
@@ -257,6 +263,98 @@ def test_trace_cyclicity():
         ictx = IntegralContext(c=1.0, ctx=CTX)
         rep = haar.check_cyclicity(n, ictx, count=20, seed=7)
         assert rep.ok, [(c.case, c.residual) for c in rep.failures()]
+
+
+def _drawn(monkeypatch):
+    """Record each operator that ``haar.random_finite_rank`` draws."""
+    drawn, draw = [], haar.random_finite_rank
+
+    def recorded(*args, **kwargs):
+        drawn.append(draw(*args, **kwargs))
+        return drawn[-1]
+
+    monkeypatch.setattr(haar, "random_finite_rank", recorded)
+    return drawn
+
+
+def _hex(z):
+    return z.real.hex(), z.imag.hex()
+
+
+@pytest.mark.parametrize("n, density", [(1, "gamma"), (1, "qinv"),
+                                        (2, "gamma"), (3, "gamma")])
+def test_invariance_residuals_match_the_operator_route_bit_for_bit(
+        n, density, monkeypatch):
+    # the suite's shared images against quantum_trace(act_on_operator(g, F))
+    monkeypatch.setattr(gauss, "WORK_PER_PROCESS", 10 ** 12)  # one process
+    drawn, moved, calls = _drawn(monkeypatch), haar._moved_trace, []
+
+    def recorded(g, parts, F, held, ictx):
+        calls.append((g, F, moved(g, parts, F, held, ictx)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(haar, "_moved_trace", recorded)
+    gens = uq.generators(n)
+    for phi, c, seed in itertools.product((math.pi / 3, -0.9), (1.0, -2.5),
+                                          (1, 7, 26)):
+        ictx = IntegralContext(c=c, ctx=NumericContext(phi=phi),
+                               density=density)
+        drawn.clear()
+        calls.clear()
+        rep = haar.check_invariance(n, ictx, count=6, seed=seed)
+        assert [(g, F) for g, F, _ in calls] == \
+            [(g, F) for g in gens for F in drawn]
+        worst = {}
+        for g, F, got in calls:
+            want = quantum_trace(act_on_operator(g, F, ictx.ctx), ictx)
+            assert _hex(got) == _hex(want)
+            eps = uq.counit(uq.HopfElement.generator(n, *g)).evaluate(ictx.ctx)
+            base = quantum_trace(F, ictx)
+            err = abs(want - eps * base) / (abs(c) + abs(base))
+            worst[g] = max(worst.get(g, 0.0), err)
+        assert [case.residual.hex() for case in rep.cases] == \
+            [worst[g].hex() for g in gens]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_cyclicity_traces_match_the_recomposed_route_bit_for_bit(
+        n, monkeypatch):
+    # each sample's three traces against composing the operator sums anew
+    drawn, factors, traces = _drawn(monkeypatch), [], []
+    build, trace = haar.represent, haar.plain_trace
+
+    def represented(element, ctx):
+        factors.append(element)
+        return build(element, ctx)
+
+    def traced(F):
+        traces.append(trace(F))
+        return traces[-1]
+
+    monkeypatch.setattr(haar, "represent", represented)
+    monkeypatch.setattr(haar, "plain_trace", traced)
+    for phi, seed in itertools.product((math.pi / 3, -0.9), (1, 7, 26)):
+        ctx = NumericContext(phi=phi)
+        for got in (drawn, factors, traces):
+            got.clear()
+        rep = haar.check_cyclicity(n, IntegralContext(ctx=ctx), count=8,
+                                   seed=seed)
+        want = []
+        for idx, (G, a, b) in enumerate(zip(drawn, factors[::2],
+                                            factors[1::2])):
+            a_ops, b_ops = represent(a, ctx), represent(b, ctx)
+            a_adj = gauss.represent_adjoint(a, ctx)
+            b_adj = gauss.represent_adjoint(b, ctx)
+            t = (trace(G.left_composed(a_ops).bras_applied(b_adj)),
+                 trace(G.bras_applied(b_adj).bras_applied(a_adj)),
+                 trace(G.left_composed(a_ops).left_composed(b_ops)))
+            want.extend(t)
+            scale = 1.0 + max(map(abs, t))
+            err = max(abs(t[0] - t[1]), abs(t[1] - t[2]),
+                      abs(t[0] - t[2])) / scale
+            assert rep.cases[idx].residual.hex() == err.hex()
+        assert len(want) == 3 * 8
+        assert [_hex(t) for t in traces] == [_hex(t) for t in want]
 
 
 def test_invariance_refuses_zero_samples():
