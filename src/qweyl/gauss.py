@@ -19,8 +19,11 @@ all inner products, linear in the first argument, reduce to the closed-form
 Gaussian integral ``sqrt(pi/a) * exp(b**2/(4a))``.  A pointwise relation
 residual is a quadratic form in one Gram table per state, ``G[p] =
 inner(U_a psi, U_b psi)`` over unit operators, so a relation's coefficients
-cancel before any Gaussian prefactor; per-position tables of shifted
-packets and leg overlaps fill each table in ``inner``'s float order.
+cancel before any Gaussian prefactor, and a relation whose pieces cancel
+operator by operator costs no Gaussian work at all.  Per-position tables of
+shifted packets and leg overlaps fill each table, at the state's first live
+relation, in ``inner``'s float order.  A NaN residual raises
+``OverflowError`` rather than pass.
 """
 
 from __future__ import annotations
@@ -244,12 +247,18 @@ def represent_adjoint(element, ctx):
 def _gram_cases(cases):
     """``(name, pieces)`` cases as quadratic forms over one Gram table.
 
-    Each distinct unit operator ``U_a`` of the pieces is numbered, and so is
-    each pair ``a <= b`` that a piece or a relation's merged sum needs, so
-    that ``|| sum c_a U_a psi ||**2 = Re sum w_p G[p]``.  A case's forms are
-    its pieces', then its sum's.  Returns ``(legs, units, pairs)`` and cases.
+    A case whose pieces merge, operator by operator, to an empty sum gets no
+    forms and costs no Gaussian work.  Each distinct unit operator ``U_a`` of
+    the other cases' pieces is numbered, and so is each pair ``a <= b`` that a
+    piece or a relation's merged sum needs, so that ``|| sum c_a U_a psi ||**2
+    = Re sum w_p G[p]``.  A case's forms are its pieces', then its sum's.
+    Returns ``(legs, units, pairs)`` and cases.
     """
-    keys = {(o.legs, o.phi) for _, pieces in cases for ops in pieces for o in ops}
+    sums = [accumulate({}, (((o.legs, o.phi), o.scalar)
+                            for ops in pieces for o in ops))
+            for _, pieces in cases]
+    keys = {(o.legs, o.phi) for (_, pieces), merged in zip(cases, sums)
+            if merged for ops in pieces for o in ops}
     # numbered in sorted order, a relation's forms do not depend on the others
     ids = {key: a for a, key in enumerate(sorted(keys))}
     pairs = {}
@@ -261,11 +270,13 @@ def _gram_cases(cases):
                 for i, (a, ca) in enumerate(coeffs) for b, cb in coeffs[i:]]
 
     out = []
-    for name, pieces in cases:
+    for (name, pieces), merged in zip(cases, sums):
+        if not merged:
+            out.append((name, []))
+            continue
         coeffs = [sorted((ids[o.legs, o.phi], o.scalar) for o in ops)
                   for ops in pieces]
-        merged = accumulate({}, (c for piece in coeffs for c in piece))
-        coeffs.append(sorted(merged.items()))
+        coeffs.append(sorted((ids[key], c) for key, c in merged.items()))
         out.append((name, [form(c) for c in coeffs]))
     legs = {}  # each (position, leg, phi); a unit is a tuple of their numbers
     units = [tuple(legs.setdefault((i, leg, phi), len(legs))
@@ -310,7 +321,10 @@ def _gram_table(legs, units, pairs, state):
 def _gram_residual(table, forms, state, scale, gram):
     """The merged sum's norm over the largest of the state's and the pieces'
     norms, since a piece of an unbounded generator can dwarf the state;
-    ``gram`` is the state's table, filled at its first case."""
+    ``gram`` is the state's table, filled at its first case with forms.  A
+    case without forms cancels exactly: its residual is 0.0 on every state."""
+    if not forms:
+        return 0.0
     if not gram:
         gram.extend(_gram_table(*table, state))
     norms = [math.sqrt(abs(sum(w * gram[p] for p, w in form).real))
@@ -381,8 +395,7 @@ def _sweep(rep, tolerance, cases, jobs, residual, work):
                     reads[c].close()
                     reads[c] = None
                 residuals.extend(residual(case, *job) for job in chunk)
-            worst = max(0.0, *residuals)
-            rep.record(name, worst <= tolerance, residual=worst)
+            _record_worst(rep, name, residuals, tolerance)
     finally:
         for f in reads:
             if f:
@@ -423,26 +436,37 @@ def check_relations_pointwise(n, relations, states, ctx, suite="pointwise"):
     rep = SuiteReport(suite)
     cases = [(rel.name, [represent_terms(n, (term,), ctx) for term in rel.terms])
              for rel in relations]
-    work = sum(len(ops) for _, pieces in cases for ops in pieces) \
-        * sum(len(state.terms) for state in states)
-    table, cases = _gram_cases(cases)
+    table, forms = _gram_cases(cases)
+    # a cancelling relation's pieces are never applied
+    work = sum(len(ops) for (_, pieces), (_, f) in zip(cases, forms) if f
+               for ops in pieces) * sum(len(state.terms) for state in states)
     # each job keeps its state's Gram table, which goes with the sweep
     jobs = [(state, norm(state), []) for state in states]
-    _sweep(rep, ctx.tolerance, cases, jobs,
+    _sweep(rep, ctx.tolerance, forms, jobs,
            functools.partial(_gram_residual, table), work)
     return rep
 
 
-def _hermitian_residual(states, images, inner_product):
-    """Worst ``|<Op u, v> - <u, Op v>| / (1 + |<Op u, v>|)`` over each state
-    ``u`` and the next ``v`` (cyclically); ``images[i]`` is ``Op states[i]``."""
-    worst = 0.0
+def _record_worst(rep, name, residuals, tolerance):
+    """Record a case's worst residual, passing within ``tolerance``.  A NaN
+    among them raises ``OverflowError``: ``max`` would drop it, and their
+    sum carries it."""
+    if math.isnan(sum(residuals)):
+        raise OverflowError(f"the {name} {rep.suite} residual is nan")
+    worst = max(0.0, *residuals)
+    rep.record(name, worst <= tolerance, residual=worst)
+
+
+def _hermitian_residuals(states, images, inner_product):
+    """``|<Op u, v> - <u, Op v>| / (1 + |<Op u, v>|)`` for each state ``u``
+    and the next ``v`` (cyclically); ``images[i]`` is ``Op states[i]``."""
+    out = []
     for i, u in enumerate(states):
         j = (i + 1) % len(states)
         lhs = inner_product(images[i], states[j])
         rhs = inner_product(u, images[j])
-        worst = max(worst, abs(lhs - rhs) / (1.0 + abs(lhs)))
-    return worst
+        out.append(abs(lhs - rhs) / (1.0 + abs(lhs)))
+    return out
 
 
 def check_hermiticity_pointwise(n, states, ctx):
@@ -452,9 +476,8 @@ def check_hermiticity_pointwise(n, states, ctx):
     rep = SuiteReport("pointwise")
     for name, element in hermitian_generators(n):
         ops = represent(element, ctx)
-        worst = _hermitian_residual(
-            states, [apply_ops(ops, u) for u in states], inner)
-        rep.record(f"hermitian[{name}]", worst <= ctx.tolerance, residual=worst)
+        _record_worst(rep, f"hermitian[{name}]", _hermitian_residuals(
+            states, [apply_ops(ops, u) for u in states], inner), ctx.tolerance)
     return rep
 
 
@@ -596,10 +619,9 @@ def check_model2(states, ctx):
     for name, element in hermitian_generators(1):
         if name in ("y1", "x1", "Q1"):
             ops = model2_represent(element.as_terms(), ctx)
-            worst = _hermitian_residual(
-                states, [model2_apply(ops, u) for u in states], model2_inner)
-            rep.record(f"hermitian[{name[0]}]", worst <= ctx.tolerance,
-                       residual=worst)
+            _record_worst(rep, f"hermitian[{name[0]}]", _hermitian_residuals(
+                states, [model2_apply(ops, u) for u in states], model2_inner),
+                ctx.tolerance)
 
     s01, s10 = mat_mul(SIGMA0, SIGMA1), mat_mul(SIGMA1, SIGMA0)
     exact = all(s01[i][j] + s10[i][j] == 0 for i in range(2) for j in range(2))

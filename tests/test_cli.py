@@ -374,6 +374,22 @@ def test_cli_pointwise_and_model2(capsys):
     capsys.readouterr()
 
 
+# every state pair's inner products, or one state's residual, are NaN
+@pytest.mark.parametrize("argv, case", [
+    (["--n", "8", "--samples", "10", "--seed", "7"], "hermitian[Gamma]"),
+    (["--n", "3", "--phi", "2.8", "--seed", "7"], "hermitian[Gamma]"),
+    (["--n", "3", "--phi", "3.0", "--seed", "1", "--samples", "4"],
+     "Qx[k=1,j=1]"),
+])
+def test_cli_refuses_a_nan_pointwise_residual(capsys, argv, case):
+    rc = cli.main(["verify", "--suite", "pointwise"] + argv)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == ("error: out of floating-point range: the "
+                            f"{case} pointwise residual is nan\n")
+
+
 def test_cli_integrate_value(capsys):
     rc = cli.main(["integrate", "--n", "1", "--ket", "(1,0,0)",
                    "--bra", "(1,0,0)"])

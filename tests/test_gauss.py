@@ -620,12 +620,17 @@ def _draw_pieces(data, n, phi):
 
 
 def _gram_norms(pieces, state):
-    """The norms of each piece and of their sum, through the Gram route:
-    a residual against scale 1 is the norm of its last form."""
-    table, ((_, forms),) = gauss._gram_cases([("r", pieces)])
+    """The norms of each piece and of their merged sum, through the Gram
+    route, each its own one-piece case: a residual of its last form against
+    scale 1 is its norm, and 0.0 for a piece that cancels."""
+    total = accumulate({}, (((op.legs, op.phi), op.scalar)
+                            for ops in pieces for op in ops))
+    merged = [ElementaryOperator(c, legs, phi) for (legs, phi), c in total.items()]
+    table, cases = gauss._gram_cases(
+        [(f"r{i}", [ops]) for i, ops in enumerate(pieces + [merged])])
     gram = []
-    return [gauss._gram_residual(table, [form], state, 1.0, gram)
-            for form in forms]
+    return [gauss._gram_residual(table, forms[-1:], state, 1.0, gram)
+            for _, forms in cases]
 
 
 def _unit_ops(legs, units):
@@ -748,12 +753,14 @@ def test_sweep_evaluates_each_gram_entry_once(n, monkeypatch):
     states += gauss.sample_states(n, rng, 3)
     rels = weyl.coordinate_relations(n) + weyl.localized_relations(n) + \
         weyl.ab_rho_relations(n)
-    want = set()  # the operator pairs a piece or a relation's sum needs
-    shifts = [set() for _ in range(n)]  # each position's distinct legs
+    want = set()  # the operator pairs a piece or a live relation's sum needs
+    shifts = [set() for _ in range(n)]  # each position's distinct live legs
     for rel in rels:
         pieces = [gauss.represent_terms(n, (term,), CTX) for term in rel.terms]
         merged = accumulate({}, (((op.legs, op.phi), op.scalar)
                                  for ops in pieces for op in ops))
+        if not merged:  # a relation that cancels operator by operator
+            continue
         for keys in [[(op.legs, op.phi) for op in ops] for ops in pieces] \
                 + [merged]:
             want |= _unit_pairs(keys)
@@ -798,6 +805,112 @@ def test_sweep_evaluates_each_gram_entry_once(n, monkeypatch):
         for (eps, gam), legs in zip(key, shifts) for leg, phi in legs)
     # each overlap of two shifted packets at most once per state
     assert max(collections.Counter(overlaps).values()) == 1
+
+
+def _unpruned_gram_cases(cases):
+    """The Gram route's cases with every relation's forms over one table,
+    a relation whose pieces cancel included: its sum's form is empty."""
+    keys = {(o.legs, o.phi) for _, pieces in cases for ops in pieces for o in ops}
+    ids = {key: a for a, key in enumerate(sorted(keys))}
+    pairs = {}
+
+    def form(coeffs):
+        return [(pairs.setdefault((a, b), len(pairs)),
+                 ca * cb.conjugate() * (1.0 if a == b else 2.0))
+                for i, (a, ca) in enumerate(coeffs) for b, cb in coeffs[i:]]
+
+    out = []
+    for name, pieces in cases:
+        coeffs = [sorted((ids[o.legs, o.phi], o.scalar) for o in ops)
+                  for ops in pieces]
+        merged = accumulate({}, (c for piece in coeffs for c in piece))
+        coeffs.append(sorted(merged.items()))
+        out.append((name, [form(c) for c in coeffs]))
+    legs = {}
+    units = [tuple(legs.setdefault((i, leg, phi), len(legs))
+                   for i, leg in enumerate(key)) for key, phi in ids]
+    return (list(legs), units, list(pairs)), out
+
+
+def _catalog_cases(n, rels, ctx):
+    return [(rel.name, [gauss.represent_terms(n, (term,), ctx)
+                        for term in rel.terms]) for rel in rels]
+
+
+def _unpruned_residuals(n, rels, states, ctx):
+    """Each relation's worst residual over ``states``, every state's table
+    filled with every relation's pairs before any residual."""
+    table, cases = _unpruned_gram_cases(_catalog_cases(n, rels, ctx))
+    grams = [list(gauss._gram_table(*table, state)) for state in states]
+    out = []
+    for _, forms in cases:
+        residuals = []
+        for state, gram in zip(states, grams):
+            norms = [math.sqrt(abs(sum(w * gram[p] for p, w in form).real))
+                     for form in forms]
+            residuals.append(norms[-1] / max([norm(state)] + norms[:-1]))
+        out.append(max(0.0, *residuals))
+    return out
+
+
+def _catalogs(n):
+    return [weyl.coordinate_relations(n) + weyl.localized_relations(n),
+            weyl.ab_rho_relations(n)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_pruned_residuals_are_bit_identical_to_the_unpruned_route(
+        n, monkeypatch, no_child_left):
+    for seed in (1, 2, 3):
+        states = gauss.sample_states(n, random.Random(100 * seed + n), 4)
+        for ctx in (CTX, NEG):
+            for rels in _catalogs(n):
+                want = [r.hex() for r in _unpruned_residuals(n, rels, states,
+                                                              ctx)]
+                for count in (1, 3):
+                    pids = _processes(monkeypatch, count)
+                    got = gauss.check_relations_pointwise(n, rels, states, ctx)
+                    assert len(pids) == count - 1
+                    assert [c.residual.hex() for c in got.cases] == want
+
+
+# (relations, live ones, Gram pairs, pairs before pruning) per catalog
+_GRAM_SIZES = {1: [(12, 12, 11, 11), (9, 8, 9, 9)],
+               2: [(31, 26, 46, 54), (33, 28, 111, 122)],
+               3: [(66, 51, 107, 132), (73, 51, 254, 326)]}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_cancelling_relations_get_no_gram_pairs(n):
+    for rels, sizes in zip(_catalogs(n), _GRAM_SIZES[n], strict=True):
+        cases = _catalog_cases(n, rels, CTX)
+        (_, _, pairs), pruned = gauss._gram_cases(cases)
+        (_, _, every), _ = _unpruned_gram_cases(cases)
+        live = [forms for _, forms in pruned if forms]
+        assert (len(rels), len(live), len(pairs), len(every)) == sizes
+        for (_, pieces), (_, forms) in zip(cases, pruned):
+            merged = accumulate({}, (((op.legs, op.phi), op.scalar)
+                                     for ops in pieces for op in ops))
+            assert len(forms) == (len(pieces) + 1 if merged else 0)
+
+
+@pytest.mark.parametrize("n, rels, name", [
+    (2, weyl.localized_relations(2), "Qy[k=2,j=1]"),
+    (1, weyl.ab_rho_relations(1), "qAB1[unit,1]"),
+])
+def test_a_doubled_term_makes_a_cancelling_relation_live(n, rels, name):
+    index = next(i for i, rel in enumerate(rels) if rel.name == name)
+    (scalar, atoms), *rest = rels[index].terms
+    doubled = weyl.Relation(name, ((scalar + scalar, atoms), *rest))
+    states = gauss.sample_states(n, random.Random(9), 3)
+    assert gauss.check_relations_pointwise(n, rels, states, CTX).ok
+    _, cases = gauss._gram_cases(_catalog_cases(n, [rels[index], doubled],
+                                                CTX))
+    assert [len(forms) for _, forms in cases] == [0, len(rest) + 2]
+    planted = list(rels)
+    planted[index] = doubled
+    rep = gauss.check_relations_pointwise(n, planted, states, CTX)
+    assert [c.case for c in rep.failures()] == [name]
 
 
 def _hermiticity_reference(n, states, ctx):
@@ -987,6 +1100,22 @@ def test_split_sweep_raises_what_one_process_raises(failing, monkeypatch,
             gauss.check_relations_pointwise(n, rels, states, CTX)
         assert len(pids) == count - 1
         assert str(err.value) == f"state {failing[0]}"
+
+
+# the chunks of three processes are jobs 0-1, 2-3 and 4-5
+@pytest.mark.parametrize("count", [1, 3])
+def test_sweep_refuses_a_nan_residual(count, monkeypatch, no_child_left):
+    def residual(case, job):
+        return math.nan if (case, job) == (1, 3) else 1e-3 * job
+
+    pids = _processes(monkeypatch, count)
+    rep = SuiteReport("planted")
+    with pytest.raises(OverflowError) as err:
+        gauss._sweep(rep, 1e-2, [("a", 0), ("b", 1), ("c", 2)],
+                     [(job,) for job in range(6)], residual, 6)
+    assert len(pids) == count - 1
+    assert str(err.value) == "the b planted residual is nan"
+    assert [c.case for c in rep.cases] == ["a"]
 
 
 def test_split_sweep_outlives_a_killed_child(monkeypatch, no_child_left):
