@@ -4,9 +4,9 @@ Report records are line-oriented ``key=value`` fields::
 
     suite=<name>, case=<id>, residual=<float>, pass=<true|false>
 
-Exit codes: 0 all checks passed, 1 failures present, 2 usage, parse or
-output-file error.  An argv that starts with a verb is parsed by that
-verb's parser alone; any other goes to the top-level parser.
+Exit codes: 0 all checks passed, 1 failures present or stdout closed by its
+reader, 2 usage, parse or output-file error.  An argv that starts with a verb
+is parsed by that verb's parser alone; any other goes to the top-level parser.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import contextlib
 import dataclasses
 import functools
 import math
+import os
 import random
 import re
 import sys
@@ -311,7 +312,12 @@ def main(argv=None):
         return 2 if exc.code not in (0, None) else 0
     try:
         _check_bounds(args)
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # so that a closed reader shows here
+        return code
+    except BrokenPipeError:  # the rest, and the flush at exit, go nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (QweylError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

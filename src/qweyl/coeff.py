@@ -661,7 +661,3 @@ class NumericContext:
     @property
     def q_value(self):
         return cmath.exp(1j * self.phi)
-
-    @property
-    def lambda_value(self):
-        return 2j * math.sin(self.phi)

@@ -16,14 +16,15 @@ stays one integer pair and operators with equal legs merge exactly; a
 composite ``(scalar, k, legs)`` forms its phase of exponent ``k`` once.
 Applying any represented element to a state stays inside the family, and
 all inner products, linear in the first argument, reduce to the closed-form
-Gaussian integral ``sqrt(pi/a) * exp(b**2/(4a))``.  A pointwise relation
-residual is a quadratic form in one Gram table per state, ``G[p] =
-inner(U_a psi, U_b psi)`` over unit operators, so a relation's coefficients
-cancel before any Gaussian prefactor, and a relation whose pieces cancel
-operator by operator costs no Gaussian work at all.  Per-position tables of
-shifted packets and leg overlaps fill each table, at the state's first live
-relation, in ``inner``'s float order.  A NaN residual raises
-``OverflowError`` rather than pass.
+Gaussian integral ``sqrt(pi/a) * exp(b**2/(4a))``.
+
+The atom table is exact: each entry is a sign, a power of ``q`` and integer
+legs, so a word's image is an element of the quantum torus over Q(i)(q0),
+where the phase of exponent ``k`` is ``q0**(-2k)``.  A pointwise relation
+line merges the relation's image there first: an empty sum proves the
+relation, and its residual is 0.0 with no Gaussian work.  Only a relation
+that does not cancel is evaluated at ``phi`` and applied to the states.  A
+NaN residual raises ``OverflowError`` rather than pass.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ import os
 import struct
 from dataclasses import dataclass
 
+from .coeff import q0_power
 from .errors import ShapeMismatch
 from .report import SuiteReport
 from .sparse import Combination, accumulate
@@ -189,30 +191,60 @@ def apply_ops(ops, state):
 # -- representation of algebra elements ----------------------------------------
 
 
-def _atom_variants(atom, n, ctx):
-    """The triples whose sum realizes one generator atom."""
+def _atom_variants(atom, n):
+    """The exact entries ``(sign, e, legs)`` of one generator atom, which is
+    the sum of ``sign * q**e`` times the shift ``legs`` over them."""
     kind, k = atom[0], atom[1]
     main = n - k
     before = ((0, 1),) * main
     after = ((0, 0),) * (k - 1)
     if kind == "R":
-        return [(1.0 + 0j, 0, ((0, atom[2]),) * (main + 1) + after)]
+        return [(1, 0, ((0, atom[2]),) * (main + 1) + after)]
     if kind == "y":
-        return [(1.0 + 0j, 0, before + ((1, 0),) + after)]
+        return [(1, 0, before + ((1, 0),) + after)]
     if kind == "x":
-        sign = -float(sign_of(n, k))
-        return [(sign * ctx.q_value, 0, before + ((-1, 2),) + after),
-                (sign + 0j, 0, before + ((-1, 0),) + after)]
+        sign = -sign_of(n, k)
+        return [(sign, 1, before + ((-1, 2),) + after),
+                (sign, 0, before + ((-1, 0),) + after)]
     raise ValueError(f"unknown atom kind {kind!r}")
 
 
 def represent_word(n, atoms, ctx, scalar=1.0 + 0j):
     """Represent a free product of generator atoms as elementary operators."""
+    q = ctx.q_value
     ops = [(complex(scalar), 0, ((0, 0),) * n)]
     for atom in reversed(tuple(atoms)):
-        variants = _atom_variants(atom, n, ctx)
+        # not float(s) * q**0: a negative sign would give the scalar -0.0j
+        variants = [(float(s) * q ** e if e else float(s) + 0j, 0, legs)
+                    for s, e, legs in _atom_variants(atom, n)]
         ops = [_then(op, v) for op in ops for v in variants]
     return [_operator(op, ctx.phi) for op in ops]
+
+
+def torus_terms(n, terms):
+    """The exact image of a weighted word list ``((scalar, atoms), ...)`` in
+    the quantum torus, as legs -> nonzero ``ScalarValue``.
+
+    Each word composes its atoms' exact entries on ``_then``'s rule, with
+    ``q**e`` carried as the Weyl exponent ``k = -e``, since ``exp(-1j*phi*k)``
+    is ``q0**(-2k)``.  Equal ``(legs, word, k)`` add their signs first, so
+    scalar arithmetic is spent only on what survives.
+    """
+    signs = {}
+    for word, (_, atoms) in enumerate(terms):
+        ops = [(1, 0, ((0, 0),) * n)]
+        for atom in reversed(atoms):
+            variants = [(s, -e, legs) for s, e, legs in _atom_variants(atom, n)]
+            ops = [_then(op, v) for op in ops for v in variants]
+        accumulate(signs, (((legs, word, k), s) for s, k, legs in ops))
+    return accumulate({}, ((legs, terms[word][0] * _monomial(s, -2 * k))
+                           for (legs, word, k), s in signs.items()))
+
+
+@functools.cache
+def _monomial(c, e):
+    """``c * q0**e`` for an integer ``c``, built once."""
+    return q0_power(e) * c
 
 
 def represent_terms(n, terms, ctx):
@@ -244,98 +276,10 @@ def represent_adjoint(element, ctx):
 # -- pointwise verification -----------------------------------------------------
 
 
-def _gram_cases(cases):
-    """``(name, pieces)`` cases as quadratic forms over one Gram table.
-
-    A case whose pieces merge, operator by operator, to an empty sum gets no
-    forms and costs no Gaussian work.  Each distinct unit operator ``U_a`` of
-    the other cases' pieces is numbered, and so is each pair ``a <= b`` that a
-    piece or a relation's merged sum needs, so that ``|| sum c_a U_a psi ||**2
-    = Re sum w_p G[p]``.  A case's forms are its pieces', then its sum's.
-    Returns ``(legs, units, pairs)`` and cases.
-    """
-    sums = [accumulate({}, (((o.legs, o.phi), o.scalar)
-                            for ops in pieces for o in ops))
-            for _, pieces in cases]
-    keys = {(o.legs, o.phi) for (_, pieces), merged in zip(cases, sums)
-            if merged for ops in pieces for o in ops}
-    # numbered in sorted order, a relation's forms do not depend on the others
-    ids = {key: a for a, key in enumerate(sorted(keys))}
-    pairs = {}
-
-    def form(coeffs):
-        # off the diagonal, the pair (b, a) adds the conjugate of (a, b)
-        return [(pairs.setdefault((a, b), len(pairs)),
-                 ca * cb.conjugate() * (1.0 if a == b else 2.0))
-                for i, (a, ca) in enumerate(coeffs) for b, cb in coeffs[i:]]
-
-    out = []
-    for (name, pieces), merged in zip(cases, sums):
-        if not merged:
-            out.append((name, []))
-            continue
-        coeffs = [sorted((ids[o.legs, o.phi], o.scalar) for o in ops)
-                  for ops in pieces]
-        coeffs.append(sorted((ids[key], c) for key, c in merged.items()))
-        out.append((name, [form(c) for c in coeffs]))
-    legs = {}  # each (position, leg, phi); a unit is a tuple of their numbers
-    units = [tuple(legs.setdefault((i, leg, phi), len(legs))
-                   for i, leg in enumerate(key)) for key, phi in ids]
-    return (list(legs), units, list(pairs)), out
-
-
-def _gram_table(legs, units, pairs, state):
-    """Yield ``inner(apply_ops((U_a,), state), apply_ops((U_b,), state))`` per
-    pair in the same float operations, each leg shift and overlap evaluated
-    once; images merge on per-position numbers of equal shifted packets."""
-    seen = [{} for _ in range(state.n)]  # per position: (eps, gamma) -> number
-    shifted = []  # per term: the amplitude, and per leg (number, prefactor)
-    for key, amp in state.terms.items():
-        shifted.append((amp, row := []))
-        for i, leg, phi in legs:
-            gam, pre = _apply_leg(*key[i], leg, phi)
-            row.append((seen[i].setdefault((key[i][0], gam), len(seen[i])), pre))
-
-    def image(unit):
-        for amp, row in shifted:
-            val = amp * (1.0 + 0j)  # a unit's scalar, as in apply_ops
-            for k in unit:
-                val *= row[k][1]
-            yield tuple(row[k][0] for k in unit), val
-
-    images = [list(accumulate({}, image(unit)).items()) for unit in units]
-    tables = [(list(at), [[None] * len(at) for _ in at]) for at in seen]
-    for a, b in pairs:
-        total = 0j
-        for ku, au in images[a]:
-            for kv, av in images[b]:
-                prod = au * av.conjugate()
-                for i, j, (at, table) in zip(ku, kv, tables):
-                    if table[i][j] is None:
-                        table[i][j] = _leg_overlap(*at[i], *at[j])
-                    prod *= table[i][j]
-                total += prod
-        yield total
-
-
-def _gram_residual(table, forms, state, scale, gram):
-    """The merged sum's norm over the largest of the state's and the pieces'
-    norms, since a piece of an unbounded generator can dwarf the state;
-    ``gram`` is the state's table, filled at its first case with forms.  A
-    case without forms cancels exactly: its residual is 0.0 on every state."""
-    if not forms:
-        return 0.0
-    if not gram:
-        gram.extend(_gram_table(*table, state))
-    norms = [math.sqrt(abs(sum(w * gram[p] for p, w in form).real))
-             for form in forms]
-    return norms[-1] / max([scale] + norms[:-1])
-
-
 # Work, in operator terms times state terms, that pays for one more process
 # in a sweep: a fork costs about 8 ms of copy-on-write page faults, which the
 # rank-1 and rank-2 sweeps of ``verify`` (work below 2,500) do not win back
-# and the rank-3 sweeps at 60 samples (work above 18,000) do.
+# and the rank-3 invariance sweep at 60 samples does.
 WORK_PER_PROCESS = 5000
 
 
@@ -427,6 +371,14 @@ def _child(cases, chunk, pack, w, inherited, residual):
 
 
 def check_relations_pointwise(n, relations, states, ctx, suite="pointwise"):
+    """Record each relation's worst residual over ``states``, in order.
+
+    A relation whose exact image ``torus_terms`` is empty holds: its residual
+    is 0.0, with no float representation or state work.  Any other is
+    represented at ``phi``; on each state its residual is the norm of its
+    pieces' summed images over the largest of the state's and the pieces'
+    norms, since a piece of an unbounded generator can dwarf the state.
+    """
     for what, given in (("state", states), ("relation", relations)):
         if not given:
             raise ValueError(f"a pointwise check needs at least one {what}")
@@ -434,16 +386,19 @@ def check_relations_pointwise(n, relations, states, ctx, suite="pointwise"):
         if state.n != n:
             raise ShapeMismatch(f"operator has {n} legs, state has {state.n}")
     rep = SuiteReport(suite)
-    cases = [(rel.name, [represent_terms(n, (term,), ctx) for term in rel.terms])
-             for rel in relations]
-    table, forms = _gram_cases(cases)
-    # a cancelling relation's pieces are never applied
-    work = sum(len(ops) for (_, pieces), (_, f) in zip(cases, forms) if f
-               for ops in pieces) * sum(len(state.terms) for state in states)
-    # each job keeps its state's Gram table, which goes with the sweep
-    jobs = [(state, norm(state), []) for state in states]
-    _sweep(rep, ctx.tolerance, forms, jobs,
-           functools.partial(_gram_residual, table), work)
+    for rel in relations:
+        residuals = [0.0]
+        if torus_terms(n, rel.terms):
+            pieces = [represent_terms(n, (term,), ctx) for term in rel.terms]
+            residuals = []
+            for state in states:
+                scale, image = norm(state), GaussianState.zero(n)
+                for ops in pieces:
+                    piece = apply_ops(ops, state)
+                    scale = max(scale, norm(piece))
+                    image = image + piece
+                residuals.append(norm(image) / scale)
+        _record_worst(rep, rel.name, residuals, ctx.tolerance)
     return rep
 
 

@@ -17,8 +17,7 @@ from dataclasses import dataclass, field
 from . import coeff, gauss, uq, weyl
 from .coeff import NumericContext
 from .errors import ShapeMismatch
-from .gauss import (GaussianState, apply_ops, inner, represent,
-                    represent_adjoint)
+from .gauss import apply_ops, inner, represent, represent_adjoint
 from .report import SuiteReport
 
 
@@ -56,12 +55,6 @@ class FiniteRankOperator:
         return FiniteRankOperator(
             self.n,
             tuple((amp.conjugate(), bra, ket) for amp, ket, bra in self.terms))
-
-    def apply_to(self, v):
-        out = GaussianState.zero(self.n)
-        for amp, ket, bra in self.terms:
-            out = out + ket.scaled(amp * inner(v, bra))
-        return out
 
     def left_composed(self, ops):
         """Compose with an operator sum on the left (acts on kets)."""

@@ -374,12 +374,13 @@ def test_cli_pointwise_and_model2(capsys):
     capsys.readouterr()
 
 
-# every state pair's inner products, or one state's residual, are NaN
+# every state pair's inner products are NaN; the relations, whose lines come
+# first, hold exactly and take no state work
 @pytest.mark.parametrize("argv, case", [
     (["--n", "8", "--samples", "10", "--seed", "7"], "hermitian[Gamma]"),
     (["--n", "3", "--phi", "2.8", "--seed", "7"], "hermitian[Gamma]"),
     (["--n", "3", "--phi", "3.0", "--seed", "1", "--samples", "4"],
-     "Qx[k=1,j=1]"),
+     "hermitian[Gamma]"),
 ])
 def test_cli_refuses_a_nan_pointwise_residual(capsys, argv, case):
     rc = cli.main(["verify", "--suite", "pointwise"] + argv)
@@ -1122,3 +1123,25 @@ def test_cli_import_loads_no_numpy_or_scipy():
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
     assert proc.stdout == "[]\n"
+
+
+# unbuffered, the report's write fails; buffered, the flush before exit does
+@pytest.mark.parametrize("argv, unbuffered", [
+    (["repr-check", "--n", "2"], True),
+    (["repr-check", "--n", "2"], False),
+    (["normalize", "--n", "1", "x1*y1"], False),
+])
+def test_cli_exits_1_quietly_when_its_reader_closes_stdout(argv, unbuffered):
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen([sys.executable, "-m", "qweyl", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    # closed before the child can have written anything: no reader is left
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (1, b"")

@@ -14,7 +14,7 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import quad
 
 from qweyl import cli, gauss, haar, uq, weyl
-from qweyl.coeff import ONE, NumericContext
+from qweyl.coeff import ONE, Q, NumericContext
 from qweyl.errors import ShapeMismatch
 from qweyl.gauss import (ElementaryOperator, GaussianState, _apply_leg,
                          _operator, _then, apply_ops, inner, norm, represent,
@@ -511,50 +511,69 @@ def test_pointwise_check_equals_per_state_residuals(n):
             for state in states:
                 one = gauss.check_relations_pointwise(n, [rel], [state], CTX)
                 got = one.cases[0].residual
-                # every relation holds: both routes sit at the float floor
-                assert abs(got - _residual_reference(n, rel, state, CTX)) \
-                    <= 1e-14
+                # every relation holds exactly, and the float route sits at
+                # the floor
+                assert got == 0.0
+                assert _residual_reference(n, rel, state, CTX) <= 1e-14
                 worst = max(worst, got)
             assert case.residual == worst
 
 
 def _planted(defect):
-    """``_atom_variants`` with one defect in its atom table."""
+    """``_atom_variants`` with one defect in its exact atom table."""
     variants = gauss._atom_variants
 
-    def planted(atom, n, ctx):
-        ops = variants(atom, n, ctx)
+    def planted(atom, n):
+        entries = variants(atom, n)
         if atom[0] == "x" and defect == "x-q-squared":
-            scalar, k, legs = ops[0]
-            ops[0] = (scalar * ctx.q_value, k, legs)
+            sign, e, legs = entries[0]
+            entries[0] = (sign, e + 1, legs)
         elif atom[0] == "x" and defect == "x-second-sign":
-            scalar, k, legs = ops[1]
-            ops[1] = (-scalar, k, legs)
+            sign, e, legs = entries[1]
+            entries[1] = (-sign, e, legs)
         elif atom[0] == "R" and defect == "R-first-leg-doubled":
-            scalar, k, ((t, m), *rest) = ops[0]
-            ops[0] = (scalar, k, ((t, 2 * m), *rest))
-        return ops
+            sign, e, ((t, m), *rest) = entries[0]
+            entries[0] = (sign, e, ((t, 2 * m), *rest))
+        return entries
 
     return planted
 
 
-# how many of the 139 relations at n=3 each defect breaks
-_PLANTED_FAILURES = {"x-q-squared": 13, "x-second-sign": 19,
-                     "R-first-leg-doubled": 63}
+@pytest.fixture
+def fresh_represent():
+    """Empty the represent caches around a test that plants a defect."""
+    caches = (gauss._represented, gauss.represent_adjoint)
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()
+
+
+# how many of the 139 relations, and of the 22 hermitian elements, at n=3
+# each defect breaks; the second sign is a self-adjoint operator's, so x stays
+# hermitian and only the relations see it
+_PLANTED_FAILURES = {"x-q-squared": (13, 8), "x-second-sign": (19, 0),
+                     "R-first-leg-doubled": (63, 3)}
 
 
 @pytest.mark.parametrize("defect", ["x-q-squared", "x-second-sign",
                                     "R-first-leg-doubled"])
-def test_planted_defects_fail_the_pointwise_check(defect, monkeypatch):
+def test_planted_defects_fail_the_pointwise_check(defect, monkeypatch,
+                                                  fresh_represent):
     n = 3
     states = gauss.sample_states(n, random.Random(8), 3)
     rels = weyl.coordinate_relations(n) + weyl.localized_relations(n) + \
         weyl.ab_rho_relations(n)
     assert len(rels) == 139
     assert gauss.check_relations_pointwise(n, rels, states, CTX).ok
+    assert gauss.check_hermiticity_pointwise(n, states, CTX).ok
+    gauss._represented.cache_clear()
     monkeypatch.setattr(gauss, "_atom_variants", _planted(defect))
     rep = gauss.check_relations_pointwise(n, rels, states, CTX)
-    assert len(rep.failures()) == _PLANTED_FAILURES[defect]
+    herm = gauss.check_hermiticity_pointwise(n, states, CTX)
+    assert (len(rep.failures()), len(herm.failures())) == \
+        _PLANTED_FAILURES[defect]
     for rel, case in zip(rels, rep.cases):
         if not case.passed:
             pieces = [gauss.represent_terms(n, (term,), CTX)
@@ -589,268 +608,54 @@ def _pieces_residual_reference(pieces, state, scale):
     return _norm_pairs_reference(image) / scale
 
 
-def _flip_zero(x):
-    return -x if x == 0 else x
-
-
 _part = st.one_of(st.sampled_from([0.0, -0.0, 0.5, -1.0]), st.floats(-1.4, 1.4))
-_pool = st.lists(st.tuples(st.sampled_from([0.5, 1.0, 1.5]), _part, _part),
-                 min_size=1, max_size=4)
 # amplitude parts stay clear of the underflow that zeroes a norm
 _amp_part = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(0.01, 1.0),
                       st.floats(-1.0, -0.01))
-_shift = st.sampled_from([(0, 0), (1, 0), (-1, 0), (0, 1), (-1, 1)])
 
 
-def _draw_pieces(data, n, phi):
-    """One to four pieces of one to three operators at ``phi``, each piece
-    with distinct legs, and some piece the negative of the one before."""
-    pieces = []
-    for _ in range(data.draw(st.integers(1, 4))):
-        merged = accumulate({}, (
-            (tuple(data.draw(st.lists(_shift, min_size=n, max_size=n))),
-             complex(data.draw(_amp_part), data.draw(_amp_part)))
-            for _ in range(data.draw(st.integers(1, 3)))))
-        ops = [ElementaryOperator(c, legs, phi) for legs, c in merged.items()]
-        pieces.append(ops)
-        if data.draw(st.booleans()):  # a piece that cancels the last one
-            pieces.append([ElementaryOperator(-op.scalar, op.legs, op.phi)
-                           for op in ops])
-    return pieces
+# -- the exact torus image -----------------------------------------------------
 
 
-def _gram_norms(pieces, state):
-    """The norms of each piece and of their merged sum, through the Gram
-    route, each its own one-piece case: a residual of its last form against
-    scale 1 is its norm, and 0.0 for a piece that cancels."""
-    total = accumulate({}, (((op.legs, op.phi), op.scalar)
-                            for ops in pieces for op in ops))
-    merged = [ElementaryOperator(c, legs, phi) for (legs, phi), c in total.items()]
-    table, cases = gauss._gram_cases(
-        [(f"r{i}", [ops]) for i, ops in enumerate(pieces + [merged])])
-    gram = []
-    return [gauss._gram_residual(table, forms[-1:], state, 1.0, gram)
-            for _, forms in cases]
-
-
-def _unit_ops(legs, units):
-    """The unit operators that ``_gram_cases`` numbers, each a tuple of
-    numbers into its ``(position, leg, phi)`` legs."""
-    return [ElementaryOperator(1.0 + 0j, tuple(legs[k][1] for k in unit),
-                               legs[unit[0]][2]) for unit in units]
-
-
-def _hex(z):
-    return z.real.hex(), z.imag.hex()
-
-
-def _table_reference(legs, units, pairs, state):
-    """The Gram table through ``apply_ops`` and ``inner``."""
-    images = [apply_ops([op], state) for op in _unit_ops(legs, units)]
-    return [inner(images[a], images[b]) for a, b in pairs]
+# runs of one atom, so that powers x_k^m and R_k^m meet their q-weights
+_run = st.tuples(_atom, st.integers(1, 8))
 
 
 @given(data=st.data())
-@settings(max_examples=100, deadline=None)
-def test_shared_overlap_table_is_bit_identical(data):
-    # legs come from a small pool, some with the signs of their zero parts
-    # flipped, so terms and images share legs; relations share operators
+@settings(max_examples=150, deadline=None)
+def test_torus_terms_evaluate_to_the_represented_terms(data):
     n = data.draw(st.integers(1, 3))
-    pool = data.draw(_pool)
-    state = GaussianState.zero(n)
-    for _ in range(data.draw(st.integers(1, 3))):
-        legs = []
-        for _ in range(n):
-            eps, gr, gi = data.draw(st.sampled_from(pool))
-            if data.draw(st.booleans()):
-                gr, gi = _flip_zero(gr), _flip_zero(gi)
-            legs.append((eps, complex(gr, gi)))
-        amp = complex(data.draw(_amp_part), data.draw(_amp_part))
-        state = state + GaussianState.from_legs(amp, legs)
-    assume(not state.is_zero)
-    cases = [(f"r{i}", _draw_pieces(data, n, 0.25))
-             for i in range(data.draw(st.integers(1, 3)))]
-    scale = norm(state)
-    assert scale == _norm_reference(state)
-    table, shared_cases = gauss._gram_cases(cases)
-    shared = []
-    for case, (_, forms) in zip(cases, shared_cases):
-        got = gauss._gram_residual(table, forms, state, scale, shared)
-        # the same relation alone, with a table of its own
-        alone_table, ((_, alone),) = gauss._gram_cases([case])
-        want = gauss._gram_residual(alone_table, alone, state, scale, [])
-        assert got.hex() == want.hex()
-    # signed zeros count
-    assert [_hex(z) for z in shared] == \
-        [_hex(z) for z in _table_reference(*table, state)]
+    runs = data.draw(st.lists(_run.filter(lambda r: r[0][1] <= n), max_size=4))
+    atoms = tuple(atom for atom, m in runs for _ in range(m))
+    # an x atom doubles a word's operators; 2**10 of them before merging
+    assume(sum(atom[0] == "x" for atom in atoms) <= 10)
+    words = [(ONE, atoms), (-ONE, atoms[::-1]), (Q, atoms[len(atoms) // 2:])]
+    terms = words[:data.draw(st.integers(1, 3))]
+    phi = data.draw(st.floats(0.05, 3.1))
+    assume(abs(phi - math.pi / 2) > 1e-6)
+    ctx = NumericContext(phi=phi if data.draw(st.booleans()) else -phi)
+    exact = gauss.torus_terms(n, terms)
+    assert all(not c.is_zero for c in exact.values())
+    ops = gauss.represent_terms(n, terms, ctx)
+    # relative to the largest coefficient: equal legs may cancel in floats
+    scale = max([1.0] + [abs(op.scalar) for op in ops])
+    for op in ops:
+        want = exact.get(op.legs)
+        want = 0.0 if want is None else want.evaluate(ctx)
+        assert abs(op.scalar - want) <= 1e-12 * scale
+    assert set(exact) <= {op.legs for op in ops}
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_gram_tables_of_the_catalogs_are_bit_identical(n):
-    states = gauss.sample_states(n, random.Random(70 + n), 3)
-    catalogs = [weyl.coordinate_relations(n) + weyl.localized_relations(n),
-                weyl.ab_rho_relations(n)]
-    for ctx in (CTX, NEG):
-        for rels in catalogs:
-            table, _ = gauss._gram_cases(
-                [(rel.name, [gauss.represent_terms(n, (term,), ctx)
-                             for term in rel.terms]) for rel in rels])
-            for state in states:
-                assert [_hex(z) for z in gauss._gram_table(*table, state)] == \
-                    [_hex(z) for z in _table_reference(*table, state)]
-
-
-def test_gram_table_merges_and_cancels_as_apply_ops_does():
-    # under the leg (1, 0) the first two terms' images round to one key,
-    # gamma = 1.0, and their amplitudes cancel
-    state = GaussianState.from_legs(1.0, [(1.0, 0j)]) \
-        + GaussianState.from_legs(-1.0, [(1.0, 1e-17)]) \
-        + GaussianState.from_legs(0.5j, [(0.7, 0.3j)])
-    assert len(state.terms) == 3
-    shifts = [(0, 0), (1, 0), (-1, 0), (0, 1), (-1, 2), (1, 1)]
-    ops = [ElementaryOperator(1.0 + 0j, (leg,), CTX.phi) for leg in shifts]
-    assert len(apply_ops([ops[1]], state).terms) == 1
-    # one piece of every operator needs every pair
-    table, _ = gauss._gram_cases([("r", [ops])])
-    assert len(table[2]) == len(ops) * (len(ops) + 1) // 2
-    assert [_hex(z) for z in gauss._gram_table(*table, state)] == \
-        [_hex(z) for z in _table_reference(*table, state)]
-
-
-@given(data=st.data())
-@settings(max_examples=100, deadline=None)
-def test_gram_route_norms_match_the_term_level_norms(data):
-    n = data.draw(st.integers(1, 3))
-    phi = data.draw(st.floats(0.05, 1.5)) * data.draw(st.sampled_from([-1, 1]))
-    state = GaussianState.zero(n)
-    for _ in range(data.draw(st.integers(1, 3))):
-        legs = [(data.draw(st.floats(0.5, 2.0)),
-                 complex(data.draw(st.floats(-1.4, 1.4)),
-                         data.draw(st.floats(-1.4, 1.4)))) for _ in range(n)]
-        amp = complex(data.draw(_amp_part), data.draw(_amp_part))
-        state = state + GaussianState.from_legs(amp, legs)
-    assume(not state.is_zero)
-    pieces = _draw_pieces(data, n, phi)
-    sums = pieces + [[op for ops in pieces for op in ops]]
-    for got, ops in zip(_gram_norms(pieces, state), sums, strict=True):
-        want = norm(apply_ops(ops, state))
-        # relative to the triangle bound, which is the norm unless the
-        # operators' images cancel
-        bound = sum(norm(apply_ops([op], state)) for op in ops)
-        assert abs(got * got - want * want) <= 1e-12 * bound * bound
-
-
-def _unit_pairs(legs):
-    """The unordered pairs, the diagonal included, of a list of legs."""
-    return {frozenset((a, b)) for a in legs for b in legs}
-
-
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_sweep_evaluates_each_gram_entry_once(n, monkeypatch):
-    rng = random.Random(90 + n)
-    states = [gauss.random_state(n, rng, max_terms=1)
-              + gauss.random_state(n, rng, max_terms=1) for _ in range(3)]
-    states += gauss.sample_states(n, rng, 3)
-    rels = weyl.coordinate_relations(n) + weyl.localized_relations(n) + \
-        weyl.ab_rho_relations(n)
-    want = set()  # the operator pairs a piece or a live relation's sum needs
-    shifts = [set() for _ in range(n)]  # each position's distinct live legs
-    for rel in rels:
-        pieces = [gauss.represent_terms(n, (term,), CTX) for term in rel.terms]
-        merged = accumulate({}, (((op.legs, op.phi), op.scalar)
-                                 for ops in pieces for op in ops))
-        if not merged:  # a relation that cancels operator by operator
-            continue
-        for keys in [[(op.legs, op.phi) for op in ops] for ops in pieces] \
-                + [merged]:
-            want |= _unit_pairs(keys)
-        for ops in pieces:
-            for op in ops:
-                for i, leg in enumerate(op.legs):
-                    shifts[i].add((leg, op.phi))
-    table, shift, overlap = gauss._gram_table, gauss._apply_leg, \
-        gauss._leg_overlap
-    current, tables, shifted, overlaps = [], [], [], []
-
-    def table_counted(legs, units, pairs, state):
-        current[:] = [id(state)]
-        gram = list(table(legs, units, pairs, state))
-        ops = [(op.legs, op.phi) for op in _unit_ops(legs, units)]
-        tables.append((id(state), [frozenset((ops[a], ops[b]))
-                                   for a, b in pairs], len(gram)))
-        return gram
-
-    def shift_counted(eps, gamma, leg, phi):
-        shifted.append((*current, eps, gamma, leg, phi))
-        return shift(eps, gamma, leg, phi)
-
-    def overlap_counted(e1, g1, e2, g2):
-        overlaps.append((*current, e1, g1, e2, g2))
-        return overlap(e1, g1, e2, g2)
-
-    _processes(monkeypatch, 1)
-    monkeypatch.setattr(gauss, "_gram_table", table_counted)
-    monkeypatch.setattr(gauss, "_apply_leg", shift_counted)
-    monkeypatch.setattr(gauss, "_leg_overlap", overlap_counted)
-    gauss.check_relations_pointwise(n, rels, states, CTX)
-    # one table per state, of one entry per needed pair and nothing else
-    assert [s for s, _, _ in tables] == [id(s) for s in states]
-    for _, entries, size in tables:
-        assert size == len(entries) == len(want)
-        assert set(entries) == want
-    # each (position, term, distinct leg) shift once; sampled legs differ
-    # between positions, so equal arguments would be a repeated evaluation
-    assert collections.Counter(shifted) == collections.Counter(
-        (id(s), eps, gam, leg, phi) for s in states for key in s.terms
-        for (eps, gam), legs in zip(key, shifts) for leg, phi in legs)
-    # each overlap of two shifted packets at most once per state
-    assert max(collections.Counter(overlaps).values()) == 1
-
-
-def _unpruned_gram_cases(cases):
-    """The Gram route's cases with every relation's forms over one table,
-    a relation whose pieces cancel included: its sum's form is empty."""
-    keys = {(o.legs, o.phi) for _, pieces in cases for ops in pieces for o in ops}
-    ids = {key: a for a, key in enumerate(sorted(keys))}
-    pairs = {}
-
-    def form(coeffs):
-        return [(pairs.setdefault((a, b), len(pairs)),
-                 ca * cb.conjugate() * (1.0 if a == b else 2.0))
-                for i, (a, ca) in enumerate(coeffs) for b, cb in coeffs[i:]]
-
-    out = []
-    for name, pieces in cases:
-        coeffs = [sorted((ids[o.legs, o.phi], o.scalar) for o in ops)
-                  for ops in pieces]
-        merged = accumulate({}, (c for piece in coeffs for c in piece))
-        coeffs.append(sorted(merged.items()))
-        out.append((name, [form(c) for c in coeffs]))
-    legs = {}
-    units = [tuple(legs.setdefault((i, leg, phi), len(legs))
-                   for i, leg in enumerate(key)) for key, phi in ids]
-    return (list(legs), units, list(pairs)), out
-
-
-def _catalog_cases(n, rels, ctx):
-    return [(rel.name, [gauss.represent_terms(n, (term,), ctx)
-                        for term in rel.terms]) for rel in rels]
-
-
-def _unpruned_residuals(n, rels, states, ctx):
-    """Each relation's worst residual over ``states``, every state's table
-    filled with every relation's pairs before any residual."""
-    table, cases = _unpruned_gram_cases(_catalog_cases(n, rels, ctx))
-    grams = [list(gauss._gram_table(*table, state)) for state in states]
-    out = []
-    for _, forms in cases:
-        residuals = []
-        for state, gram in zip(states, grams):
-            norms = [math.sqrt(abs(sum(w * gram[p] for p, w in form).real))
-                     for form in forms]
-            residuals.append(norms[-1] / max([norm(state)] + norms[:-1]))
-        out.append(max(0.0, *residuals))
-    return out
+def test_torus_terms_merge_exactly():
+    # x1 y1 - q^2 y1 x1 - (1 - q^2) is the defining exchange relation at n = 1
+    q2 = Q * Q
+    exchange = ((ONE, (("x", 1), ("y", 1))), (-q2, (("y", 1), ("x", 1))),
+                (q2 - ONE, ()))
+    assert gauss.torus_terms(1, exchange) == {}
+    # x1 is q T^-1 P^2 + T^-1, its q an exact power of q0
+    assert gauss.torus_terms(1, ((ONE, (("x", 1),)),)) == {
+        ((-1, 2),): Q, ((-1, 0),): ONE}
+    assert gauss.torus_terms(1, ((ONE, ()), (-ONE, ()))) == {}
 
 
 def _catalogs(n):
@@ -858,40 +663,24 @@ def _catalogs(n):
             weyl.ab_rho_relations(n)]
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_pruned_residuals_are_bit_identical_to_the_unpruned_route(
-        n, monkeypatch, no_child_left):
-    for seed in (1, 2, 3):
-        states = gauss.sample_states(n, random.Random(100 * seed + n), 4)
-        for ctx in (CTX, NEG):
-            for rels in _catalogs(n):
-                want = [r.hex() for r in _unpruned_residuals(n, rels, states,
-                                                              ctx)]
-                for count in (1, 3):
-                    pids = _processes(monkeypatch, count)
-                    got = gauss.check_relations_pointwise(n, rels, states, ctx)
-                    assert len(pids) == count - 1
-                    assert [c.residual.hex() for c in got.cases] == want
+def test_every_relation_up_to_rank_eight_is_exact():
+    for n, sizes in ((1, [12, 9]), (2, [31, 33]), (3, [66, 73]),
+                     (8, [436, 468])):
+        for rels, size in zip(_catalogs(n), sizes, strict=True):
+            assert len(rels) == size
+            assert sum(not gauss.torus_terms(n, rel.terms) for rel in rels) \
+                == size
 
 
-# (relations, live ones, Gram pairs, pairs before pruning) per catalog
-_GRAM_SIZES = {1: [(12, 12, 11, 11), (9, 8, 9, 9)],
-               2: [(31, 26, 46, 54), (33, 28, 111, 122)],
-               3: [(66, 51, 107, 132), (73, 51, 254, 326)]}
-
-
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_cancelling_relations_get_no_gram_pairs(n):
-    for rels, sizes in zip(_catalogs(n), _GRAM_SIZES[n], strict=True):
-        cases = _catalog_cases(n, rels, CTX)
-        (_, _, pairs), pruned = gauss._gram_cases(cases)
-        (_, _, every), _ = _unpruned_gram_cases(cases)
-        live = [forms for _, forms in pruned if forms]
-        assert (len(rels), len(live), len(pairs), len(every)) == sizes
-        for (_, pieces), (_, forms) in zip(cases, pruned):
-            merged = accumulate({}, (((op.legs, op.phi), op.scalar)
-                                     for ops in pieces for op in ops))
-            assert len(forms) == (len(pieces) + 1 if merged else 0)
+def test_an_exact_relation_takes_no_gaussian_work(monkeypatch):
+    n = 3
+    states = gauss.sample_states(n, random.Random(5), 3)
+    for name in ("represent_terms", "apply_ops", "norm"):
+        monkeypatch.setattr(gauss, name, mock.Mock(side_effect=AssertionError))
+    for rels in _catalogs(n):
+        rep = gauss.check_relations_pointwise(n, rels, states, CTX)
+        assert [c.case for c in rep.cases] == [rel.name for rel in rels]
+        assert {c.residual for c in rep.cases} == {0.0}
 
 
 @pytest.mark.parametrize("n, rels, name", [
@@ -904,13 +693,18 @@ def test_a_doubled_term_makes_a_cancelling_relation_live(n, rels, name):
     doubled = weyl.Relation(name, ((scalar + scalar, atoms), *rest))
     states = gauss.sample_states(n, random.Random(9), 3)
     assert gauss.check_relations_pointwise(n, rels, states, CTX).ok
-    _, cases = gauss._gram_cases(_catalog_cases(n, [rels[index], doubled],
-                                                CTX))
-    assert [len(forms) for _, forms in cases] == [0, len(rest) + 2]
+    # the doubled relation's image is its first term's, exactly
+    assert gauss.torus_terms(n, rels[index].terms) == {}
+    assert gauss.torus_terms(n, doubled.terms) == \
+        gauss.torus_terms(n, ((scalar, atoms),)) != {}
     planted = list(rels)
     planted[index] = doubled
     rep = gauss.check_relations_pointwise(n, planted, states, CTX)
     assert [c.case for c in rep.failures()] == [name]
+    pieces = [gauss.represent_terms(n, (term,), CTX) for term in doubled.terms]
+    want = max(_pieces_residual_reference(pieces, state, norm(state))
+               for state in states)
+    assert rep.cases[index].residual == pytest.approx(want, rel=1e-9)
 
 
 def _hermiticity_reference(n, states, ctx):
@@ -1044,60 +838,67 @@ def _killed(statuses):
                for s in statuses)
 
 
+def _split_sweeps(n):
+    """The two sweeps that still fork: invariance at rank ``n`` and the
+    two-component model, each over seven samples."""
+    rng = random.Random(40 + n)
+    states = [gauss.model2_random_state(rng) for _ in range(7)]
+    return [haar.check_invariance(n, haar.IntegralContext(ctx=CTX), count=7,
+                                  seed=40 + n), gauss.check_model2(states, CTX)]
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_split_sweep_reports_what_one_process_reports(n, monkeypatch,
                                                       no_child_left):
-    rng = random.Random(40 + n)
-    states = gauss.sample_states(n, rng, 7)
-    rels = weyl.coordinate_relations(n) + weyl.localized_relations(n) + \
-        weyl.ab_rho_relations(n)
     _processes(monkeypatch, 1)
-    want = gauss.check_relations_pointwise(n, rels, states, CTX)
+    want = _split_sweeps(n)
     for count in (2, 3):
         pids = _processes(monkeypatch, count)
-        got = gauss.check_relations_pointwise(n, rels, states, CTX)
-        assert len(pids) == count - 1
-        assert got.lines() == want.lines()
-        assert [c.residual.hex() for c in got.cases] == \
-            [c.residual.hex() for c in want.cases]
+        got = _split_sweeps(n)
+        assert len(pids) == 2 * (count - 1)
+        for g, w in zip(got, want, strict=True):
+            assert g.lines() == w.lines()
+            assert [c.residual.hex() for c in g.cases] == \
+                [c.residual.hex() for c in w.cases]
 
 
-def _failing_residual(monkeypatch, n, rels, index, fail):
-    """Patch ``_gram_residual`` to call ``fail(state)`` first on each state
-    of ``rels[index]``'s sweep."""
-    _, cases = gauss._gram_cases(
-        [(rel.name, [gauss.represent_terms(n, (term,), CTX)
-                     for term in rel.terms]) for rel in rels])
-    target = cases[index][1]
-    assert [forms for _, forms in cases].count(target) == 1
-    residual = gauss._gram_residual
+def _failing_model2(monkeypatch, name, fail):
+    """Patch ``_m2_relation_residual`` to call ``fail(state)`` first on each
+    state of the two-component relation ``name``'s sweep."""
+    catalog = {rel.name: rel.terms for rel in weyl.localized_relations(1)}
+    target = [gauss.model2_represent((term,), CTX) for term in catalog[name]]
+    residual = gauss._m2_relation_residual
 
-    def patched(table, forms, state, scale, gram):
-        if forms == target:
+    def patched(op_terms, state):
+        if op_terms == target:
             fail(state)
-        return residual(table, forms, state, scale, gram)
+        return residual(op_terms, state)
 
-    monkeypatch.setattr(gauss, "_gram_residual", patched)
+    monkeypatch.setattr(gauss, "_m2_relation_residual", patched)
+
+
+def _sampled_model2_states(seed):
+    rng = random.Random(seed)
+    return [gauss.model2_random_state(rng) for _ in range(6)]
 
 
 # the chunks of three processes are states 0-1, 2-3 and 4-5
 @pytest.mark.parametrize("failing", [(3, 5), (0, 5), (5,)])
 def test_split_sweep_raises_what_one_process_raises(failing, monkeypatch,
                                                     no_child_left):
-    n = 2
-    states = gauss.sample_states(n, random.Random(3), 6)
-    rels = weyl.coordinate_relations(n)
+    states = _sampled_model2_states(3)
 
     def fail(state):
         for i in failing:
             if state is states[i]:
                 raise ArithmeticError(f"state {i}")
 
-    _failing_residual(monkeypatch, n, rels, 2, fail)
+    # the third of the model's four relations
+    _failing_model2(monkeypatch, "Qxy[x]", fail)
     for count in (1, 3):
         pids = _processes(monkeypatch, count)
         with pytest.raises(ArithmeticError) as err:
-            gauss.check_relations_pointwise(n, rels, states, CTX)
+            gauss.check_model2(states, CTX)
         assert len(pids) == count - 1
         assert str(err.value) == f"state {failing[0]}"
 
@@ -1119,20 +920,18 @@ def test_sweep_refuses_a_nan_residual(count, monkeypatch, no_child_left):
 
 
 def test_split_sweep_outlives_a_killed_child(monkeypatch, no_child_left):
-    n = 2
-    states = gauss.sample_states(n, random.Random(4), 6)
-    rels = weyl.coordinate_relations(n)
+    states = _sampled_model2_states(4)
     _processes(monkeypatch, 1)
-    want = gauss.check_relations_pointwise(n, rels, states, CTX).lines()
+    want = gauss.check_model2(states, CTX).lines()
     parent = os.getpid()
 
     def die(state):
         if os.getpid() != parent:
             os.kill(os.getpid(), signal.SIGKILL)
 
-    _failing_residual(monkeypatch, n, rels, 1, die)
+    _failing_model2(monkeypatch, "Qxy[y]", die)
     pids, statuses = _processes(monkeypatch, 3), _reaped(monkeypatch)
-    assert gauss.check_relations_pointwise(n, rels, states, CTX).lines() == want
+    assert gauss.check_model2(states, CTX).lines() == want
     assert len(pids) == 2
     assert _killed(statuses)
 
@@ -1278,7 +1077,7 @@ def test_split_cli_run_prints_each_line_once(tmp_path):
         out = tmp_path / f"report{count}.txt"
         proc = subprocess.run(
             [sys.executable, "-c", _CLI_WITH_PROCESSES, count, "verify",
-             "--suite", "pointwise", "--n", "3", "--samples", "60",
+             "--suite", "invariance", "--n", "3", "--samples", "60",
              "--out", str(out)],
             env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
             text=True, timeout=300)
@@ -1288,9 +1087,7 @@ def test_split_cli_run_prints_each_line_once(tmp_path):
         assert out.read_text() == report
         runs.append((proc.returncode, proc.stdout))
     assert runs[0] == runs[1]
-    assert len(runs[0][1].splitlines()) == 1 + len(
-        weyl.coordinate_relations(3) + weyl.localized_relations(3)
-        + weyl.hermitian_generators(3))
+    assert len(runs[0][1].splitlines()) == 1 + len(uq.generators(3))
 
 
 def test_represent_memo_matches_fresh_build():
@@ -1380,7 +1177,7 @@ def _m2_scaled(c, ops):
 
 def _oracle_relations(ctx, ops):
     """Each relation's operator terms, by case name, in the catalog's order."""
-    qv, lam = ctx.q_value, ctx.lambda_value
+    qv, lam = ctx.q_value, 2j * math.sin(ctx.phi)
     rels = {"xy": [_m2_compose(ops["x"], ops["y"]),
                    _m2_scaled(-qv * qv, _m2_compose(ops["y"], ops["x"])),
                    _m2_scaled(-(1.0 - qv * qv), ops["one"])]}
