@@ -683,6 +683,74 @@ def test_an_exact_relation_takes_no_gaussian_work(monkeypatch):
         assert {c.residual for c in rep.cases} == {0.0}
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_cancelling_relations_get_no_gram_pairs(n, monkeypatch):
+    # no overlap of two packets, and no shift of one, for a relation whose
+    # exact image is empty, at either sign of phi
+    states = gauss.sample_states(n, random.Random(70 + n), 3)
+    calls = []
+    for name in ("_apply_leg", "_leg_overlap"):
+        fn = getattr(gauss, name)
+        monkeypatch.setattr(gauss, name, lambda *a, fn=fn, name=name: (
+            calls.append(name), fn(*a))[1])
+    for ctx in (CTX, NEG):
+        for rels in _catalogs(n):
+            rep = gauss.check_relations_pointwise(n, rels, states, ctx)
+            assert [c.case for c in rep.cases] == [rel.name for rel in rels]
+            assert {c.residual for c in rep.cases} == {0.0}
+    assert calls == []
+    # the same sweep shifts and overlaps packets once a relation is live
+    rels = weyl.coordinate_relations(n)
+    (scalar, atoms), *rest = rels[0].terms
+    doubled = weyl.Relation(rels[0].name, ((scalar + scalar, atoms), *rest))
+    gauss.check_relations_pointwise(n, [doubled], states, CTX)
+    assert set(calls) == {"_apply_leg", "_leg_overlap"}
+
+
+def _unpruned_residuals(n, rels, states, ctx):
+    """Each relation's worst residual over ``states`` on the plain route,
+    a relation whose exact image is empty included."""
+    out = []
+    for rel in rels:
+        pieces = [gauss.represent_terms(n, (term,), ctx) for term in rel.terms]
+        residuals = []
+        for state in states:
+            scale, image = norm(state), GaussianState.zero(n)
+            for ops in pieces:
+                piece = apply_ops(ops, state)
+                scale = max(scale, norm(piece))
+                image = image + piece
+            residuals.append(norm(image) / scale)
+        out.append(max(residuals))
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_pruned_residuals_are_bit_identical_to_the_unpruned_route(
+        n, monkeypatch, fresh_represent):
+    # with R's first leg doubled some relations are live and the rest exact:
+    # a live one's residual is the plain route's to the bit, an exact one's
+    # is 0.0 where the plain route reads rounding
+    monkeypatch.setattr(gauss, "_atom_variants", _planted("R-first-leg-doubled"))
+    live = 0
+    for seed in (1, 2):
+        states = gauss.sample_states(n, random.Random(100 * seed + n), 3)
+        for ctx in (CTX, NEG):
+            gauss._represented.cache_clear()
+            for rels in _catalogs(n):
+                want = _unpruned_residuals(n, rels, states, ctx)
+                got = gauss.check_relations_pointwise(n, rels, states, ctx)
+                for rel, case, plain in zip(rels, got.cases, want,
+                                            strict=True):
+                    if gauss.torus_terms(n, rel.terms):
+                        live += 1
+                        assert case.residual.hex() == plain.hex()
+                    else:
+                        assert case.residual == 0.0
+                        assert plain <= ctx.tolerance
+    assert live > 0
+
+
 @pytest.mark.parametrize("n, rels, name", [
     (2, weyl.localized_relations(2), "Qy[k=2,j=1]"),
     (1, weyl.ab_rho_relations(1), "qAB1[unit,1]"),
