@@ -149,10 +149,11 @@ def _power(base, k, one, mul=operator.mul):
 
 
 def _coefficient_bits(c):
-    """The bits by which the work bound counts a coefficient's powers: half
-    those of ``|c|^2``'s numerator times its denominator, 0 for a unit."""
-    n = c.real ** 2 + c.imag ** 2
-    return ((n.numerator * n.denominator - 1).bit_length() + 1) // 2
+    """The work bound's bits of a coefficient, 0 for a unit: half those of
+    the largest numerator times denominator of |c|^2 and its parts' squares."""
+    n = max(x.numerator * x.denominator for x in
+            (c.real ** 2 + c.imag ** 2, c.real ** 2, c.imag ** 2))
+    return ((n - 1).bit_length() + 1) // 2
 
 
 def _power_bits(side, m):
@@ -192,9 +193,13 @@ def _shifted_power(s, k, e):
                 raise _unprintable(f"{max(top)} bits")
         elif limit and m > 1:
             # the larger part of c^m lies in [|c|^m/sqrt(2), |c|^m], so its
-            # numerator (|c| > 1) or denominator has more than `low` digits
+            # numerator (|c| > 1) or denominator has more than `low` digits;
+            # for c = (a+b*i)/d in lowest terms no odd prime of d divides both
+            # parts of (a+b*i)^m, so the larger denominator is >= d_odd^(m/2)
             top, bottom = (b.real ** 2 + b.imag ** 2).as_integer_ratio()
-            low = m * abs(math.log10(top) - math.log10(bottom)) / 2 - 0.16
+            d = math.lcm(b.real.denominator, b.imag.denominator)
+            low = m * max(abs(math.log10(top) - math.log10(bottom)),
+                          math.log10(d // (d & -d))) / 2 - 0.16
             if low > limit + 1:
                 raise _unprintable(f"more than {math.floor(low)} digits")
         num = (_exact_coeff(_power(c, m, 1)),)

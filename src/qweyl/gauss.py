@@ -20,10 +20,11 @@ Gaussian integral ``sqrt(pi/a) * exp(b**2/(4a))``.
 
 The atom table is exact: each entry is a sign, a power of ``q`` and integer
 legs, so a word's image is an element of the quantum torus over Q(i)(q0),
-where the phase of exponent ``k`` is ``q0**(-2k)``.  A pointwise relation
-line merges the relation's image there first: an empty sum proves the
-relation, and its residual is 0.0 with no Gaussian work.  Only a relation
-that does not cancel is evaluated at ``phi`` and applied to the states.  A
+where the phase of exponent ``k`` is ``q0**(-2k)``: ``_word_image`` gives
+it as signs per ``(legs, k)``, which ``torus_terms`` reads exactly and
+``represent_terms`` at ``phi``.  A relation line merges the exact image
+first: an empty sum proves the relation, with residual 0.0 and no Gaussian
+work.  Only a relation that does not cancel is applied to the states.  A
 NaN residual raises ``OverflowError`` rather than pass.
 """
 
@@ -209,36 +210,27 @@ def _atom_variants(atom, n):
     raise ValueError(f"unknown atom kind {kind!r}")
 
 
-def represent_word(n, atoms, ctx, scalar=1.0 + 0j):
-    """Represent a free product of generator atoms as elementary operators."""
-    q = ctx.q_value
-    ops = [(complex(scalar), 0, ((0, 0),) * n)]
-    for atom in reversed(tuple(atoms)):
-        # not float(s) * q**0: a negative sign would give the scalar -0.0j
-        variants = [(float(s) * q ** e if e else float(s) + 0j, 0, legs)
-                    for s, e, legs in _atom_variants(atom, n)]
+def _word_image(n, atoms):
+    """A word's atom entries composed on ``_then``, ``q**e`` carried as the
+    Weyl exponent ``k = -e``: ``(sign, k, legs)`` triples whose equal
+    ``(legs, k)`` add their signs after each atom of two entries."""
+    ops = [(1, 0, ((0, 0),) * n)]
+    for atom in reversed(atoms):
+        variants = [(s, -e, legs) for s, e, legs in _atom_variants(atom, n)]
         ops = [_then(op, v) for op in ops for v in variants]
-    return [_operator(op, ctx.phi) for op in ops]
+        if len(ops) > len(variants) > 1:  # one product's extensions differ
+            signs = accumulate({}, (((legs, k), s) for s, k, legs in ops))
+            ops = [(s, k, legs) for (legs, k), s in signs.items()]
+    return ops
 
 
 def torus_terms(n, terms):
     """The exact image of a weighted word list ``((scalar, atoms), ...)`` in
-    the quantum torus, as legs -> nonzero ``ScalarValue``.
-
-    Each word composes its atoms' exact entries on ``_then``'s rule, with
-    ``q**e`` carried as the Weyl exponent ``k = -e``, since ``exp(-1j*phi*k)``
-    is ``q0**(-2k)``.  Equal ``(legs, word, k)`` add their signs first, so
-    scalar arithmetic is spent only on what survives.
-    """
-    signs = {}
-    for word, (_, atoms) in enumerate(terms):
-        ops = [(1, 0, ((0, 0),) * n)]
-        for atom in reversed(atoms):
-            variants = [(s, -e, legs) for s, e, legs in _atom_variants(atom, n)]
-            ops = [_then(op, v) for op in ops for v in variants]
-        accumulate(signs, (((legs, word, k), s) for s, k, legs in ops))
-    return accumulate({}, ((legs, terms[word][0] * _monomial(s, -2 * k))
-                           for (legs, word, k), s in signs.items()))
+    the quantum torus, as legs -> nonzero ``ScalarValue``: each word's
+    ``_word_image`` read with the phase of exponent ``k`` as ``q0**(-2k)``."""
+    return accumulate({}, ((legs, cv * _monomial(s, -2 * k))
+                           for cv, atoms in terms
+                           for s, k, legs in _word_image(n, atoms)))
 
 
 @functools.cache
@@ -248,11 +240,12 @@ def _monomial(c, e):
 
 
 def represent_terms(n, terms, ctx):
-    """Represent a weighted word list ``((scalar, atoms), ...)``; operators
-    with equal legs merge into one, in the order they first appear."""
-    merged = accumulate({}, ((op.legs, op.scalar) for cv, atoms in terms
-                             for op in represent_word(n, atoms, ctx,
-                                                      scalar=cv.evaluate(ctx))))
+    """Represent a weighted word list ``((scalar, atoms), ...)`` from its
+    words' ``_word_image`` at ``phi``, equal legs merged in first order."""
+    ops = (_operator((c * s, k, legs), ctx.phi)
+           for c, atoms in ((cv.evaluate(ctx), atoms) for cv, atoms in terms)
+           for s, k, legs in _word_image(n, atoms))
+    merged = accumulate({}, ((op.legs, op.scalar) for op in ops))
     return [ElementaryOperator(s, legs, ctx.phi) for legs, s in merged.items()]
 
 
@@ -493,7 +486,7 @@ def _model2_atom(atom, q_value):
 
 def model2_represent(terms, ctx):
     """Represent a weighted word list ``((scalar, atoms), ...)`` in the model;
-    each word composes its atoms' pairs as ``represent_word`` does."""
+    each word composes its atoms' pairs on ``_then`` as ``_word_image`` does."""
     beta = 2.0 * ctx.phi - math.copysign(math.pi, ctx.phi)
     out = []
     for cv, atoms in terms:

@@ -896,6 +896,7 @@ def test_cli_refuses_unprintable_coefficient_powers_unformed(
     (1, "((1+i)/7*y1)^600000", 416749),
     (1, "((1+i)/7)^-600000", 416749),
     (2, "((3-4*i)*K2)^-6160", 4305),
+    (1, "(3/5+4/5*i)^100000", 34948),
 ])
 def test_cli_refuses_gaussian_rational_powers_unformed(capsys, monkeypatch,
                                                        n, text, digits):
@@ -926,6 +927,8 @@ def test_cli_refuses_gaussian_rational_powers_unformed(capsys, monkeypatch,
                           "the work bound 4194304"),
     (1, "(2*K1)^16000000", "power 16000000 of a coefficient of 1 bits passes "
                            "the work bound 4194304"),
+    (1, "(3/5+4/5*i)^1000000", "power 1000000 of a coefficient of 5 bits "
+                               "passes the work bound 4194304"),
     (1, "(7*q0)^1398101", "q0 degree 1398101 exceeds the bound 100000"),
     (2, "(7*y1*x2)^1398101", "q0 degree 1954685008100 exceeds the bound "
                              "100000"),

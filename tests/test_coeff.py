@@ -760,9 +760,12 @@ def test_powers_form_no_gcd(monkeypatch):
 
 def test_coefficient_power_checks_its_bits_before_forming_it(monkeypatch):
     # 7 and 2/3 have 3 bits each (half those of 49 and 4/9), 2 and 1+i one,
-    # and a unit none
+    # 3/5 + 4/5*i, of modulus 1, five (half those of (4/5)^2), and a unit
+    # none
     monkeypatch.setattr(coeff, "MAX_POWER_WORK", 300)
     assert integer(7) ** 100 == integer(7 ** 100)
+    assert gaussian(Fraction(3, 5), Fraction(4, 5)) ** 60 == \
+        gaussian(3, 4) ** 60 * rational(1, 5 ** 60)
     assert rational(2, 3) ** -100 == rational(3 ** 100, 2 ** 100)
     assert gaussian(1, 1) ** 300 == integer(-(2 ** 150))
     for unit in (ONE, -ONE, coeff.I, -coeff.I):
@@ -771,7 +774,8 @@ def test_coefficient_power_checks_its_bits_before_forming_it(monkeypatch):
         rational(1, 5 ** 100) * q0_power(-300)
     for base, k, bits in ((integer(7), 101, 3), (rational(2, 3), -101, 3),
                           (integer(2) * Q0, 301, 1),
-                          (gaussian(1, 1), -301, 1)):
+                          (gaussian(1, 1), -301, 1),
+                          (gaussian(Fraction(3, 5), Fraction(4, 5)), 61, 5)):
         with pytest.raises(ValueError) as err:
             base ** k
         assert str(err.value) == (f"power {k} of a coefficient of {bits} bits "
@@ -820,11 +824,13 @@ def test_library_powers_past_the_printer_are_refused_unformed(monkeypatch):
 
 @pytest.mark.parametrize("re, im", [
     (3, 4), (7, -7), (Fraction(1, 7), Fraction(1, 7)),
-    (Fraction(2, 3), Fraction(-5, 2)), (Fraction(-1, 10), Fraction(1, 5))])
+    (Fraction(2, 3), Fraction(-5, 2)), (Fraction(-1, 10), Fraction(1, 5)),
+    (Fraction(3, 5), Fraction(4, 5)), (Fraction(1, 2), Fraction(1, 3))])
 def test_gaussian_rational_powers_are_refused_on_a_sure_digit_bound(
         monkeypatch, re, im):
     # a power of a + b*i, both parts nonzero, is refused unformed when more
-    # than D > limit digits must print, and it has more than D
+    # than D > limit digits must print, and it has more than D; 3/5 + 4/5*i
+    # has modulus 1, so only its denominator's odd part bounds D
     limit, formed, power = 60, [], coeff._power
 
     def watched(*args):

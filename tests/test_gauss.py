@@ -7,6 +7,7 @@ import random
 import signal
 import subprocess
 import sys
+from fractions import Fraction
 from unittest import mock
 
 import pytest
@@ -14,11 +15,10 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import quad
 
 from qweyl import cli, gauss, haar, uq, weyl
-from qweyl.coeff import ONE, Q, NumericContext
+from qweyl.coeff import ONE, Q, NumericContext, gaussian
 from qweyl.errors import ShapeMismatch
 from qweyl.gauss import (ElementaryOperator, GaussianState, _apply_leg,
-                         _operator, _then, apply_ops, inner, norm, represent,
-                         represent_word)
+                         _operator, _then, apply_ops, inner, norm, represent)
 from qweyl.report import SuiteReport
 from qweyl.sparse import accumulate
 
@@ -118,20 +118,44 @@ def test_operator_word_exchange_collapses_identically():
     assert lhs.scalar == pytest.approx(rhs.scalar, rel=1e-15)
 
 
-def test_represent_word_forms_each_phase_once(monkeypatch):
+def test_represent_terms_forms_each_phase_once(monkeypatch):
     # the word's operators pick up Weyl phases at several composition steps;
-    # each returned operator may form one phase at most
+    # each distinct nonzero (legs, k) of its exact image forms one phase
     calls = []
 
     def exp(z):
         calls.append(z)
         return cmath.exp(z)
 
-    monkeypatch.setattr(gauss, "cmath", mock.Mock(exp=exp))
     atoms = (("y", 1), ("R", 1, 1), ("x", 1), ("y", 2), ("R", 1, 2),
              ("y", 1), ("R", 2, -1), ("x", 2))
-    ops = represent_word(2, atoms, CTX)
-    assert calls and len(calls) <= len(ops)
+    phased = {(legs, k) for _, k, legs in gauss._word_image(2, atoms) if k}
+    monkeypatch.setattr(gauss, "cmath", mock.Mock(exp=exp))
+    gauss.represent_terms(2, ((ONE, atoms),), CTX)
+    assert calls and len(calls) <= len(phased)
+
+
+def test_x_powers_expand_in_their_distinct_legs(monkeypatch):
+    # the 2**m products of an x power's entries meet in few (legs, k): the
+    # expansion adds their signs after each x atom, where composing every
+    # product would take 2**25 - 2 steps for x1^24 on each of the two paths
+    steps, then = [], gauss._then
+    monkeypatch.setattr(gauss, "_then",
+                        lambda *a: (steps.append(None), then(*a))[1])
+    for atoms, bound in (((("x", 1),) * 24, 52000),
+                         ((("y", 1),) * 12 + (("x", 1),) * 12, 10500)):
+        steps.clear()
+        exact = gauss.torus_terms(1, ((ONE, atoms),))
+        ops = gauss.represent_terms(1, ((ONE, atoms),), CTX)
+        assert len(steps) <= bound
+        assert {op.legs for op in ops} == set(exact)
+        # a float scalar sums integer signs times phases, so it rounds
+        # relative to the largest integer coefficient of the exact image
+        scale = max(abs(complex(c)) for value in exact.values()
+                    for c in value.num)
+        for op in ops:
+            assert abs(op.scalar - exact[op.legs].evaluate(CTX)) <= \
+                1e-12 * scale
 
 
 # -- the float-leg oracle ------------------------------------------------------
@@ -164,7 +188,9 @@ def _float_variants(atom, n, ctx):
 
 
 def _float_represent_word(n, atoms, ctx, scalar=1.0 + 0j):
-    """``(scalar, float legs)`` per term, in ``represent_word``'s order."""
+    """``(scalar, float legs)`` per product of the atoms' entries, unmerged:
+    ``_float_variants`` composed at float phases, in the order of
+    ``_then``'s expansion."""
     ops = [(complex(scalar), ((0.0, 0.0),) * n)]
     for atom in reversed(atoms):
         out = []
@@ -211,17 +237,22 @@ def test_integer_legs_match_the_float_oracle(data):
     phi = data.draw(st.floats(0.05, 3.1))
     assume(abs(phi - math.pi / 2) > 1e-6)
     ctx = NumericContext(phi=phi if data.draw(st.booleans()) else -phi)
-    scalar = complex(data.draw(_unit), data.draw(_unit))
-    got = represent_word(n, atoms, ctx, scalar)
-    want = _float_represent_word(n, atoms, ctx, scalar)
-    assert len(got) == len(want)
-    for op, (value, legs) in zip(got, want):
-        assert op.phi == ctx.phi
-        assert all(type(t) is int and type(m) is int for t, m in op.legs)
-        assert [t for t, _ in op.legs] == [t for t, _ in legs]
-        for (_, m), (_, p) in zip(op.legs, legs):
+    re, im = data.draw(_unit), data.draw(_unit)
+    ops = gauss.represent_terms(
+        n, ((gaussian(Fraction(re), Fraction(im)), atoms),), ctx)
+    assert all(op.phi == ctx.phi for op in ops)
+    got = {op.legs: op.scalar for op in ops}
+    assert all(type(t) is int and type(m) is int
+               for legs in got for t, m in legs)
+    # the oracle's float legs, merged per (t, round(p/phi))
+    want = {}
+    for value, legs in _float_represent_word(n, atoms, ctx, complex(re, im)):
+        key = tuple((int(t), round(p / ctx.phi)) for t, p in legs)
+        for (_, m), (_, p) in zip(key, legs):
             assert abs(m * ctx.phi - p) <= 1e-12
-        assert abs(op.scalar - value) <= 1e-12
+        want[key] = want.get(key, 0j) + value
+    for legs in got.keys() | want.keys():
+        assert abs(got.get(legs, 0j) - want.get(legs, 0j)) <= 1e-12
 
 
 def test_one_element_represented_at_two_phis_in_one_process():
