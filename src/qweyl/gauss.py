@@ -16,7 +16,10 @@ stays one integer pair and operators with equal legs merge exactly; a
 composite ``(scalar, k, legs)`` forms its phase of exponent ``k`` once.
 Applying any represented element to a state stays inside the family, and
 all inner products, linear in the first argument, reduce to the closed-form
-Gaussian integral ``sqrt(pi/a) * exp(b**2/(4a))``.
+Gaussian integral ``sqrt(pi/a) * exp(b**2/(4a))``.  Two kernels act on one
+packet product at a time: ``_shifted`` is the one place that forms a P-shift
+and ``_overlap`` the one that evaluates the integral; the states of the
+two-component model are keyed on the same one-leg packets.
 
 The atom table is exact: each entry is a sign, a power of ``q`` and integer
 legs, so a word's image is an element of the quantum torus over Q(i)(q0),
@@ -44,28 +47,37 @@ from .sparse import Combination, accumulate
 from .weyl import hermitian_generators, localized_relations, sign_of
 
 
-def _apply_leg(eps, gamma, leg, phi):
-    """Apply the shift leg ``(t, m)`` to ``exp(-eps*s**2 + gamma*s)``.
+def _shifted(key, legs, phi, val):
+    """Apply one shift leg ``(t, m)`` per tensor leg to the packet product
+    ``key``, multiplying ``val`` by each leg's prefactor in leg order.
 
-    Returns ``(gamma', prefactor)``; ``eps`` is unchanged.  This is the one
-    place that forms a P-shift, ``p = m*phi``.
+    Returns ``(key', val')``; each ``eps`` is unchanged and ``p = m*phi``.
     """
-    t, m = leg
-    if t:
-        gamma = gamma + t
-    if not m:
-        return gamma, 1.0 + 0j
-    p = m * phi
-    # not a no-op: the product by one turns a -0.0 part into +0.0
-    pre = (1.0 + 0j) * cmath.exp(eps * p * p + 1j * gamma * p)
-    return gamma - 2j * eps * p, pre
+    out = []
+    for i, (t, m) in enumerate(legs):
+        eps, gamma = key[i]
+        if t:
+            gamma = gamma + t
+        # not no-ops: each product by one turns a -0.0 part into +0.0
+        if m:
+            p = m * phi
+            val *= (1.0 + 0j) * cmath.exp(eps * p * p + 1j * gamma * p)
+            gamma = gamma - 2j * eps * p
+        else:
+            val *= 1.0 + 0j
+        out.append((eps, gamma))
+    return tuple(out), val
 
 
-def _leg_overlap(e1, g1, e2, g2):
-    # integral of exp(-(e1+e2)t^2 + (g1 + conj(g2))t) over the line
-    a = e1 + e2
-    b = g1 + g2.conjugate()
-    return math.sqrt(math.pi / a) * cmath.exp(b * b / (4.0 * a))
+def _overlap(prod, ku, kv):
+    """``prod`` times each leg pair's integral of
+    ``exp(-(e1+e2)t^2 + (g1 + conj(g2))t)`` over the line."""
+    for i, (e1, g1) in enumerate(ku):
+        e2, g2 = kv[i]
+        a = e1 + e2
+        b = g1 + g2.conjugate()
+        prod *= math.sqrt(math.pi / a) * cmath.exp(b * b / (4.0 * a))
+    return prod
 
 
 class GaussianState(Combination):
@@ -114,10 +126,7 @@ def inner(u, v):
     total = 0j
     for ku, au in u.terms.items():
         for kv, av in v.terms.items():
-            prod = au * av.conjugate()
-            for (e1, g1), (e2, g2) in zip(ku, kv):
-                prod *= _leg_overlap(e1, g1, e2, g2)
-            total += prod
+            total += _overlap(au * av.conjugate(), ku, kv)
     return total
 
 
@@ -173,20 +182,18 @@ def apply_ops(ops, state):
         if len(op.legs) != state.n:
             raise ShapeMismatch(f"operator has {len(op.legs)} legs, "
                                 f"state has {state.n}")
-
-    def images():
-        for key, amp in state.terms.items():
-            for op in ops:
-                val = amp * op.scalar
-                phi = op.phi
-                newkey = []
-                for (eps, gam), leg in zip(key, op.legs):
-                    gam, pre = _apply_leg(eps, gam, leg, phi)
-                    val *= pre
-                    newkey.append((eps, gam))
-                yield tuple(newkey), val
-
-    return GaussianState(state.n, accumulate({}, images()))
+    out = {}
+    for key, amp in state.terms.items():
+        for op in ops:
+            key2, val = _shifted(key, op.legs, op.phi, amp * op.scalar)
+            acc = out.get(key2)
+            if acc is not None:
+                val = acc + val
+            if val:
+                out[key2] = val
+            else:
+                out.pop(key2, None)
+    return GaussianState(state.n, out)
 
 
 # -- representation of algebra elements ----------------------------------------
@@ -450,8 +457,9 @@ def sample_states(n, rng, count):
 
 # -- the rank-one two-component model (single coordinate pair only) -----------
 #
-# States are dicts keyed by ``(eps, gamma, component)``; operators are sums of
-# (one-leg ElementaryOperator, 2x2 matrix) pairs.
+# States are dicts keyed by ``(packet, component)``, a packet the one-leg key
+# ``((eps, gamma),)`` of a ``GaussianState``; operators are sums of (one-leg
+# ElementaryOperator, 2x2 matrix) pairs.
 
 SIGMA0 = ((1.0 + 0j, 0j), (0j, -1.0 + 0j))
 SIGMA1 = ((0j, 1.0 + 0j), (1.0 + 0j, 0j))
@@ -502,35 +510,32 @@ def model2_represent(terms, ctx):
 def model2_random_state(rng):
     state = {}
     for _ in range(rng.randint(1, 2)):
-        key = (rng.uniform(0.5, 2.0),
-               complex(rng.uniform(-1.4, 1.4), rng.uniform(-1.4, 1.4)),
+        key = (((rng.uniform(0.5, 2.0),
+                 complex(rng.uniform(-1.4, 1.4), rng.uniform(-1.4, 1.4))),),
                rng.randint(0, 1))
         amp = complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
         state[key] = state.get(key, 0j) + amp
-    return state or {(1.0, 0j, 0): 1.0 + 0j}
+    return state or {(((1.0, 0j),), 0): 1.0 + 0j}
 
 
 def model2_apply(ops, state):
-    def images():
-        for (eps, gam, comp), amp in state.items():
-            for op, mat in ops:
-                shifted, pre = _apply_leg(eps, gam, op.legs[0], op.phi)
-                base = amp * op.scalar * pre
-                for row in range(2):
-                    entry = mat[row][comp]
-                    if entry != 0:
-                        yield (eps, shifted, row), base * entry
-
-    return accumulate({}, images())
+    images = []
+    for (packet, comp), amp in state.items():
+        for op, mat in ops:
+            shifted, base = _shifted(packet, op.legs, op.phi, amp * op.scalar)
+            for row in range(2):
+                entry = mat[row][comp]
+                if entry != 0:
+                    images.append(((shifted, row), base * entry))
+    return accumulate({}, images)
 
 
 def model2_inner(u, v):
     total = 0j
-    for (e1, g1, c1), a1 in u.items():
-        for (e2, g2, c2), a2 in v.items():
-            if c1 != c2:
-                continue
-            total += a1 * a2.conjugate() * _leg_overlap(e1, g1, e2, g2)
+    for (k1, c1), a1 in u.items():
+        for (k2, c2), a2 in v.items():
+            if c1 == c2:
+                total += _overlap(a1 * a2.conjugate(), k1, k2)
     return total
 
 
@@ -538,9 +543,9 @@ def model2_norm(u):
     return math.sqrt(abs(model2_inner(u, u)))
 
 
-def _m2_relation_residual(op_terms, state):
-    """Relative residual of a vanishing sum of operator terms on one state."""
-    scale = model2_norm(state)
+def _m2_relation_residual(op_terms, state, scale):
+    """Relative residual of a vanishing sum of operator terms on one state
+    whose norm is ``scale``."""
     total = {}
     for ops in op_terms:
         piece = model2_apply(ops, state)
@@ -561,7 +566,7 @@ def check_model2(states, ctx):
                                  ("Qxy[x]", "Qxy[x]"), ("defQ[k=1]", "Qdef"))]
     work = sum(len(ops) for _, pieces in cases for ops in pieces) \
         * sum(len(state) for state in states)
-    _sweep(rep, ctx.tolerance, cases, [(u,) for u in states],
+    _sweep(rep, ctx.tolerance, cases, [(u, model2_norm(u)) for u in states],
            _m2_relation_residual, work)
 
     for name, element in hermitian_generators(1):

@@ -17,8 +17,9 @@ from scipy.integrate import quad
 from qweyl import cli, gauss, haar, uq, weyl
 from qweyl.coeff import ONE, Q, NumericContext, gaussian
 from qweyl.errors import ShapeMismatch
-from qweyl.gauss import (ElementaryOperator, GaussianState, _apply_leg,
-                         _operator, _then, apply_ops, inner, norm, represent)
+from qweyl.gauss import (ElementaryOperator, GaussianState, _operator,
+                         _overlap, _shifted, _then, apply_ops, inner, norm,
+                         represent)
 from qweyl.report import SuiteReport
 from qweyl.sparse import accumulate
 
@@ -45,21 +46,26 @@ def _random_leg(rng):
 # -- elementary shifts ------------------------------------------------------
 
 
+def _one_leg(leg, packet, phi):
+    """``_shifted`` on the one-leg key ``(packet,)`` from the value one:
+    the shifted key and the leg's prefactor."""
+    return _shifted((packet,), (leg,), phi, 1.0 + 0j)
+
+
 def test_shift_t_examples():
     phi = CTX.phi
-    assert _apply_leg(1.0, 0j, (0, 0), phi) == (0j, 1.0 + 0j)
-    assert _apply_leg(1.0, 0j, (2, 0), phi) == (2.0 + 0j, 1.0 + 0j)
-    first, _ = _apply_leg(1.0, 0j, (-1, 0), phi)
-    assert _apply_leg(1.0, first, (3, 0), phi) == \
-        _apply_leg(1.0, 0j, (2, 0), phi)
+    assert _one_leg((0, 0), (1.0, 0j), phi) == (((1.0, 0j),), 1.0 + 0j)
+    assert _one_leg((2, 0), (1.0, 0j), phi) == (((1.0, 2.0 + 0j),), 1.0 + 0j)
+    (first,), _ = _one_leg((-1, 0), (1.0, 0j), phi)
+    assert _one_leg((3, 0), first, phi) == _one_leg((2, 0), (1.0, 0j), phi)
 
 
 def test_shift_p_single_step_values():
-    gamma, pre = _apply_leg(1.0, 0j, (0, 1), 1.0)
+    (((_, gamma),), pre) = _one_leg((0, 1), (1.0, 0j), 1.0)
     assert gamma == -2j
     assert pre == pytest.approx(math.e)
     # the P-shift is m units of phi
-    assert _apply_leg(1.0, 0j, (0, 2), 0.5) == _apply_leg(1.0, 0j, (0, 1), 1.0)
+    assert _one_leg((0, 2), (1.0, 0j), 0.5) == _one_leg((0, 1), (1.0, 0j), 1.0)
 
 
 def test_shift_p_matches_imaginary_translation():
@@ -68,7 +74,7 @@ def test_shift_p_matches_imaginary_translation():
         eps, gamma = _random_leg(rng)
         phi = rng.uniform(-0.75, 0.75)
         m = rng.choice((-2, -1, 1, 2))
-        shifted, pre = _apply_leg(eps, gamma, (0, m), phi)
+        (((_, shifted),), pre) = _one_leg((0, m), (eps, gamma), phi)
         for t in (-1.3, 0.0, 0.7, 2.1):
             direct = packet_value(eps, gamma, t + 1j * m * phi)
             got = pre * packet_value(eps, shifted, t)
@@ -83,9 +89,9 @@ def test_weyl_exchange_relation_exact_fields():
         phi = rng.uniform(-1, 1)
         alpha = rng.randint(-2, 2)
         m = rng.randint(-2, 2)
-        lhs, lhs_pre = _apply_leg(eps, gamma, (alpha, m), phi)
-        mid, pre_p = _apply_leg(eps, gamma, (0, m), phi)
-        rhs, pre_t = _apply_leg(eps, mid, (alpha, 0), phi)
+        (lhs,), lhs_pre = _one_leg((alpha, m), (eps, gamma), phi)
+        (mid,), pre_p = _one_leg((0, m), (eps, gamma), phi)
+        (rhs,), pre_t = _one_leg((alpha, 0), mid, phi)
         assert lhs == rhs
         rhs_pre = cmath.exp(1j * m * phi * alpha) * pre_p * pre_t
         assert lhs_pre == pytest.approx(rhs_pre, rel=1e-13)
@@ -208,17 +214,15 @@ def _float_represent_word(n, atoms, ctx, scalar=1.0 + 0j):
 
 def _float_apply(float_ops, state):
     """Apply float-leg operators: a leg ``(t, p)`` is ``(t, 1)`` in units
-    of ``p``."""
+    of ``p``, shifted on its one-leg key."""
     def images():
         for key, amp in state.terms.items():
             for scalar, legs in float_ops:
-                val = amp * scalar
-                newkey = []
-                for (eps, gam), (t, p) in zip(key, legs):
-                    gam, pre = _apply_leg(eps, gam, (t, 1), p)
-                    val *= pre
-                    newkey.append((eps, gam))
-                yield tuple(newkey), val
+                val, newkey = amp * scalar, ()
+                for packet, (t, p) in zip(key, legs):
+                    shifted, val = _shifted((packet,), ((t, 1),), p, val)
+                    newkey += shifted
+                yield newkey, val
 
     return GaussianState(state.n, accumulate({}, images()))
 
@@ -335,6 +339,14 @@ def test_from_legs_refuses_non_finite_gamma():
             GaussianState.from_legs(1.0, [(1.0, 0j), (1.0, gamma)])
 
 
+def _leg_overlap(e1, g1, e2, g2):
+    """The integral of ``exp(-(e1+e2)t^2 + (g1 + conj(g2))t)`` over the
+    line, written out here so that no reference shares ``gauss._overlap``."""
+    a = e1 + e2
+    b = g1 + g2.conjugate()
+    return math.sqrt(math.pi / a) * cmath.exp(b * b / (4.0 * a))
+
+
 def _inner_reference(u, v):
     """The ordered double loop over term pairs, one leg overlap at a time."""
     u._match(v)
@@ -343,7 +355,7 @@ def _inner_reference(u, v):
         for kv, av in v.terms.items():
             prod = au * av.conjugate()
             for (e1, g1), (e2, g2) in zip(ku, kv):
-                prod *= gauss._leg_overlap(e1, g1, e2, g2)
+                prod *= _leg_overlap(e1, g1, e2, g2)
             total += prod
     return total
 
@@ -622,7 +634,7 @@ def _norm_pairs_reference(u):
         for j, (kv, av) in enumerate(items[i:]):
             prod = au * av.conjugate()
             for (e1, g1), (e2, g2) in zip(ku, kv):
-                prod *= gauss._leg_overlap(e1, g1, e2, g2)
+                prod *= _leg_overlap(e1, g1, e2, g2)
             total += 2.0 * prod.real if j else prod.real
     return math.sqrt(abs(total))
 
@@ -720,7 +732,7 @@ def test_cancelling_relations_get_no_gram_pairs(n, monkeypatch):
     # exact image is empty, at either sign of phi
     states = gauss.sample_states(n, random.Random(70 + n), 3)
     calls = []
-    for name in ("_apply_leg", "_leg_overlap"):
+    for name in ("_shifted", "_overlap"):
         fn = getattr(gauss, name)
         monkeypatch.setattr(gauss, name, lambda *a, fn=fn, name=name: (
             calls.append(name), fn(*a))[1])
@@ -735,7 +747,7 @@ def test_cancelling_relations_get_no_gram_pairs(n, monkeypatch):
     (scalar, atoms), *rest = rels[0].terms
     doubled = weyl.Relation(rels[0].name, ((scalar + scalar, atoms), *rest))
     gauss.check_relations_pointwise(n, [doubled], states, CTX)
-    assert set(calls) == {"_apply_leg", "_leg_overlap"}
+    assert set(calls) == {"_shifted", "_overlap"}
 
 
 def _unpruned_residuals(n, rels, states, ctx):
@@ -968,10 +980,10 @@ def _failing_model2(monkeypatch, name, fail):
     target = [gauss.model2_represent((term,), CTX) for term in catalog[name]]
     residual = gauss._m2_relation_residual
 
-    def patched(op_terms, state):
+    def patched(op_terms, state, scale):
         if op_terms == target:
             fail(state)
-        return residual(op_terms, state)
+        return residual(op_terms, state, scale)
 
     monkeypatch.setattr(gauss, "_m2_relation_residual", patched)
 
@@ -1320,7 +1332,7 @@ def test_model2_refuses_odd_powers_of_r():
 
 
 def _model2_states_of(drawn):
-    return [{(eps, complex(gr, gi), comp): complex(ar, ai)
+    return [{(((eps, complex(gr, gi)),), comp): complex(ar, ai)
              for (eps, gr, gi, comp), (ar, ai) in terms.items()}
             for terms in drawn]
 
@@ -1418,10 +1430,10 @@ def test_model2_residuals_are_bit_identical_to_the_reference_loops(drawn):
     for ctx in (CTX, NEG):
         relations = []
 
-        def recorded(op_terms, state):
+        def recorded(op_terms, state, scale):
             if state is states[0]:
                 relations.append(op_terms)
-            return residual(op_terms, state)
+            return residual(op_terms, state, scale)
 
         with mock.patch.object(gauss, "_m2_relation_residual", recorded):
             cases = gauss.check_model2(states, ctx).cases
@@ -1446,12 +1458,210 @@ def test_model2_q_display_matches_quadrature():
     # the model's scale operator against a quadrature of the shifted packet
     ctx = CTX
     ops = gauss.model2_represent(weyl.q_elem(1, 1).as_terms(), ctx)
-    state = {(1.0, 0.3 + 0.1j, 0): 1.0 + 0j}
+    state = {(((1.0, 0.3 + 0.1j),), 0): 1.0 + 0j}
     image = gauss.model2_apply(ops, state)
-    ((eps, gam, comp), amp), = image.items()
+    (((((eps, gam),), comp), amp),) = image.items()
     assert comp == 0
     beta = 2 * ctx.phi - math.copysign(math.pi, ctx.phi)
     for t in (-0.9, 0.2, 1.4):
         direct = -packet_value(1.0, 0.3 + 0.1j, t + 1j * beta)
         got = amp * cmath.exp(-eps * t * t + gam * t)
         assert got == pytest.approx(direct, rel=1e-12)
+
+
+# -- the per-term kernels against the per-leg loops ----------------------------
+#
+# The loops that ``_shifted`` and ``_overlap`` replaced, one shift leg and one
+# leg overlap per call, kept as references: every caller of the kernels
+# matches them to the bit, signed zeros included.
+
+
+def _apply_leg(eps, gamma, leg, phi):
+    """The shift leg ``(t, m)`` on one packet: ``(gamma', prefactor)``."""
+    t, m = leg
+    if t:
+        gamma = gamma + t
+    if not m:
+        return gamma, 1.0 + 0j
+    p = m * phi
+    pre = (1.0 + 0j) * cmath.exp(eps * p * p + 1j * gamma * p)
+    return gamma - 2j * eps * p, pre
+
+
+def _apply_ops_reference(ops, state):
+    def images():
+        for key, amp in state.terms.items():
+            for op in ops:
+                val = amp * op.scalar
+                newkey = []
+                for (eps, gam), leg in zip(key, op.legs):
+                    gam, pre = _apply_leg(eps, gam, leg, op.phi)
+                    val *= pre
+                    newkey.append((eps, gam))
+                yield tuple(newkey), val
+
+    return GaussianState(state.n, accumulate({}, images()))
+
+
+def _model2_apply_reference(ops, state):
+    def images():
+        for (((eps, gam),), comp), amp in state.items():
+            for op, mat in ops:
+                shifted, pre = _apply_leg(eps, gam, op.legs[0], op.phi)
+                base = amp * op.scalar * pre
+                for row in range(2):
+                    entry = mat[row][comp]
+                    if entry != 0:
+                        yield (((eps, shifted),), row), base * entry
+
+    return accumulate({}, images())
+
+
+def _model2_inner_reference(u, v):
+    total = 0j
+    for (((e1, g1),), c1), a1 in u.items():
+        for (((e2, g2),), c2), a2 in v.items():
+            if c1 != c2:
+                continue
+            total += a1 * a2.conjugate() * _leg_overlap(e1, g1, e2, g2)
+    return total
+
+
+def _bits(x):
+    """``x`` with each float, and each part of a complex, as ``float.hex``,
+    through tuples and a dict's items in order."""
+    if isinstance(x, float):
+        return x.hex()
+    if isinstance(x, complex):
+        return x.real.hex(), x.imag.hex()
+    if isinstance(x, dict):
+        return [_bits(item) for item in x.items()]
+    if isinstance(x, tuple):
+        return tuple(_bits(y) for y in x)
+    return x
+
+
+# a shift leg, and a scalar whose parts may be signed zeros
+_int_leg = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+_scalar = st.builds(complex, _amp_part, _amp_part)
+_m2_matrix = st.sampled_from([gauss.SIGMA0, gauss.SIGMA1, gauss.ID2,
+                              gauss.mat_mul(gauss.SIGMA0, gauss.SIGMA1)])
+_m2_atom = st.sampled_from([("y", 1), ("x", 1), ("R", 1, 2), ("R", 1, -2)])
+
+
+def _drawn_state(data, n):
+    state = GaussianState.zero(n)
+    for _ in range(data.draw(st.integers(1, 3))):
+        legs = [(data.draw(st.floats(0.5, 2.0)),
+                 complex(data.draw(_part), data.draw(_part)))
+                for _ in range(n)]
+        state = state + GaussianState.from_legs(data.draw(_scalar), legs)
+    return state
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_kernel_callers_are_bit_identical_to_the_per_leg_loops(data):
+    n = data.draw(st.integers(1, 3))
+    states = [_drawn_state(data, n) for _ in range(2)]
+    atoms = tuple(data.draw(st.lists(_atom.filter(lambda a: a[1] <= n),
+                                     max_size=3)))
+    drawn = data.draw(st.lists(st.tuples(_scalar, st.lists(
+        _int_leg, min_size=n, max_size=n)), max_size=3))
+    m2_states = _model2_states_of(data.draw(_model2_states))
+    m2_atoms = tuple(data.draw(st.lists(_m2_atom, max_size=3)))
+    m2_drawn = data.draw(st.lists(st.tuples(_scalar, _int_leg, _m2_matrix),
+                                  max_size=3))
+    for ctx in (CTX, NEG):
+        ops = gauss.represent_terms(n, ((ONE, atoms),), ctx)
+        ops += gauss.adjoint_ops(ops) + [
+            ElementaryOperator(s, tuple(legs), ctx.phi) for s, legs in drawn]
+        images = [apply_ops(ops, u) for u in states]
+        for u, image in zip(states, images):
+            assert _bits(image.terms) == \
+                _bits(_apply_ops_reference(ops, u).terms)
+        for u in states + images:
+            assert _bits(norm(u)) == \
+                _bits(math.sqrt(abs(_inner_reference(u, u))))
+            for v in states + images:
+                assert _bits(inner(u, v)) == _bits(_inner_reference(u, v))
+        m2_ops = gauss.model2_represent(((ONE, m2_atoms),), ctx) + [
+            (ElementaryOperator(s, (leg,), ctx.phi), m)
+            for s, leg, m in m2_drawn]
+        m2_images = [gauss.model2_apply(m2_ops, u) for u in m2_states]
+        for u, image in zip(m2_states, m2_images):
+            assert _bits(image) == _bits(_model2_apply_reference(m2_ops, u))
+        for u in m2_states + m2_images:
+            for v in m2_states + m2_images:
+                assert _bits(gauss.model2_inner(u, v)) == \
+                    _bits(_model2_inner_reference(u, v))
+
+
+# -- planted analytic defects ----------------------------------------------------
+#
+# Copies of the two kernels with one analytic defect each.  A relation line is
+# decided in the quantum torus, so none of them can fail one; each fails a
+# hermitian, invariance or cyclicity line of ``verify --seed 7`` at n = 1 and 2.
+
+
+def _planted_shifted(weight=1.0, sign=1, t_scale=1, p_shift=2j):
+    def shifted(key, legs, phi, val):
+        out = []
+        for (eps, gamma), (t, m) in zip(key, legs):
+            gamma = gamma + t_scale * t
+            if m:
+                p = m * phi
+                val *= cmath.exp(weight * eps * p * p + sign * 1j * gamma * p)
+                gamma = gamma - p_shift * eps * p
+            out.append((eps, gamma))
+        return tuple(out), val
+
+    return shifted
+
+
+def _planted_overlap(conjugated=True, four=4.0):
+    def overlap(prod, ku, kv):
+        for (e1, g1), (e2, g2) in zip(ku, kv):
+            a = e1 + e2
+            b = g1 + (g2.conjugate() if conjugated else g2)
+            prod *= math.sqrt(math.pi / a) * cmath.exp(b * b / (four * a))
+        return prod
+
+    return overlap
+
+
+_ANALYTIC_DEFECTS = {
+    "P-prefactor-0.7-minus": ("_shifted", _planted_shifted(weight=0.7,
+                                                           sign=-1)),
+    "overlap-unconjugated": ("_overlap", _planted_overlap(conjugated=False)),
+    "overlap-4.02a": ("_overlap", _planted_overlap(four=4.02)),
+    "T-shift-1.01t": ("_shifted", _planted_shifted(t_scale=1.01)),
+    "P-shift-2.02j": ("_shifted", _planted_shifted(p_shift=2.02j)),
+}
+
+
+def _seed7_cases(n):
+    """The pointwise, invariance and cyclicity cases of ``verify --seed 7``
+    at rank ``n``, as ``(suite, case)`` pairs."""
+    args = cli.build_arg_parser().parse_args(["verify", "--seed", "7"])
+    return [(suite, case) for suite in ("pointwise", "invariance", "cyclicity")
+            for case in cli._RUNNERS[suite](n, args).cases]
+
+
+def test_planted_kernel_copies_pass_without_a_defect(monkeypatch):
+    monkeypatch.setattr(gauss, "_shifted", _planted_shifted())
+    monkeypatch.setattr(gauss, "_overlap", _planted_overlap())
+    for n in (1, 2):
+        assert all(case.passed for _, case in _seed7_cases(n))
+
+
+@pytest.mark.parametrize("defect", list(_ANALYTIC_DEFECTS))
+def test_planted_analytic_defects_fail_a_float_line(defect, monkeypatch):
+    monkeypatch.setattr(gauss, *_ANALYTIC_DEFECTS[defect])
+    for n in (1, 2):
+        cases = _seed7_cases(n)
+        relations = [case for suite, case in cases if suite == "pointwise"
+                     and not case.case.startswith("hermitian[")]
+        assert relations and {c.residual for c in relations} == {0.0}
+        assert all(c.passed for c in relations)
+        assert [c for _, c in cases if not c.passed]
